@@ -6,12 +6,12 @@ benchmark harness with a CLI.
 """
 
 from .block import (
-    BlockState,
     RankDeficiencyError,
-    ascent_direction_block,
-    objective_bl0,
-    objective_bl1,
+    ascend,
+    ascent_direction,
+    objective,
     polar_projection,
+    recover_pattern,
     solve_block,
 )
 from .core import (
@@ -52,18 +52,6 @@ from .parallel import (
     par_threshold_accumulate,
 )
 from .pca import PcaModel, explained_variance, pca_fit, project
-from .single_unit import (
-    SingleUnitState,
-    ascent_direction_sl0,
-    ascent_direction_sl1,
-    deflate,
-    objective_sl0,
-    objective_sl1,
-    power_step,
-    recover_pattern_sl0,
-    recover_pattern_sl1,
-    solve_multi_sequential,
-    solve_single_unit,
-)
+from .single_unit import deflate, solve_multi_sequential, solve_single_unit
 
 __version__ = "0.1.0"

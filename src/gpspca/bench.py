@@ -36,7 +36,6 @@ class ExperimentConfig:
     """Settings for one experiment sweep; seed fixes all randomness."""
 
     dataset: str = None
-    format: str = "csv_labeled"
     variant: str = "sl1"
     m: tuple = (5,)
     gamma: float = 0.1
@@ -131,7 +130,7 @@ def run_recognition_experiment(config, dataset=None):
     recorded in the row's error column, not raised.
     """
     if dataset is None:
-        dataset = load_dataset(config.dataset, config.format)
+        dataset = load_dataset(config.dataset)
     if config.split is None:
         raise ValueError("recognition experiment needs a split policy")
     plan = config.plan()
@@ -256,7 +255,7 @@ def run_timing_experiment(config):
                         rows.append({
                             "variant": variant, "N": N, "P": P, "gamma": gamma,
                             "workers": workers, "instance": instance,
-                            "seconds": elapsed, "iterations": report.iterations,
+                            "seconds": elapsed, "iterations": iterations[-1],
                         })
                     rows.append({
                         "variant": variant, "N": N, "P": P, "gamma": gamma,

@@ -1,33 +1,31 @@
-"""Block sparse PCA solvers: m components jointly on the Stiefel manifold.
+"""Generalized power iteration for all four sparse PCA formulations.
 
-Each iteration evaluates the penalized block objective, assembles the
-ascent direction column by column, and retracts onto the manifold with
-the polar factor of the gradient.  Loading columns are recovered jointly
-from the final iterate, with the per-component weights mu folded in.
+One loop serves both modes: correlate the iterate with every column,
+threshold the correlations, accumulate the thresholded columns into the
+ascent direction, and retract.  A length-p iterate is a point on the
+unit sphere (single-unit) and retracts by normalization; a p x m
+iterate is a point on the Stiefel manifold (block) and retracts by the
+polar factor of the gradient.  Loading columns are the same threshold
+weights of the final correlations, normalized, with the per-component
+weights mu folded in.
 """
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RunReport, SparseLoadings, StiefelPoint, as_data_matrix, column_norms, positive_part
-from .parallel import DEFAULT_PLAN, par_matvec_t, par_threshold_accumulate
+from .core import (
+    RunReport,
+    SparseLoadings,
+    StiefelPoint,
+    _as_length_m,
+    as_data_matrix,
+    column_norms,
+    positive_part,
+)
+from .parallel import DEFAULT_PLAN, par_matvec_t, par_threshold_accumulate, threshold_weights
 
-BLOCK_FEASIBILITY_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class BlockState:
-    """Current Stiefel iterate, its objective value, and the step count.
-
-    Holding the iterate as a StiefelPoint keeps the feasibility
-    invariant checked at every iteration.
-    """
-
-    X: StiefelPoint
-    objective: float
-    iteration: int
+FEASIBILITY_TOL = 1e-8
 
 
 class RankDeficiencyError(RuntimeError):
@@ -49,87 +47,81 @@ class RankDeficiencyError(RuntimeError):
         )
 
 
-def _as_stiefel_values(X, p, m=None):
+def _check_iterate(X, p):
+    """X as a float array: a unit length-p vector or a p x m matrix with
+    orthonormal columns."""
     if isinstance(X, StiefelPoint):
         X = X.values
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.shape[0] != p or (m is not None and X.shape[1] != m):
-        raise ValueError(f"X must be {p}x{m or 'm'}, got {X.shape}")
-    err = np.linalg.norm(X.T @ X - np.eye(X.shape[1]))
-    if err > BLOCK_FEASIBILITY_TOL:
-        raise ValueError(f"X is off the Stiefel manifold: ||X'X - I||_F = {err:.3e}")
+    if X.ndim not in (1, 2) or X.shape[0] != p:
+        raise ValueError(f"X must have p={p} rows, got shape {X.shape}")
+    V = X.reshape(p, -1)
+    err = np.linalg.norm(V.T @ V - np.eye(V.shape[1]))
+    if err > FEASIBILITY_TOL:
+        raise ValueError(f"X is off the sphere or Stiefel manifold: ||X'X - I||_F = {err:.3e}")
     return X
 
 
-def _per_component(vec, m, name):
-    v = np.atleast_1d(np.asarray(vec, dtype=np.float64))
-    if v.size == 1:
-        v = np.full(m, v[0])
-    if v.shape != (m,):
-        raise ValueError(f"{name} must be a scalar or length-{m} vector")
-    return v
-
-
-def _correlations(A, X, plan):
-    # One matvec_t per component; columns of X are independent given A.
-    return np.column_stack([par_matvec_t(A, X[:, j], plan) for j in range(X.shape[1])])
-
-
-def _block_objective_from_correlations(C, gamma, mu, penalty):
-    total = 0.0
-    for j in range(C.shape[1]):
-        scaled = mu[j] * C[:, j]
-        if penalty == "l1":
-            t = positive_part(np.abs(scaled) - gamma[j])
-            total += float(t @ t)
-        else:
-            total += float(np.sum(positive_part(scaled * scaled - gamma[j])))
-    return total
-
-
-def objective_bl1(A, X, gamma, mu, plan=DEFAULT_PLAN):
-    """l1 block objective: sum_j sum_i [mu_j |a_i'x_j| - gamma_j]_+^2."""
+def _scaled_correlations(A, X, gamma, mu, plan):
+    # Checked inputs and S = mu * A'X: scalar gamma and mu for a vector
+    # iterate, one (gamma_j, mu_j) per column of a block.
     A = as_data_matrix(A)
-    X = _as_stiefel_values(X, A.p)
-    m = X.shape[1]
-    gamma = _per_component(gamma, m, "gamma")
-    mu = _per_component(mu, m, "mu")
-    C = _correlations(A, X, plan)
-    return _block_objective_from_correlations(C, gamma, mu, "l1")
+    X = _check_iterate(X, A.p)
+    m = 1 if X.ndim == 1 else X.shape[1]
+    gamma, mu = _as_length_m(gamma, m, "gamma"), _as_length_m(mu, m, "mu")
+    if X.ndim == 1:
+        gamma, mu = gamma[0], mu[0]
+    return A, gamma, mu, mu * par_matvec_t(A, X, plan)
 
 
-def objective_bl0(A, X, gamma, mu, plan=DEFAULT_PLAN):
-    """l0 block objective: sum_j sum_i [(mu_j a_i'x_j)^2 - gamma_j]_+."""
-    A = as_data_matrix(A)
-    X = _as_stiefel_values(X, A.p)
-    m = X.shape[1]
-    gamma = _per_component(gamma, m, "gamma")
-    mu = _per_component(mu, m, "mu")
-    C = _correlations(A, X, plan)
-    return _block_objective_from_correlations(C, gamma, mu, "l0")
+def _objective(S, gamma, penalty):
+    # S holds the scaled correlations mu_j a_i'x_j; gamma broadcasts over
+    # its columns.  The gradient weights are parallel.threshold_weights.
+    if penalty == "l1":
+        t = positive_part(np.abs(S) - gamma)
+        return float(np.vdot(t, t))
+    return float(np.sum(positive_part(S * S - gamma)))
 
 
-def _block_gradient(A, C, gamma, mu, penalty, plan):
-    # Column j: 2 mu_j * sum_i w(mu_j c_ij, gamma_j) a_i, which reduces to
-    # the single-unit gradient when mu_j = 1.
-    cols = []
-    for j in range(C.shape[1]):
-        acc = par_threshold_accumulate(A, mu[j] * C[:, j], gamma[j], penalty, plan)
-        cols.append(2.0 * mu[j] * acc)
-    return np.column_stack(cols)
+def _loadings(S, gamma, penalty):
+    # Threshold weights of the final correlations, normalized per column;
+    # an all-inactive column stays zero.
+    Z = threshold_weights(S, gamma, penalty)
+    norms = np.linalg.norm(Z, axis=0) if Z.ndim == 2 else np.linalg.norm(Z)
+    return np.divide(Z, norms, out=np.zeros_like(Z), where=norms > 0)
 
 
-def ascent_direction_block(A, X, gamma, mu, penalty, plan=DEFAULT_PLAN):
-    """Ambient gradient of the block objective, one column per component."""
-    A = as_data_matrix(A)
-    X = _as_stiefel_values(X, A.p)
-    m = X.shape[1]
-    gamma = _per_component(gamma, m, "gamma")
-    mu = _per_component(mu, m, "mu")
-    C = _correlations(A, X, plan)
-    return _block_gradient(A, C, gamma, mu, penalty, plan)
+def objective(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
+    """Penalized objective at a sphere or Stiefel point X.
+
+    l1: sum_j sum_i [mu_j |a_i'x_j| - gamma_j]_+^2;
+    l0: sum_j sum_i [(mu_j a_i'x_j)^2 - gamma_j]_+.
+    gamma and mu are scalars or one entry per column of X.
+    """
+    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, plan)
+    return _objective(S, gamma, penalty)
+
+
+def ascent_direction(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
+    """Ambient gradient of the objective: column j is
+    2 mu_j sum_i w(mu_j a_i'x_j, gamma_j) a_i with w = threshold_weights.
+
+    Zero exactly when no column is active.
+    """
+    A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, plan)
+    return (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, plan)
+
+
+def recover_pattern(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
+    """Sparse loading columns at a fixed iterate X.
+
+    l1 soft-thresholds the correlations, z_i proportional to
+    sign(a_i'x) [mu |a_i'x| - gamma]_+; l0 keeps those with
+    (mu a_i'x)^2 > gamma.  Each column is renormalized to unit norm; an
+    all-inactive column is returned as zero.
+    """
+    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, plan)
+    return _loadings(S, gamma, penalty)
 
 
 def polar_projection(G):
@@ -149,7 +141,50 @@ def polar_projection(G):
     return StiefelPoint(U @ Vt)
 
 
-def _init_block(A, config, plan):
+def ascend(A, X, gamma, mu, penalty, tol, max_iter, plan=DEFAULT_PLAN):
+    """Generalized power iteration from the feasible point X.
+
+    Each step correlates, thresholds, accumulates and retracts: a vector
+    X is normalized (a zero gradient is a fixed point and counts as
+    converged), a p x m X takes the polar factor (rank collapse raises
+    RankDeficiencyError carrying the iteration and the history so far).
+    gamma and mu are scalars for a vector and length-m vectors for a
+    block.  Stops when the relative objective change drops below tol or
+    after max_iter steps.
+
+    Returns (X, S, history, converged), where S = mu * A'X belongs to the
+    returned X.
+    """
+    S = mu * par_matvec_t(A, X, plan)
+    f = _objective(S, gamma, penalty)
+    history = [f]
+    converged = False
+    for iteration in range(max_iter):
+        G = (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, plan)
+        if X.ndim == 1:
+            norm = np.linalg.norm(G)
+            if norm == 0.0:
+                converged = True
+                break
+            X = G / norm
+        else:
+            try:
+                X = polar_projection(G).values
+            except RankDeficiencyError as err:
+                err.iteration = iteration
+                err.history = history
+                raise
+        S = mu * par_matvec_t(A, X, plan)
+        f_new = _objective(S, gamma, penalty)
+        history.append(f_new)
+        if abs(f_new - f) < tol * max(abs(f), 1e-30):
+            converged = True
+            break
+        f = f_new
+    return X, S, history, converged
+
+
+def _init_block(A, config):
     p, m = A.p, config.m
     if config.init == "random_orthonormal":
         rng = np.random.default_rng(config.seed)
@@ -158,7 +193,10 @@ def _init_block(A, config, plan):
         order = np.argsort(-column_norms(A), kind="stable")
         M = A.values[:, order[:m]].copy()
     else:
-        return _as_stiefel_values(config.x0, p, m)
+        X = _check_iterate(config.x0, p).reshape(p, -1)
+        if X.shape[1] != m:
+            raise ValueError(f"x0 must be {p}x{m}, got {X.shape}")
+        return X
     Q, R = np.linalg.qr(M)
     diag = np.diagonal(R)
     if np.any(np.abs(diag) <= m * np.finfo(np.float64).eps * max(1.0, np.abs(diag).max())):
@@ -167,33 +205,16 @@ def _init_block(A, config, plan):
             "use init='random_orthonormal' or reduce m"
         )
     # Fix the QR sign ambiguity so initialization is fully deterministic.
-    Q = Q * np.sign(diag)
-    return Q
-
-
-def _recover_block(C, gamma, mu, penalty):
-    n, m = C.shape
-    Z = np.zeros((n, m))
-    for j in range(m):
-        c = C[:, j]
-        if penalty == "l1":
-            v = np.sign(c) * positive_part(mu[j] * np.abs(c) - gamma[j])
-        else:
-            scaled = mu[j] * c
-            v = np.where(scaled * scaled > gamma[j], c, 0.0)
-        norm = np.linalg.norm(v)
-        if norm > 0:
-            Z[:, j] = v / norm
-    return Z
+    return Q * np.sign(diag)
 
 
 def solve_block(A, config, plan=DEFAULT_PLAN):
     """Extract config.m components jointly; returns (SparseLoadings, RunReport).
 
-    Alternates gradient assembly and polar retraction until the relative
-    objective change drops below config.tol; the iterate stays on the
-    Stiefel manifold at every step.  Rank collapse of the gradient is
-    raised as RankDeficiencyError tagged with the iteration index.
+    Runs ascend on a p x m Stiefel iterate until the relative objective
+    change drops below config.tol; the iterate stays on the manifold at
+    every step.  Rank collapse of the gradient is raised as
+    RankDeficiencyError tagged with the iteration index.
     """
     A = as_data_matrix(A)
     if config.mode != "block":
@@ -201,30 +222,11 @@ def solve_block(A, config, plan=DEFAULT_PLAN):
     if not 1 <= config.m <= min(A.p, A.n):
         raise ValueError(f"need 1 <= m <= min(p, n) = {min(A.p, A.n)}, got m={config.m}")
     start = time.perf_counter()
-    gamma, mu = config.gamma, config.mu
-    point = StiefelPoint(_init_block(A, config, plan))
-    C = _correlations(A, point.values, plan)
-    f = _block_objective_from_correlations(C, gamma, mu, config.penalty)
-    state = BlockState(X=point, objective=f, iteration=0)
-    history = [f]
-    converged = False
-    while state.iteration < config.max_iter:
-        G = _block_gradient(A, C, gamma, mu, config.penalty, plan)
-        try:
-            point = polar_projection(G)
-        except RankDeficiencyError as err:
-            err.iteration = state.iteration
-            err.history = history
-            raise
-        C = _correlations(A, point.values, plan)
-        f_new = _block_objective_from_correlations(C, gamma, mu, config.penalty)
-        history.append(f_new)
-        state = BlockState(X=point, objective=f_new, iteration=state.iteration + 1)
-        if abs(f_new - f) < config.tol * max(abs(f), 1e-30):
-            converged = True
-            break
-        f = f_new
-    loadings = SparseLoadings(_recover_block(C, gamma, mu, config.penalty))
+    _, S, history, converged = ascend(
+        A, _init_block(A, config), config.gamma, config.mu, config.penalty,
+        config.tol, config.max_iter, plan,
+    )
+    loadings = SparseLoadings(_loadings(S, config.gamma, config.penalty))
     return loadings, RunReport(
         objective_history=history,
         iterations=len(history) - 1,

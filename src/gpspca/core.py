@@ -13,7 +13,6 @@ import numpy as np
 PENALTIES = ("l1", "l0")
 MODES = ("single_unit", "block")
 INITS = ("max_norm_column", "random_orthonormal", "user_supplied")
-DEFLATIONS = ("orthogonal_projection",)
 
 # Absolute tolerance for algebraic identities (unit norms, orthogonality,
 # pattern/value agreement); solver convergence uses the relative tol in
@@ -166,7 +165,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 1000
     init: str = "max_norm_column"
-    deflation: str = "orthogonal_projection"
     seed: int = 0
     x0: object = None
     # Robustness knobs for the single-unit solvers; the defaults keep the
@@ -185,8 +183,6 @@ class SolverConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}")
-        if self.deflation not in DEFLATIONS:
-            raise ValueError(f"deflation must be one of {DEFLATIONS}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.restarts < 1:

@@ -88,14 +88,12 @@ def _looks_like_header(row):
     return False
 
 
-def load_dataset(path, format="csv_labeled"):
+def load_dataset(path):
     """Parse a labeled CSV into a LabeledDataset (no split yet).
 
     Errors name the offending 1-based line number; every row must carry
     the same feature count.
     """
-    if format != "csv_labeled":
-        raise DatasetFormatError(f"unknown dataset format {format!r}")
     labels = []
     rows = []
     width = None

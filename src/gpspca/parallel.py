@@ -24,19 +24,16 @@ KERNELS = ("matvec_t", "gram_apply", "threshold_accumulate")
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Execution plan: worker count, columns per task, reduction order."""
+    """Execution plan: worker count and columns per task."""
 
     workers: int = 1
     chunk: int = 256
-    reduction: str = "pairwise_tree"
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
-        if self.reduction != "pairwise_tree":
-            raise ValueError("only the pairwise_tree reduction is supported")
 
 
 DEFAULT_PLAN = KernelPlan()
@@ -82,16 +79,23 @@ def _pairwise_combine(parts):
     return parts[0]
 
 
+def _check_rows(v, rows, name):
+    # A vector (one component) or a matrix with one column per component.
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[0] != rows:
+        raise ValueError(f"{name} must have {rows} rows, got shape {v.shape}")
+    return v
+
+
 def par_matvec_t(A, x, plan=DEFAULT_PLAN):
-    """All column dot products a_i'x, returned as a length-n vector."""
+    """All column dot products a_i'x: length n for a length-p x, n x m for
+    a p x m block (one GEMM per chunk instead of m GEMVs)."""
     A = as_data_matrix(A)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.p,):
-        raise ValueError(f"x must have length p={A.p}, got shape {x.shape}")
+    x = _check_rows(x, A.p, "x")
     bounds = _chunk_bounds(A.n, plan.chunk)
     values = A.values
     parts = _map_chunks(lambda lo, hi: values[:, lo:hi].T @ x, bounds, plan.workers)
-    out = np.empty(A.n)
+    out = np.empty((A.n,) + x.shape[1:])
     for (lo, hi), part in zip(bounds, parts):
         out[lo:hi] = part
     return out
@@ -118,7 +122,8 @@ def threshold_weights(correlations, gamma, penalty):
     """Per-column gradient weights w(c_i, gamma) for the given penalty.
 
     l1: sign(c_i) * max(|c_i| - gamma, 0); l0: c_i where c_i^2 > gamma,
-    else 0 (ties at the threshold count as inactive).
+    else 0 (ties at the threshold count as inactive).  For an n x m
+    block, gamma may hold one threshold per column.
     """
     c = np.asarray(correlations, dtype=np.float64)
     if penalty == "l1":
@@ -131,24 +136,44 @@ def threshold_weights(correlations, gamma, penalty):
 def par_threshold_accumulate(A, correlations, gamma, penalty, plan=DEFAULT_PLAN):
     """Thresholded gradient accumulation sum_i w(c_i, gamma) a_i.
 
-    correlations must be the par_matvec_t output for the current iterate;
-    the result is the ascent direction up to the scheme's constant factor.
+    correlations must be the par_matvec_t output for the current iterate
+    (length n, or n x m with one gamma per column); the result is the
+    ascent direction up to the scheme's constant factor.
     """
     A = as_data_matrix(A)
-    c = np.asarray(correlations, dtype=np.float64)
-    if c.shape != (A.n,):
-        raise ValueError(f"correlations must have length n={A.n}, got shape {c.shape}")
+    c = _check_rows(correlations, A.n, "correlations")
     w = threshold_weights(c, gamma, penalty)
     return _accumulate_columns(A.values, w, plan)
+
+
+MEMINFO = "/proc/meminfo"
+
+
+def _available_memory():
+    """Bytes that can be allocated without swapping, or None if unknown.
+
+    Prefers MemAvailable from MEMINFO, which counts reclaimable page
+    cache; free pages alone (sysconf) understate it on a warm machine.
+    """
+    try:
+        with open(MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        return os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (ValueError, OSError, AttributeError):
+        return None
 
 
 def check_allocation(P, N):
     """Raise MemoryError before allocating if a P x N float64 matrix
     cannot plausibly fit in physical memory."""
     needed = int(P) * int(N) * 8
-    try:
-        available = os.sysconf("SC_AVPHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (ValueError, OSError, AttributeError):
+    available = _available_memory()
+    if available is None:
         return
     if needed > available:
         raise MemoryError(

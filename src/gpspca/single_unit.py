@@ -1,135 +1,31 @@
 """Single-unit sparse PCA solvers (l1 and l0 penalties).
 
-One component at a time: climb the penalized objective over the unit
-sphere in sample space by repeatedly normalizing the ascent direction,
-then read the sparse loading vector off the final iterate.  More
+One component at a time: each is a run of the generalized power loop
+(block.ascend) on the unit sphere in sample space, from one or more
+starting directions and optionally refined over nearby supports; the
+sparse loading vector is read off the final correlations.  More
 components come from sequential orthogonal-projection deflation.
 """
 
 import time
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    RunReport,
-    SparseLoadings,
-    as_data_matrix,
-    column_norms,
-    positive_part,
-)
-from .parallel import DEFAULT_PLAN, par_matvec_t, par_threshold_accumulate
+from .block import _check_iterate, _loadings, ascend
+from .core import RunReport, SparseLoadings, as_data_matrix, column_norms
 
-UNIT_NORM_TOL = 1e-9
+from .parallel import DEFAULT_PLAN, threshold_weights
 
-
-@dataclass(frozen=True)
-class SingleUnitState:
-    """Current sphere iterate, its objective value, and the step count."""
-
-    x: np.ndarray
-    objective: float
-    iteration: int
+# perfbench/tracing.py wraps the column kernels under each solver
+# module's names, this one included.
+from .parallel import par_matvec_t, par_threshold_accumulate  # noqa: F401
 
 
 def _check_unit(x, p):
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p,):
+    x = _check_iterate(x, p)
+    if x.ndim != 1:
         raise ValueError(f"x must have length p={p}, got shape {x.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > UNIT_NORM_TOL:
-        raise ValueError("x must lie on the unit sphere")
     return x
-
-
-def _objective_from_correlations(c, gamma, penalty):
-    if penalty == "l1":
-        t = positive_part(np.abs(c) - gamma)
-        return float(t @ t)
-    return float(np.sum(positive_part(c * c - gamma)))
-
-
-def objective_sl1(A, x, gamma, plan=DEFAULT_PLAN):
-    """l1-penalized single-unit objective: sum_i [|a_i'x| - gamma]_+^2."""
-    A = as_data_matrix(A)
-    x = _check_unit(x, A.p)
-    c = par_matvec_t(A, x, plan)
-    return _objective_from_correlations(c, gamma, "l1")
-
-
-def objective_sl0(A, x, gamma, plan=DEFAULT_PLAN):
-    """l0-penalized single-unit objective: sum_i [(a_i'x)^2 - gamma]_+."""
-    A = as_data_matrix(A)
-    x = _check_unit(x, A.p)
-    c = par_matvec_t(A, x, plan)
-    return _objective_from_correlations(c, gamma, "l0")
-
-
-def ascent_direction_sl1(A, x, gamma, plan=DEFAULT_PLAN):
-    """Gradient of the l1 objective: 2 sum_i [|c_i| - gamma]_+ sign(c_i) a_i.
-
-    Zero exactly when no column is active (|a_i'x| <= gamma for all i).
-    """
-    A = as_data_matrix(A)
-    c = par_matvec_t(A, np.asarray(x, dtype=np.float64), plan)
-    return 2.0 * par_threshold_accumulate(A, c, gamma, "l1", plan)
-
-
-def ascent_direction_sl0(A, x, gamma, plan=DEFAULT_PLAN):
-    """Subgradient of the l0 objective: 2 sum_{c_i^2 > gamma} c_i a_i."""
-    A = as_data_matrix(A)
-    c = par_matvec_t(A, np.asarray(x, dtype=np.float64), plan)
-    return 2.0 * par_threshold_accumulate(A, c, gamma, "l0", plan)
-
-
-def power_step(state, direction):
-    """One generalized power step: the sphere point maximizing the
-    linearization, x+ = g / ||g||.
-
-    Returns (next_state, fixed_point).  A zero direction returns the
-    state unchanged with fixed_point=True.  The new state keeps the old
-    objective value; the solve loop re-evaluates it.
-    """
-    g = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(g)
-    if norm == 0.0:
-        return state, True
-    nxt = replace(state, x=g / norm, iteration=state.iteration + 1)
-    return nxt, False
-
-
-def recover_pattern_sl1(A, x, gamma, plan=DEFAULT_PLAN):
-    """Sparse loading column for the l1 penalty at a fixed iterate x.
-
-    Soft-thresholds the correlations: z_i proportional to
-    sign(a_i'x) [|a_i'x| - gamma]_+, renormalized to unit norm; the
-    all-inactive case returns the zero vector.
-    """
-    A = as_data_matrix(A)
-    c = par_matvec_t(A, np.asarray(x, dtype=np.float64), plan)
-    z = np.sign(c) * positive_part(np.abs(c) - gamma)
-    norm = np.linalg.norm(z)
-    return z / norm if norm > 0 else z
-
-
-def recover_pattern_sl0(A, x, gamma, plan=DEFAULT_PLAN):
-    """Sparse loading column for the l0 penalty: keep correlations with
-    (a_i'x)^2 > gamma, zero the rest, renormalize."""
-    A = as_data_matrix(A)
-    c = par_matvec_t(A, np.asarray(x, dtype=np.float64), plan)
-    z = np.where(c * c > gamma, c, 0.0)
-    norm = np.linalg.norm(z)
-    return z / norm if norm > 0 else z
-
-
-_RECOVER = {"l1": recover_pattern_sl1, "l0": recover_pattern_sl0}
-
-
-def _activation_limit(norms, penalty):
-    # Largest gamma at which any column can be active anywhere on the
-    # sphere: max |a_i'x| = ||a_i||, so the l0 threshold compares against
-    # the squared norm.
-    top = float(np.max(norms))
-    return top if penalty == "l1" else top * top
 
 
 def _initial_iterates(A, config):
@@ -157,77 +53,30 @@ def _initial_iterates(A, config):
     return out
 
 
-def _iterate_single_unit(A, x0, gamma, penalty, tol, max_iter, plan):
-    """Power iteration from x0; returns (x, history, converged)."""
-    x = x0
-    c = par_matvec_t(A, x, plan)
-    f = _objective_from_correlations(c, gamma, penalty)
-    history = [f]
-    converged = False
-    for _ in range(max_iter):
-        g = 2.0 * par_threshold_accumulate(A, c, gamma, penalty, plan)
-        norm = np.linalg.norm(g)
-        if norm == 0.0:
-            converged = True
-            break
-        x = g / norm
-        c = par_matvec_t(A, x, plan)
-        f_new = _objective_from_correlations(c, gamma, penalty)
-        history.append(f_new)
-        if abs(f_new - f) < tol * max(abs(f), 1e-30):
-            converged = True
-            break
-        f = f_new
-    return x, history, converged
-
-
 def solve_single_unit(A, config, plan=DEFAULT_PLAN):
     """Extract one sparse component; returns (SparseLoadings, RunReport).
 
-    Iterates power steps from the configured initialization until the
-    relative objective change drops below config.tol (or max_iter), then
-    recovers the loading vector from the final iterate.  When gamma is
-    so large that no column can activate, the zero loading is returned
+    Climbs from the configured initialization until the relative
+    objective change drops below config.tol (or max_iter), then recovers
+    the loading vector from the final iterate.  When gamma is so large
+    that no column can activate, the zero loading is returned
     immediately with a converged report.  With restarts > 1 or
-    refine=True the report carries the winning climb's trace.
+    refine=True the report carries the winning climb's trace.  This is
+    solve_multi_sequential with m = 1.
     """
-    A = as_data_matrix(A)
-    if config.mode != "single_unit":
-        raise ValueError("solve_single_unit requires mode='single_unit'")
     if config.m != 1:
         raise ValueError("solve_single_unit handles m=1; use solve_multi_sequential")
-    start = time.perf_counter()
-    gamma = float(config.gamma[0])
-    z, history, converged, _ = _solve_component(A, gamma, config, plan)
-    loadings = SparseLoadings(z)
-    return loadings, RunReport(
-        objective_history=history,
-        iterations=len(history) - 1,
-        wall_time=time.perf_counter() - start,
-        nnz_per_component=loadings.nnz_per_component(),
-        converged=converged,
-        component_histories=[history],
-    )
+    return solve_multi_sequential(A, config, plan)
 
 
-def _active_support(c, gamma, penalty):
-    if penalty == "l1":
-        return np.abs(c) > gamma
-    return c * c > gamma
-
-
-def _restricted_leading_direction(A, support, x, iters=50):
-    # Leading left singular direction of the support-restricted matrix,
-    # by plain power iteration seeded from the current iterate.
-    cols = A.values[:, support]
-    v = x.copy()
-    for _ in range(iters):
-        v = cols @ (cols.T @ v)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            return None
-        v = v / norm
-    return v
+def _restricted_leading_direction(A, support, x):
+    # Leading left singular vector of the support-restricted matrix,
+    # signed to agree with the current iterate; None if those columns
+    # are all zero.
+    U, s, _ = np.linalg.svd(A.values[:, support], full_matrices=False)
+    if s[0] == 0.0:
+        return None
+    return -U[:, 0] if U[:, 0] @ x < 0 else U[:, 0]
 
 
 def _refine_support(A, best, gamma, config, plan):
@@ -240,48 +89,43 @@ def _refine_support(A, best, gamma, config, plan):
     """
     if gamma <= 0:
         return best
-    x, history, converged = best
+    penalty = config.penalty
     for _ in range(4):
-        c = par_matvec_t(A, x, plan)
-        current = _active_support(c, gamma, config.penalty)
+        s = best[1]
+        current = threshold_weights(s, gamma, penalty) != 0
         improved = False
         for delta in (0.02, 0.05, 0.1, 0.2, 0.4):
             for g2 in (gamma * (1.0 - delta), gamma * (1.0 + delta)):
-                support = _active_support(c, g2, config.penalty)
+                support = threshold_weights(s, g2, penalty) != 0
                 if not support.any() or np.array_equal(support, current):
                     continue
-                x0 = _restricted_leading_direction(A, support, x)
+                x0 = _restricted_leading_direction(A, support, best[0])
                 if x0 is None:
                     continue
-                trial = _iterate_single_unit(
-                    A, x0, gamma, config.penalty, config.tol, config.max_iter, plan
-                )
-                if trial[1][-1] > history[-1] * (1.0 + 1e-12):
-                    x, history, converged = trial
+                trial = ascend(A, x0, gamma, 1.0, penalty, config.tol, config.max_iter, plan)
+                if trial[2][-1] > best[2][-1] * (1.0 + 1e-12):
+                    best = trial
                     improved = True
         if not improved:
             break
-    return x, history, converged
+    return best
 
 
 def _solve_component(A, gamma, config, plan):
     """Shared single-component path; returns (z, history, converged, x)."""
-    norms = column_norms(A)
-    if gamma >= _activation_limit(norms, config.penalty):
-        # The objective is identically zero on the sphere; nothing to do.
+    # |a_i'x| <= ||a_i|| on the sphere: when even the largest column norm
+    # is inactive the objective is identically zero; nothing to do.
+    if not threshold_weights(np.max(column_norms(A)), gamma, config.penalty):
         return np.zeros(A.n), [0.0], True, None
     best = None
     for x0 in _initial_iterates(A, config):
-        trial = _iterate_single_unit(
-            A, x0, gamma, config.penalty, config.tol, config.max_iter, plan
-        )
-        if best is None or trial[1][-1] > best[1][-1]:
+        trial = ascend(A, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, plan)
+        if best is None or trial[2][-1] > best[2][-1]:
             best = trial
     if config.refine:
         best = _refine_support(A, best, gamma, config, plan)
-    x, history, converged = best
-    z = _RECOVER[config.penalty](A, x, gamma, plan)
-    return z, history, converged, x
+    x, s, history, converged = best
+    return _loadings(s, gamma, config.penalty), history, converged, x
 
 
 def deflate(A, x):

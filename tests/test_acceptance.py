@@ -21,8 +21,7 @@ from gpspca import (
     par_gram_apply,
     par_matvec_t,
     par_threshold_accumulate,
-    recover_pattern_sl0,
-    recover_pattern_sl1,
+    recover_pattern,
     run_recognition_experiment,
     run_timing_experiment,
     solve_block,
@@ -357,8 +356,8 @@ def test_criterion_10_gamma_monotone_support():
         x /= np.linalg.norm(x)
         gamma = float(rng.uniform(0.0, 1.0))
         gamma_hi = gamma + float(rng.uniform(0.0, 1.0))
-        for recover in (recover_pattern_sl1, recover_pattern_sl0):
-            lo = set(np.nonzero(recover(A, x, gamma))[0].tolist())
-            hi = set(np.nonzero(recover(A, x, gamma_hi))[0].tolist())
+        for penalty in ("l1", "l0"):
+            lo = set(np.nonzero(recover_pattern(A, x, gamma, penalty))[0].tolist())
+            hi = set(np.nonzero(recover_pattern(A, x, gamma_hi, penalty))[0].tolist())
             assert hi <= lo
     report(10, "support inclusion holds on 1000 (A, x, gamma < gamma') triples, both penalties")

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from gpspca import (
-    BlockState,
     RankDeficiencyError,
     SolverConfig,
-    StiefelPoint,
-    ascent_direction_block,
-    ascent_direction_sl0,
-    ascent_direction_sl1,
-    objective_bl0,
-    objective_bl1,
+    ascent_direction,
+    objective,
     polar_projection,
     solve_block,
     solve_single_unit,
@@ -72,29 +67,32 @@ def block_near_kink(A, X, gamma, mu, penalty, window=1e-4):
 class TestBlockObjectives:
     def test_bl1_identity_examples(self):
         A, X = np.eye(2), np.eye(2)
-        assert objective_bl1(A, X, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(2.0)
-        assert objective_bl1(A, X, (0.5, 0.5), (1.0, 1.0)) == pytest.approx(0.5)
+        assert objective(A, X, (0.0, 0.0), "l1", (1.0, 1.0)) == pytest.approx(2.0)
+        assert objective(A, X, (0.5, 0.5), "l1", (1.0, 1.0)) == pytest.approx(0.5)
 
     def test_bl0_identity_examples(self):
         A, X = np.eye(2), np.eye(2)
-        assert objective_bl0(A, X, (0.0, 0.0), (1.0, 1.0)) == pytest.approx(2.0)
-        assert objective_bl0(A, X, (2.0, 2.0), (1.0, 1.0)) == 0.0
+        assert objective(A, X, (0.0, 0.0), "l0", (1.0, 1.0)) == pytest.approx(2.0)
+        assert objective(A, X, (2.0, 2.0), "l0", (1.0, 1.0)) == 0.0
 
-    @pytest.mark.parametrize("penalty,fn", [("l1", objective_bl1), ("l0", objective_bl0)])
-    def test_matches_double_loop(self, penalty, fn):
+    # The ids name the block variant each case exercises.
+    @pytest.mark.parametrize(
+        "penalty", ["l1", "l0"], ids=["l1-objective_bl1", "l0-objective_bl0"]
+    )
+    def test_matches_double_loop(self, penalty):
         rng = np.random.default_rng(30)
         for _ in range(20):
             A = rng.standard_normal((3, 5))
             X = random_stiefel(rng, 3, 2)
             gamma = rng.uniform(0.0, 0.5, size=2)
             mu = rng.uniform(0.5, 1.5, size=2)
-            assert fn(A, X, gamma, mu) == pytest.approx(
+            assert objective(A, X, gamma, penalty, mu) == pytest.approx(
                 scalar_block_objective(A, X, gamma, mu, penalty), rel=1e-12, abs=1e-12
             )
 
     def test_rejects_off_manifold(self):
         with pytest.raises(ValueError):
-            objective_bl1(np.eye(2), np.ones((2, 2)), (0.0, 0.0), (1.0, 1.0))
+            objective(np.eye(2), np.ones((2, 2)), (0.0, 0.0), "l1", (1.0, 1.0))
 
     def test_mu_scaling_coherence_l1(self):
         rng = np.random.default_rng(31)
@@ -103,8 +101,8 @@ class TestBlockObjectives:
         gamma = np.array([0.1, 0.3])
         mu = np.array([1.0, 0.7])
         c = 1.7
-        assert objective_bl1(A, X, c * gamma, c * mu) == pytest.approx(
-            c * c * objective_bl1(A, X, gamma, mu), rel=1e-10
+        assert objective(A, X, c * gamma, "l1", c * mu) == pytest.approx(
+            c * c * objective(A, X, gamma, "l1", mu), rel=1e-10
         )
 
 
@@ -117,12 +115,12 @@ class TestBlockAscentDirection:
         A = rng.standard_normal((4, 7))
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
-        for penalty, single in (("l1", ascent_direction_sl1), ("l0", ascent_direction_sl0)):
-            G = ascent_direction_block(A, x, (0.2,), (1.0,), penalty)
-            assert np.array_equal(G[:, 0], single(A, x, 0.2))
+        for penalty in ("l1", "l0"):
+            G = ascent_direction(A, x[:, None], (0.2,), penalty, (1.0,))
+            assert np.array_equal(G[:, 0], ascent_direction(A, x, 0.2, penalty))
 
     def test_identity_example(self):
-        G = ascent_direction_block(np.eye(2), np.eye(2), (0.0, 0.0), (1.0, 1.0), "l1")
+        G = ascent_direction(np.eye(2), np.eye(2), (0.0, 0.0), "l1", (1.0, 1.0))
         assert np.allclose(G, 2.0 * np.eye(2))
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
@@ -136,7 +134,7 @@ class TestBlockAscentDirection:
             mu = rng.uniform(0.6, 1.4, size=2)
             if block_near_kink(A, X, gamma, mu, penalty):
                 continue
-            got = ascent_direction_block(A, X, gamma, mu, penalty)
+            got = ascent_direction(A, X, gamma, penalty, mu)
             want = ambient_central_difference(A, X, gamma, mu, penalty)
             assert np.allclose(got, want, atol=1e-6)
             checked += 1
@@ -265,6 +263,15 @@ class TestSolveBlock:
         assert err.value.iteration is not None
         assert err.value.rank < 2
 
+    def test_all_zero_gradient_raises_at_first_iteration(self):
+        cfg = SolverConfig(
+            penalty="l1", mode="block", m=2, gamma=10.0, init="random_orthonormal",
+        )
+        with pytest.raises(RankDeficiencyError) as err:
+            solve_block(np.eye(3), cfg)
+        assert err.value.iteration == 0 and err.value.rank == 0
+        assert err.value.history == [0.0]
+
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             solve_block(np.eye(3), SolverConfig(mode="block", m=4))
@@ -282,9 +289,3 @@ class TestSolveBlock:
         loadings, report = solve_block(A, cfg)
         assert loadings.values.shape == (10, 2)
         assert report.converged
-
-    def test_state_enforces_feasibility(self):
-        ok = BlockState(X=StiefelPoint(np.eye(3)[:, :1]), objective=0.0, iteration=0)
-        assert ok.X.m == 1
-        with pytest.raises(ValueError):
-            BlockState(X=StiefelPoint(np.ones((3, 2))), objective=0.0, iteration=0)

@@ -158,6 +158,17 @@ class TestBenchCommands:
         assert lines[0].startswith("variant,N,P,gamma")
         assert len(lines) == 1 + 2 * (2 + 1)  # 2 gammas x (2 instances + median)
 
+    def test_bench_timing_pca_baseline(self, tmp_path, capsys):
+        out = tmp_path / "timing.csv"
+        code = main([
+            "bench-timing", "--sizes", "50", "--instances", "3", "--gammas", "0.05",
+            "--variants", "pca", "--m", "2", "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[5] for line in lines[1:]] == ["0", "1", "2", "median"]
+        assert all(line.split(",")[7] == "0" for line in lines[1:])
+
     def test_bench_recognition_writes_csv(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
         out = tmp_path / "rec.csv"

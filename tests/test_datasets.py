@@ -47,10 +47,6 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="label"):
             load_dataset(path)
 
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(DatasetFormatError):
-            load_dataset(tmp_path / "d.csv", format="parquet")
-
     def test_usps_shaped_file(self, tmp_path):
         # 9298 samples x 256 features with the standard 7291/2007 split
         rng = np.random.default_rng(0)

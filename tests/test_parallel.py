@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gpspca import DataMatrix, KernelPlan, par_gram_apply, par_matvec_t, par_threshold_accumulate
-from gpspca.parallel import measure_scaling, threshold_weights
+import gpspca.parallel
+from gpspca.parallel import check_allocation, measure_scaling, threshold_weights
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
@@ -42,6 +43,16 @@ class TestParMatvecT:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             par_matvec_t(DataMatrix(np.eye(3)), np.ones(4))
+
+    def test_block_matches_dense_product_and_workers(self):
+        rng = np.random.default_rng(7)
+        A = DataMatrix(rng.standard_normal((64, 1000)))
+        X = rng.standard_normal((64, 5))
+        outs = [par_matvec_t(A, X, KernelPlan(workers=w, chunk=64)) for w in WORKER_COUNTS]
+        assert outs[0].shape == (1000, 5)
+        assert np.allclose(outs[0], A.values.T @ X, atol=1e-12)
+        for other in outs[1:]:
+            assert np.array_equal(outs[0], other)
 
 
 class TestParGramApply:
@@ -106,6 +117,22 @@ class TestParThresholdAccumulate:
         )
         assert np.array_equal(expected, got)
 
+    @pytest.mark.parametrize("penalty", ["l1", "l0"])
+    def test_block_columns_use_their_own_gamma(self, penalty):
+        rng = np.random.default_rng(8)
+        A = DataMatrix(rng.standard_normal((64, 1000)))
+        C = par_matvec_t(A, rng.standard_normal((64, 3)))
+        gamma = np.array([0.1, 0.3, 0.6])
+        outs = [
+            par_threshold_accumulate(A, C, gamma, penalty, KernelPlan(workers=w, chunk=64))
+            for w in WORKER_COUNTS
+        ]
+        for other in outs[1:]:
+            assert np.array_equal(outs[0], other)
+        for j in range(3):
+            want = par_threshold_accumulate(A, C[:, j], gamma[j], penalty)
+            assert np.allclose(outs[0][:, j], want, atol=1e-12)
+
     def test_l0_tie_is_inactive(self):
         A = DataMatrix(np.eye(2))
         c = np.array([1.0, 0.0])
@@ -131,9 +158,33 @@ class TestKernelPlan:
         with pytest.raises(ValueError):
             KernelPlan(workers=0)
 
-    def test_rejects_unknown_reduction(self):
-        with pytest.raises(ValueError):
-            KernelPlan(reduction="left_to_right")
+
+class TestCheckAllocation:
+    def test_reads_mem_available(self, tmp_path, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal: 4000 kB\nMemFree: 10 kB\nMemAvailable: 2000 kB\n")
+        monkeypatch.setattr(gpspca.parallel, "MEMINFO", str(meminfo))
+        monkeypatch.setattr(gpspca.parallel.os, "sysconf", lambda name: 1)
+        check_allocation(1000, 256)  # 2048000 bytes == 2000 kB fits
+        with pytest.raises(MemoryError):
+            check_allocation(1000, 257)
+
+    def test_falls_back_to_free_pages(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpspca.parallel, "MEMINFO", str(tmp_path / "absent"))
+        pages = {"SC_AVPHYS_PAGES": 100, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(gpspca.parallel.os, "sysconf", pages.__getitem__)
+        check_allocation(100, 512)  # 409600 bytes == 100 pages
+        with pytest.raises(MemoryError):
+            check_allocation(100, 513)
+
+    def test_unknown_memory_never_refuses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gpspca.parallel, "MEMINFO", str(tmp_path / "absent"))
+
+        def no_sysconf(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(gpspca.parallel.os, "sysconf", no_sysconf)
+        check_allocation(10**6, 10**6)
 
 
 class TestMeasureScaling:

@@ -4,20 +4,25 @@ import pytest
 from gpspca import (
     DataMatrix,
     SolverConfig,
-    SingleUnitState,
-    ascent_direction_sl0,
-    ascent_direction_sl1,
+    ascend,
+    ascent_direction,
     deflate,
-    objective_sl0,
-    objective_sl1,
-    power_step,
-    recover_pattern_sl0,
-    recover_pattern_sl1,
+    objective,
+    recover_pattern,
     solve_multi_sequential,
     solve_single_unit,
 )
-from gpspca.single_unit import _iterate_single_unit
-from gpspca.parallel import DEFAULT_PLAN
+
+# The parametrized ids name the single-unit variant each case exercises.
+SL_IDS = {
+    "objective": ["l1-objective_sl1", "l0-objective_sl0"],
+    "ascent_direction": ["l1-ascent_direction_sl1", "l0-ascent_direction_sl0"],
+    "recover_pattern": ["l1-recover_pattern_sl1", "l0-recover_pattern_sl0"],
+    "power_step": [
+        "l1-objective_sl1-ascent_direction_sl1",
+        "l0-objective_sl0-ascent_direction_sl0",
+    ],
+}
 
 
 # ------------------------------------------------------------------ oracles
@@ -67,31 +72,31 @@ def random_unit(rng, p):
 class TestObjectives:
     def test_sl1_identity_examples(self):
         A = np.eye(2)
-        assert objective_sl1(A, [1.0, 0.0], 0.0) == pytest.approx(1.0)
-        assert objective_sl1(A, [1.0, 0.0], 0.5) == pytest.approx(0.25)
+        assert objective(A, [1.0, 0.0], 0.0, "l1") == pytest.approx(1.0)
+        assert objective(A, [1.0, 0.0], 0.5, "l1") == pytest.approx(0.25)
 
     def test_sl0_identity_examples(self):
         A = np.eye(2)
-        assert objective_sl0(A, [1.0, 0.0], 0.0) == pytest.approx(1.0)
-        assert objective_sl0(A, [1.0, 0.0], 2.0) == 0.0
+        assert objective(A, [1.0, 0.0], 0.0, "l0") == pytest.approx(1.0)
+        assert objective(A, [1.0, 0.0], 2.0, "l0") == 0.0
 
-    @pytest.mark.parametrize("penalty,fn", [("l1", objective_sl1), ("l0", objective_sl0)])
-    def test_matches_scalar_loop(self, penalty, fn):
+    @pytest.mark.parametrize("penalty", ["l1", "l0"], ids=SL_IDS["objective"])
+    def test_matches_scalar_loop(self, penalty):
         rng = np.random.default_rng(10)
         for _ in range(25):
             A = rng.standard_normal((3, 5))
             x = random_unit(rng, 3)
-            assert fn(A, x, 0.05) == pytest.approx(
+            assert objective(A, x, 0.05, penalty) == pytest.approx(
                 scalar_objective(A, x, 0.05, penalty), rel=1e-12, abs=1e-12
             )
 
     def test_rejects_non_unit_x(self):
         with pytest.raises(ValueError):
-            objective_sl1(np.eye(2), [1.0, 1.0], 0.0)
+            objective(np.eye(2), [1.0, 1.0], 0.0, "l1")
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            objective_sl0(np.eye(3), [1.0, 0.0], 0.0)
+            objective(np.eye(3), [1.0, 0.0], 0.0, "l0")
 
     def test_scale_equivariance_sl1(self):
         rng = np.random.default_rng(11)
@@ -99,8 +104,8 @@ class TestObjectives:
             A = rng.standard_normal((4, 7))
             x = random_unit(rng, 4)
             gamma, c = 0.3, 2.5
-            assert objective_sl1(c * A, x, c * gamma) == pytest.approx(
-                c * c * objective_sl1(A, x, gamma), rel=1e-10
+            assert objective(c * A, x, c * gamma, "l1") == pytest.approx(
+                c * c * objective(A, x, gamma, "l1"), rel=1e-10
             )
 
 
@@ -110,18 +115,16 @@ class TestObjectives:
 class TestAscentDirections:
     def test_sl1_examples(self):
         A = np.eye(2)
-        assert np.allclose(ascent_direction_sl1(A, [1.0, 0.0], 0.0), [2.0, 0.0])
-        assert np.array_equal(ascent_direction_sl1(A, [1.0, 0.0], 1.5), [0.0, 0.0])
+        assert np.allclose(ascent_direction(A, [1.0, 0.0], 0.0, "l1"), [2.0, 0.0])
+        assert np.array_equal(ascent_direction(A, [1.0, 0.0], 1.5, "l1"), [0.0, 0.0])
 
     def test_sl0_examples(self):
         A = np.eye(2)
-        assert np.allclose(ascent_direction_sl0(A, [1.0, 0.0], 0.5), [2.0, 0.0])
-        assert np.array_equal(ascent_direction_sl0(A, [1.0, 0.0], 2.0), [0.0, 0.0])
+        assert np.allclose(ascent_direction(A, [1.0, 0.0], 0.5, "l0"), [2.0, 0.0])
+        assert np.array_equal(ascent_direction(A, [1.0, 0.0], 2.0, "l0"), [0.0, 0.0])
 
-    @pytest.mark.parametrize(
-        "penalty,fn", [("l1", ascent_direction_sl1), ("l0", ascent_direction_sl0)]
-    )
-    def test_matches_finite_differences(self, penalty, fn):
+    @pytest.mark.parametrize("penalty", ["l1", "l0"], ids=SL_IDS["ascent_direction"])
+    def test_matches_finite_differences(self, penalty):
         rng = np.random.default_rng(12)
         checked = 0
         while checked < 25:
@@ -130,7 +133,7 @@ class TestAscentDirections:
             gamma = float(rng.uniform(0.05, 0.6))
             if near_kink(A, x, gamma, penalty):
                 continue
-            got = fn(A, x, gamma)
+            got = ascent_direction(A, x, gamma, penalty)
             want = central_difference(A, x, gamma, penalty)
             assert np.allclose(got, want, atol=1e-6)
             checked += 1
@@ -140,37 +143,39 @@ class TestAscentDirections:
         A = rng.standard_normal((3, 6))
         x = random_unit(rng, 3)
         gamma = float(np.abs(A.T @ x).max())
-        assert np.array_equal(ascent_direction_sl1(A, x, gamma), np.zeros(3))
-        assert np.any(ascent_direction_sl1(A, x, 0.9 * gamma) != 0)
+        assert np.array_equal(ascent_direction(A, x, gamma, "l1"), np.zeros(3))
+        assert np.any(ascent_direction(A, x, 0.9 * gamma, "l1") != 0)
 
 
 class TestPowerStep:
+    """One step of ascend on a vector iterate: x+ = g / ||g||."""
+
     def test_normalizes(self):
-        state = SingleUnitState(x=np.array([1.0, 0.0]), objective=0.0, iteration=0)
-        nxt, fixed = power_step(state, np.array([3.0, 4.0]))
-        assert not fixed
-        assert np.allclose(nxt.x, [0.6, 0.8])
-        assert nxt.iteration == 1
+        # correlations (3, 0) at gamma 0 give g = 6 (3, 4), so x+ = (0.6, 0.8)
+        A = DataMatrix([[3.0, 0.0], [4.0, 0.0]])
+        x, _, history, _ = ascend(A, np.array([1.0, 0.0]), 0.0, 1.0, "l1", 1e-6, 1)
+        assert np.allclose(x, [0.6, 0.8])
+        assert len(history) == 2
 
     def test_zero_direction_is_fixed_point(self):
-        state = SingleUnitState(x=np.array([1.0, 0.0]), objective=0.0, iteration=0)
-        nxt, fixed = power_step(state, np.zeros(2))
-        assert fixed and nxt is state
+        A = DataMatrix(np.eye(2))
+        x0 = np.array([1.0, 0.0])
+        x, _, history, converged = ascend(A, x0, 2.0, 1.0, "l1", 1e-6, 10)
+        assert converged and x is x0 and history == [0.0]
 
-    @pytest.mark.parametrize("penalty,obj,grad", [
-        ("l1", objective_sl1, ascent_direction_sl1),
-        ("l0", objective_sl0, ascent_direction_sl0),
-    ])
-    def test_never_decreases_objective(self, penalty, obj, grad):
+    @pytest.mark.parametrize("penalty", ["l1", "l0"], ids=SL_IDS["power_step"])
+    def test_never_decreases_objective(self, penalty):
         rng = np.random.default_rng(14)
         for _ in range(1000):
             A = rng.standard_normal((int(rng.integers(2, 6)), int(rng.integers(2, 9))))
             x = random_unit(rng, A.shape[0])
             gamma = float(rng.uniform(0.0, 1.0))
-            state = SingleUnitState(x=x, objective=obj(A, x, gamma), iteration=0)
-            nxt, fixed = power_step(state, grad(A, x, gamma))
-            if not fixed:
-                assert obj(A, nxt.x, gamma) >= state.objective - 1e-12
+            g = ascent_direction(A, x, gamma, penalty)
+            if np.any(g):
+                step = g / np.linalg.norm(g)
+                assert objective(A, step, gamma, penalty) >= (
+                    objective(A, x, gamma, penalty) - 1e-12
+                )
 
 
 # ----------------------------------------------------------- pattern recovery
@@ -178,17 +183,17 @@ class TestPowerStep:
 
 class TestRecoverPattern:
     def test_sl1_single_survivor(self):
-        z = recover_pattern_sl1(np.eye(2), [1.0, 0.0], 0.5)
+        z = recover_pattern(np.eye(2), [1.0, 0.0], 0.5, "l1")
         assert np.array_equal(z, [1.0, 0.0])
 
     def test_sl1_threshold_kills_everything(self):
-        z = recover_pattern_sl1(np.eye(2), [1.0, 0.0], 1.5)
+        z = recover_pattern(np.eye(2), [1.0, 0.0], 1.5, "l1")
         assert np.array_equal(z, np.zeros(2))
 
     def test_sl1_hand_derived_and_grid(self):
         A = np.array([[1.0, 0.6], [0.0, 0.8]])
         x = np.array([1.0, 0.0])
-        z = recover_pattern_sl1(A, x, 0.5)
+        z = recover_pattern(A, x, 0.5, "l1")
         # correlations (1, 0.6) soft-thresholded by 0.5 -> (0.5, 0.1), normalized
         expected = np.array([5.0, 1.0]) / np.sqrt(26.0)
         assert np.allclose(z, expected, atol=1e-12)
@@ -202,21 +207,19 @@ class TestRecoverPattern:
         assert np.allclose(best, z, atol=1e-5)
 
     def test_sl0_examples(self):
-        assert np.array_equal(recover_pattern_sl0(np.eye(2), [1.0, 0.0], 0.5), [1.0, 0.0])
-        assert np.array_equal(recover_pattern_sl0(np.eye(2), [1.0, 0.0], 2.0), np.zeros(2))
+        assert np.array_equal(recover_pattern(np.eye(2), [1.0, 0.0], 0.5, "l0"), [1.0, 0.0])
+        assert np.array_equal(recover_pattern(np.eye(2), [1.0, 0.0], 2.0, "l0"), np.zeros(2))
 
-    @pytest.mark.parametrize("penalty,recover", [
-        ("l1", recover_pattern_sl1), ("l0", recover_pattern_sl0),
-    ])
-    def test_gamma_monotone_support(self, penalty, recover):
+    @pytest.mark.parametrize("penalty", ["l1", "l0"], ids=SL_IDS["recover_pattern"])
+    def test_gamma_monotone_support(self, penalty):
         rng = np.random.default_rng(15)
         for _ in range(200):
             A = rng.standard_normal((3, 8))
             x = random_unit(rng, 3)
             lo = float(rng.uniform(0.0, 0.8))
             hi = lo + float(rng.uniform(0.0, 0.8))
-            support_hi = set(np.nonzero(recover(A, x, hi))[0].tolist())
-            support_lo = set(np.nonzero(recover(A, x, lo))[0].tolist())
+            support_hi = set(np.nonzero(recover_pattern(A, x, hi, penalty))[0].tolist())
+            support_lo = set(np.nonzero(recover_pattern(A, x, lo, penalty))[0].tolist())
             assert support_hi <= support_lo
 
 
@@ -296,13 +299,9 @@ class TestSolveSingleUnit:
         for penalty in ("l1", "l0"):
             A = DataMatrix(rng.standard_normal((5, 11)))
             x0 = random_unit(rng, 5)
-            x, history, converged = _iterate_single_unit(
-                A, x0, 0.1, penalty, tol, 5000, DEFAULT_PLAN
-            )
+            x, _, _, converged = ascend(A, x0, 0.1, 1.0, penalty, tol, 5000)
             assert converged
-            grad = (ascent_direction_sl1 if penalty == "l1" else ascent_direction_sl0)(
-                A, x, 0.1
-            )
+            grad = ascent_direction(A, x, 0.1, penalty)
             assert np.linalg.norm(grad) > 0
             assert np.linalg.norm(x - grad / np.linalg.norm(grad)) <= 10 * np.sqrt(tol)
 
