@@ -219,8 +219,10 @@ def run_timing_experiment(config):
     """Wall-time sweep over random dense instances on the (N, P=N/10) grid.
 
     Every instance matrix is shared by all variants and gammas so the
-    comparison is paired; rows carry per-solve seconds and iteration
-    counts, with per-cell medians appended.  Allocation failures skip
+    comparison is paired; rows carry per-solve seconds, iteration counts
+    and whether the solve converged (1/0; empty for pca, which has no
+    solver report), with per-cell medians appended, whose converged cell
+    is the share of instances that converged.  Allocation failures skip
     the size and the sweep continues.
     """
     m = config.m[0]
@@ -239,7 +241,7 @@ def run_timing_experiment(config):
             for gamma in config.timing_gammas:
                 for workers in worker_counts:
                     plan = KernelPlan(workers=workers, chunk=config.chunk)
-                    seconds, iterations = [], []
+                    seconds, iterations, converged = [], [], []
                     for instance in range(config.timing_instances):
                         rng = np.random.default_rng([config.seed, N, instance])
                         A = rng.standard_normal((P, N))
@@ -252,16 +254,19 @@ def run_timing_experiment(config):
                         elapsed = time.perf_counter() - start
                         seconds.append(elapsed)
                         iterations.append(report.iterations if report else 0)
+                        converged.append(int(report.converged) if report else None)
                         rows.append({
                             "variant": variant, "N": N, "P": P, "gamma": gamma,
                             "workers": workers, "instance": instance,
                             "seconds": elapsed, "iterations": iterations[-1],
+                            "converged": converged[-1],
                         })
                     rows.append({
                         "variant": variant, "N": N, "P": P, "gamma": gamma,
                         "workers": workers, "instance": "median",
                         "seconds": float(np.median(seconds)),
                         "iterations": float(np.median(iterations)),
+                        "converged": None if variant == "pca" else float(np.mean(converged)),
                     })
     if config.out:
         emit_report(rows, config.out)

@@ -130,6 +130,22 @@ def _to_int_list(text, key):
         raise UsageError(f"--{key.replace('_', '-')} expects comma-separated integers")
 
 
+def _m_values(text):
+    values = _to_int_list(text, "m")
+    if not values or any(v < 1 for v in values):
+        raise UsageError("--m expects positive integers")
+    return values
+
+
+def _experiment_config(**fields):
+    # ExperimentConfig rejects bad settings with ValueError; coming from
+    # flags, those are usage errors, not solver errors.
+    try:
+        return ExperimentConfig(**fields)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+
+
 def _gamma_value(text):
     values = _to_float_list(text, "gamma")
     if any(g < 0 for g in values):
@@ -158,8 +174,8 @@ def cmd_solve(args):
     variant = get("variant")
     if variant not in VARIANTS:
         raise UsageError(f"--variant must be one of {VARIANTS}")
-    m_values = _to_int_list(get("m"), "m")
-    if len(m_values) != 1 or m_values[0] < 1:
+    m_values = _m_values(get("m"))
+    if len(m_values) != 1:
         raise UsageError("solve expects a single --m >= 1")
     gamma = _gamma_value(get("gamma"))
     mu = _gamma_value(get("mu"))
@@ -244,10 +260,10 @@ def cmd_bench_recognition(args):
     if variant not in VARIANTS:
         raise UsageError(f"--variant must be one of {VARIANTS}")
     dataset = load_dataset(dataset_path)
-    config = ExperimentConfig(
+    config = _experiment_config(
         dataset=dataset_path,
         variant=variant,
-        m=_to_int_list(get("m"), "m"),
+        m=_m_values(get("m")),
         gamma=_gamma_value(get("gamma")),
         mu=_gamma_value(get("mu")),
         repetitions=_to_int(get("repetitions"), "repetitions", 1),
@@ -276,9 +292,15 @@ def cmd_bench_timing(args):
     worker_counts = _to_int_list(get("workers"), "workers")
     if not worker_counts or any(w < 1 for w in worker_counts):
         raise UsageError("--workers expects positive integers")
-    config = ExperimentConfig(
+    sizes = _to_int_list(get("sizes"), "sizes")
+    if not sizes or any(N < 10 or N % 10 for N in sizes):
+        raise UsageError("--sizes expects positive multiples of 10 (the P = N/10 grid)")
+    gammas = _to_float_list(get("gammas"), "gammas")
+    if not gammas or any(g < 0 for g in gammas):
+        raise UsageError("--gammas expects one or more numbers >= 0")
+    config = _experiment_config(
         variant=variants[0],
-        m=_to_int_list(get("m"), "m"),
+        m=_m_values(get("m")),
         gamma=0.0,
         mu=_gamma_value(get("mu")),
         seed=_to_int(get("seed"), "seed"),
@@ -287,8 +309,8 @@ def cmd_bench_timing(args):
         chunk=_to_int(get("chunk"), "chunk", 1),
         tol=_to_float(get("tol"), "tol"),
         max_iter=_to_int(get("max_iter"), "max_iter", 1),
-        timing_sizes=_to_int_list(get("sizes"), "sizes"),
-        timing_gammas=_to_float_list(get("gammas"), "gammas"),
+        timing_sizes=sizes,
+        timing_gammas=gammas,
         timing_variants=variants,
         timing_instances=_to_int(get("instances"), "instances", 1),
         timing_workers=worker_counts,

@@ -32,7 +32,17 @@ class DataMatrix:
     __slots__ = ("values", "p", "n")
 
     def __init__(self, values):
-        arr = np.array(values, dtype=np.float64, order="F", copy=True)
+        self._adopt(np.array(values, dtype=np.float64, order="F", copy=True))
+
+    @classmethod
+    def _own(cls, arr):
+        """Wrap a float64 array nobody else writes to, without copying it;
+        the array is validated and frozen in place."""
+        matrix = cls.__new__(cls)
+        matrix._adopt(arr)
+        return matrix
+
+    def _adopt(self, arr):
         if arr.ndim != 2:
             raise ValueError(f"expected a 2-d matrix, got ndim={arr.ndim}")
         p, n = arr.shape

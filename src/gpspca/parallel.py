@@ -4,9 +4,12 @@ Every solver funnels its column-indexed inner loops through the three
 kernels here: batched column dot products (par_matvec_t), weighted
 column accumulation (par_gram_apply), and thresholded gradient
 accumulation (par_threshold_accumulate).  Work is split into fixed-size
-column chunks; partial results are combined by a pairwise tree whose
-shape depends only on (n, chunk), never on scheduling, so kernel output
-is bitwise identical for any worker count.
+column chunks, and each worker takes one contiguous run of them (one
+pool task per worker, not per chunk).  Every chunk's partial result is
+computed the same way whichever worker runs it, and the partials are
+combined by a pairwise tree whose shape depends only on (n, chunk),
+never on scheduling, so kernel output is bitwise identical for any
+worker count at a fixed chunk.
 """
 
 import os
@@ -61,11 +64,17 @@ def _pool(workers):
 
 
 def _map_chunks(fn, bounds, workers):
-    # Each task writes only its own partial; results come back in chunk
-    # order regardless of which worker ran them.
-    if workers == 1 or len(bounds) == 1:
+    # One pool task per worker, each over a contiguous run of chunks, so a
+    # call pays `workers` handoffs rather than one per chunk.  Every chunk
+    # is still computed by the same fn(lo, hi) call and the partials come
+    # back in chunk order, whichever worker ran them.
+    tasks = min(workers, len(bounds))
+    if tasks == 1:
         return [fn(lo, hi) for lo, hi in bounds]
-    return list(_pool(workers).map(lambda b: fn(*b), bounds))
+    runs = [bounds[i * len(bounds) // tasks:(i + 1) * len(bounds) // tasks]
+            for i in range(tasks)]
+    parts = _pool(workers).map(lambda run: [fn(lo, hi) for lo, hi in run], runs)
+    return [part for run_parts in parts for part in run_parts]
 
 
 def _pairwise_combine(parts):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from .block import _check_iterate, _loadings, ascend
-from .core import RunReport, SparseLoadings, as_data_matrix, column_norms
+from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
 
 from .parallel import DEFAULT_PLAN, threshold_weights
 
@@ -28,12 +28,12 @@ def _check_unit(x, p):
     return x
 
 
-def _initial_iterates(A, config):
+def _initial_iterates(A, config, norms):
     """Start directions per the init strategy; config.restarts of them.
 
-    max_norm_column walks the columns in decreasing norm order; asking
-    for more starts than there are columns tops up with seeded random
-    directions.
+    max_norm_column walks the columns in decreasing norm order (norms
+    are A's column norms); asking for more starts than there are columns
+    tops up with seeded random directions.
     """
     if config.init == "user_supplied":
         return [_check_unit(config.x0, A.p)]
@@ -44,7 +44,6 @@ def _initial_iterates(A, config):
             x = rng.standard_normal(A.p)
             out.append(x / np.linalg.norm(x))
         return out
-    norms = column_norms(A)
     order = np.argsort(-norms, kind="stable")[: config.restarts]
     out = [A.values[:, i] / norms[i] for i in order if norms[i] > 0]
     for _ in range(config.restarts - len(out)):
@@ -115,10 +114,11 @@ def _solve_component(A, gamma, config, plan):
     """Shared single-component path; returns (z, history, converged, x)."""
     # |a_i'x| <= ||a_i|| on the sphere: when even the largest column norm
     # is inactive the objective is identically zero; nothing to do.
-    if not threshold_weights(np.max(column_norms(A)), gamma, config.penalty):
+    norms = column_norms(A)
+    if not threshold_weights(np.max(norms), gamma, config.penalty):
         return np.zeros(A.n), [0.0], True, None
     best = None
-    for x0 in _initial_iterates(A, config):
+    for x0 in _initial_iterates(A, config, norms):
         trial = ascend(A, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, plan)
         if best is None or trial[2][-1] > best[2][-1]:
             best = trial
@@ -132,12 +132,17 @@ def deflate(A, x):
     """Project the component direction out of the data: (I - xx')A.
 
     The returned matrix is exactly orthogonal to x (x'A' = 0) and
-    deflating twice with the same x is a no-op.
+    deflating twice with the same x is a no-op.  It allocates one p x n
+    matrix: the outer product is built in it and overwritten by the
+    difference, which the result then owns without a copy.
     """
     A = as_data_matrix(A)
     x = _check_unit(x, A.p)
     x = x / np.linalg.norm(x)
-    return as_data_matrix(A.values - np.outer(x, x @ A.values))
+    out = np.empty(A.shape, order="F")
+    np.multiply.outer(x, x @ A.values, out=out)
+    np.subtract(A.values, out, out=out)
+    return DataMatrix._own(out)
 
 
 def solve_multi_sequential(A, config, plan=DEFAULT_PLAN):

@@ -328,7 +328,7 @@ def test_criterion_09_timing_harness_shape(tmp_path):
     # schema-valid, complete CSV: every (variant, size, gamma) cell has all
     # twenty instances plus its median row, P = N/10 throughout
     text = path.read_text().splitlines()
-    assert text[0] == "variant,N,P,gamma,workers,instance,seconds,iterations"
+    assert text[0] == "variant,N,P,gamma,workers,instance,seconds,iterations,converged"
     assert len(text) == 1 + len(rows)
     cells = {}
     for r in rows:

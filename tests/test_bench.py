@@ -192,6 +192,19 @@ class TestTimingExperiment:
         # 2 sizes x 2 variants x 2 gammas
         assert len(medians) == 8
 
+    def test_converged_column(self):
+        # max_iter=1 caps every SPCA solve; pca has no solver report
+        rows = run_timing_experiment(self.config(
+            timing_variants=("sl1", "pca"), timing_gammas=(0.05,), max_iter=1,
+        ))
+        cells = {(r["variant"], r["instance"]): r["converged"] for r in rows if r["N"] == 50}
+        assert cells == {
+            ("sl1", 0): 0, ("sl1", 1): 0, ("sl1", "median"): 0.0,
+            ("pca", 0): None, ("pca", 1): None, ("pca", "median"): None,
+        }
+        free = run_timing_experiment(self.config(timing_variants=("sl1",), max_iter=1000))
+        assert all(r["converged"] == 1 for r in free)
+
     def test_rejects_off_grid_size(self):
         with pytest.raises(ValueError):
             run_timing_experiment(self.config(timing_sizes=(55,)))
@@ -200,4 +213,4 @@ class TestTimingExperiment:
         path = tmp_path / "timing.csv"
         run_timing_experiment(self.config(out=str(path)))
         header = path.read_text().splitlines()[0]
-        assert header == "variant,N,P,gamma,workers,instance,seconds,iterations"
+        assert header == "variant,N,P,gamma,workers,instance,seconds,iterations,converged"

@@ -169,6 +169,20 @@ class TestBenchCommands:
         assert [line.split(",")[5] for line in lines[1:]] == ["0", "1", "2", "median"]
         assert all(line.split(",")[7] == "0" for line in lines[1:])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--gammas", ","], ["--sizes", "0"], ["--sizes", "15"], ["--m", "0"]],
+        ids=["empty-gammas", "zero-size", "off-grid-size", "zero-m"],
+    )
+    def test_bench_timing_bad_arguments_are_usage_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "timing.csv"
+        code = main([
+            "bench-timing", "--sizes", "50", "--instances", "1", "--variants", "sl1",
+            "--m", "1", "--max-iter", "5", *flags, "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+
     def test_bench_recognition_writes_csv(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
         out = tmp_path / "rec.csv"

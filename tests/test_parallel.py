@@ -141,6 +141,58 @@ class TestParThresholdAccumulate:
         assert np.array_equal(out, np.zeros(2))
 
 
+class TestWorkerRuns:
+    """Each worker takes one contiguous run of chunks; output depends only
+    on (n, chunk), including when no worker count divides the chunk count
+    and when there are more workers than chunks."""
+
+    @staticmethod
+    def kernels(A, rng, block):
+        p, n = A.shape
+        x = rng.standard_normal((p, 3) if block else p)
+        c = par_matvec_t(A, x)
+        gamma = np.array([0.1, 0.3, 0.6]) if block else 0.3
+        calls = [
+            lambda plan: par_matvec_t(A, x, plan),
+            lambda plan: par_threshold_accumulate(A, c, gamma, "l1", plan),
+        ]
+        if not block:
+            z = rng.standard_normal(n)
+            calls.append(lambda plan: par_gram_apply(A, z, plan))
+        return calls
+
+    @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
+    @pytest.mark.parametrize(
+        "n, workers",
+        [(700, (2, 3, 4)), (150, (8,))],
+        ids=["11-chunks", "3-chunks"],
+    )
+    def test_bitwise_identical_across_workers(self, n, workers, block):
+        rng = np.random.default_rng(9)
+        A = DataMatrix(rng.standard_normal((32, n)))
+        for call in self.kernels(A, rng, block):
+            want = call(KernelPlan(workers=1, chunk=64))
+            for w in workers:
+                assert np.array_equal(call(KernelPlan(workers=w, chunk=64)), want)
+
+    def test_at_most_one_task_per_worker(self, monkeypatch):
+        pool = gpspca.parallel._pool(3)
+        real_map = pool.map
+        submitted = []
+
+        def counting_map(fn, items):
+            items = list(items)
+            submitted.append(len(items))
+            return real_map(fn, items)
+
+        monkeypatch.setattr(pool, "map", counting_map)
+        rng = np.random.default_rng(10)
+        A = DataMatrix(rng.standard_normal((16, 700)))  # 11 chunks of 64
+        for call in self.kernels(A, rng, block=False):
+            call(KernelPlan(workers=3, chunk=64))
+        assert submitted == [3, 3, 3]
+
+
 class TestThresholdWeights:
     def test_l1_soft_threshold(self):
         c = np.array([-2.0, -0.1, 0.0, 0.1, 2.0])

@@ -332,6 +332,29 @@ class TestDeflate:
         out = deflate(A, x)
         assert np.linalg.norm(x @ out.values) <= 1e-10
 
+    def test_bitwise_equal_to_outer_product_form(self):
+        # Same arithmetic as deflate: x renormalized, and x'A taken on the
+        # column-major copy (BLAS summation order follows the layout).
+        rng = np.random.default_rng(23)
+        A = np.asfortranarray(rng.standard_normal((30, 50)))
+        x = random_unit(rng, 30)
+        out = deflate(A, x)
+        x = x / np.linalg.norm(x)
+        assert np.array_equal(out.values, A - np.outer(x, x @ A))
+
+    def test_result_is_read_only(self):
+        rng = np.random.default_rng(24)
+        out = deflate(rng.standard_normal((4, 6)), random_unit(rng, 4))
+        assert not out.values.flags.writeable
+        with pytest.raises(ValueError):
+            out.values[0, 0] = 1.0
+
+    def test_overflow_is_rejected(self):
+        # x'a = 1.5e308 * sqrt(2) overflows, so the result holds -inf
+        A = np.full((2, 3), 1.5e308)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            deflate(A, np.array([1.0, 1.0]) / np.sqrt(2.0))
+
 
 class TestSolveMultiSequential:
     def test_m_one_identical_to_single_unit(self):
