@@ -2,11 +2,12 @@
 
 One normalized on-disk format is supported: UTF-8 CSV with an optional
 single header row, one sample per row, the integer class label in the
-first column and the features after it.  Conversion notes for the usual
-benchmark corpora live in the README.
+first column and the features after it.  read_table also reads the raw
+delimited layouts and read_svmlight the sparse one that `gpspca datasets
+convert` turns into it; conversion notes for the usual benchmark corpora
+live in the README.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,96 +68,92 @@ class GroupedSplit:
     test_groups: tuple
 
 
-def _parse_label(token, line_no):
-    try:
-        value = float(token)
-    except ValueError:
+def read_table(path, sep=",", label=None):
+    """Parse a delimited numeric table: comma-separated, or whitespace
+    when sep is None.
+
+    Blank lines are skipped, trailing commas are ignored, and a first
+    line that does not parse as numbers is a header.  Every row must
+    have the same width; errors name the 1-based line.  Returns the
+    float matrix, or with label (a column index) that column as int64
+    labels and the remaining columns: (labels, features).
+    """
+    rows, line_numbers = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip().rstrip(",")
+            if not line:
+                continue
+            try:
+                row = np.array(line.split(sep), dtype=np.float64)
+            except ValueError:
+                if line_no == 1:
+                    continue
+                raise DatasetFormatError(f"line {line_no}: non-numeric value") from None
+            if rows and len(row) != len(rows[0]):
+                raise DatasetFormatError(
+                    f"line {line_no}: expected {len(rows[0])} columns, got {len(row)}"
+                )
+            rows.append(row)
+            line_numbers.append(line_no)
+    if not rows:
+        raise DatasetFormatError(f"{path}: no data rows")
+    values = np.array(rows, dtype=np.float64)
+    # Drop the row list before the features are copied out, so that copy
+    # adds nothing to the peak memory.
+    del rows
+    if label is None:
+        return values
+    labels = values[:, label]
+    # abs < 2**63 also rejects nan and labels that overflow int64.
+    bad = np.flatnonzero(~(np.abs(labels) < 2.0**63) | (labels != np.trunc(labels)))
+    if bad.size:
         raise DatasetFormatError(
-            f"line {line_no}: label {token!r} is not numeric"
-        ) from None
-    if value != int(value):
-        raise DatasetFormatError(f"line {line_no}: label {token!r} is not an integer")
-    return int(value)
+            f"line {line_numbers[bad[0]]}: label {float(labels[bad[0]])!r} is not an integer"
+        )
+    return labels.astype(np.int64), np.delete(values, label, axis=1)
 
 
-def _looks_like_header(row):
-    for token in row:
-        try:
-            float(token)
-        except ValueError:
-            return True
-    return False
+def read_svmlight(path, n_features=0):
+    """Parse svmlight records `label index:value ...` (1-based indices,
+    `#` comments) into int64 labels and a dense feature matrix at least
+    n_features wide."""
+    labels, records = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            tokens = line.split("#", 1)[0].split()
+            if not tokens:
+                continue
+            try:
+                labels.append(int(float(tokens[0])))
+                pairs = [(int(i), float(v)) for i, v in (tok.split(":") for tok in tokens[1:])]
+            except (ValueError, OverflowError):
+                raise DatasetFormatError(f"line {line_no}: bad svmlight record") from None
+            if any(i < 1 for i, _ in pairs):
+                raise DatasetFormatError(f"line {line_no}: feature indices start at 1")
+            records.append(pairs)
+    if not records:
+        raise DatasetFormatError(f"{path}: no data rows")
+    width = max([n_features] + [i for pairs in records for i, _ in pairs])
+    features = np.zeros((len(records), width))
+    for row, pairs in zip(features, records):
+        for i, v in pairs:
+            row[i - 1] = v
+    return np.array(labels, dtype=np.int64), features
 
 
 def load_dataset(path):
-    """Parse a labeled CSV into a LabeledDataset (no split yet).
-
-    Errors name the offending 1-based line number; every row must carry
-    the same feature count.
-    """
-    labels = []
-    rows = []
-    width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_no == 1 and _looks_like_header(row):
-                width = len(row) - 1
-                continue
-            if width is None:
-                width = len(row) - 1
-                if width < 1:
-                    raise DatasetFormatError(
-                        f"line {line_no}: expected a label plus at least one feature"
-                    )
-            elif len(row) - 1 != width:
-                raise DatasetFormatError(
-                    f"line {line_no}: expected {width} features, got {len(row) - 1}"
-                )
-            labels.append(_parse_label(row[0], line_no))
-            try:
-                rows.append([float(tok) for tok in row[1:]])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {line_no}: non-numeric feature value"
-                ) from None
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return LabeledDataset(
-        samples=np.asarray(rows, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-    )
+    """Parse a labeled CSV (label in the first column) into a
+    LabeledDataset (no split yet); see read_table for the format."""
+    labels, samples = read_table(path, label=0)
+    if samples.shape[1] < 1:
+        raise DatasetFormatError(f"{path}: expected a label plus at least one feature")
+    return LabeledDataset(samples=samples, labels=labels)
 
 
 def load_matrix_csv(path):
     """Parse an unlabeled CSV matrix (optional header, one sample per row)."""
-    rows = []
-    width = None
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if line_no == 1 and _looks_like_header(row):
-                width = len(row)
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DatasetFormatError(
-                    f"line {line_no}: expected {width} values, got {len(row)}"
-                )
-            try:
-                rows.append([float(tok) for tok in row])
-            except ValueError:
-                raise DatasetFormatError(
-                    f"line {line_no}: non-numeric value"
-                ) from None
-    if not rows:
-        raise DatasetFormatError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=np.float64)
+    return read_table(path)
 
 
 def _validate_split(dataset, train_idx, test_idx):

@@ -1,7 +1,15 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from gpspca.cli import main, read_config_file
+from gpspca.cli import main, parse_args, read_config_file
+
+PRESETS = sorted(
+    ref.name.removesuffix(".cfg")
+    for ref in resources.files("gpspca").joinpath("presets").iterdir()
+    if ref.name.endswith(".cfg")
+)
 
 
 def write_labeled_csv(path, seed=0, classes=3, per_class=8, features=6):
@@ -44,6 +52,20 @@ class TestExitCodes:
             "--gamma", "1e9", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--gamma", ","], None), (["--mu", "0"], None), ([], "tol = -5\n")],
+        ids=["empty-gamma", "zero-mu", "config-negative-tol"],
+    )
+    def test_bad_solver_settings_are_usage_errors(self, tmp_path, capsys, flags, config):
+        data = write_labeled_csv(tmp_path / "d.csv")
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            flags = flags + ["--config", str(tmp_path / "run.cfg")]
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", str(data), *flags, "--out", str(out)]) == 1
+        assert not out.exists()
 
     def test_success_is_zero(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv")
@@ -131,6 +153,18 @@ class TestConfigResolution:
         assert values["gamma"] == "0.3"
         assert values["split"] == "per-class:24"
 
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_preset_values_pass_flag_types(self, name):
+        # A preset reads exactly like typing its keys as flags.
+        command = "bench-timing" if name.startswith("timing") else "bench-recognition"
+        values = read_config_file(f"preset:{name}")
+        flags = [tok for key, value in values.items()
+                 for tok in (f"--{key.replace('_', '-')}", value)]
+        from_preset = vars(parse_args([command, "--config", f"preset:{name}"]))
+        from_flags = vars(parse_args([command, *flags]))
+        assert set(values) <= set(from_preset)
+        assert from_preset == {**from_flags, "config": f"preset:{name}"}
+
     def test_unknown_preset_rejected(self, capsys):
         with pytest.raises(Exception):
             read_config_file("preset:nonexistent")
@@ -171,8 +205,10 @@ class TestBenchCommands:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--gammas", ","], ["--sizes", "0"], ["--sizes", "15"], ["--m", "0"]],
-        ids=["empty-gammas", "zero-size", "off-grid-size", "zero-m"],
+        [["--gammas", ","], ["--sizes", "0"], ["--sizes", "15"], ["--m", "0"],
+         ["--tol", "-1"], ["--mu", ","], ["--mu", "0"], ["--m", "2,5"]],
+        ids=["empty-gammas", "zero-size", "off-grid-size", "zero-m",
+             "negative-tol", "empty-mu", "zero-mu", "m-list"],
     )
     def test_bench_timing_bad_arguments_are_usage_errors(self, tmp_path, capsys, flags):
         out = tmp_path / "timing.csv"
@@ -226,6 +262,33 @@ class TestBenchCommands:
         assert code == 0
 
 
+    def test_bench_recognition_zero_mu_is_usage_error(self, tmp_path, capsys):
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        out = tmp_path / "rec.csv"
+        code = main([
+            "bench-recognition", "--dataset", str(data), "--variant", "sl1",
+            "--m", "2", "--mu", "0", "--split", "per-class:6", "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["abc", "2.5"])
+    def test_bench_recognition_bad_group_id_is_data_error(self, tmp_path, capsys, bad):
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        ids = [str(i % 5 + 1) for i in range(30)]
+        ids[3] = bad
+        groups = tmp_path / "groups.txt"
+        groups.write_text("\n".join(ids) + "\n")
+        code = main([
+            "bench-recognition", "--dataset", str(data), "--variant", "pca",
+            "--m", "2", "--gamma", "0", "--split", "grouped",
+            "--group-file", str(groups), "--test-groups", "4,5",
+            "--out", str(tmp_path / "rec.csv"),
+        ])
+        assert code == 2
+        assert "line 4" in capsys.readouterr().err
+
+
 class TestDatasetsConvert:
     def test_ssv_label_last(self, tmp_path, capsys):
         raw = tmp_path / "raw.txt"
@@ -259,3 +322,15 @@ class TestDatasetsConvert:
             "datasets", "convert", "--input", str(raw),
             "--output", str(tmp_path / "o.csv"), "--from", "ssv",
         ]) == 2
+
+    @pytest.mark.parametrize("index", ["0", "-5"], ids=["zero-index", "negative-index"])
+    def test_svmlight_index_below_one_is_data_error(self, tmp_path, capsys, index):
+        raw = tmp_path / "raw.svm"
+        raw.write_text(f"3 1:0.5 2:2.0\n1 {index}:9.0 2:1.0\n")
+        out = tmp_path / "out.csv"
+        assert main([
+            "datasets", "convert", "--input", str(raw), "--output", str(out),
+            "--from", "svmlight",
+        ]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()

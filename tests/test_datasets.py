@@ -47,6 +47,20 @@ class TestLoadDataset:
         with pytest.raises(DatasetFormatError, match="label"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("label", ["nan", "inf", "1e300"])
+    def test_label_outside_int64_names_line(self, tmp_path, label):
+        path = tmp_path / "d.csv"
+        path.write_text(f"0,1.0,2.0\n{label},1.0,2.0\n")
+        with pytest.raises(DatasetFormatError, match="line 2"):
+            load_dataset(path)
+
+    def test_trailing_commas_ignored(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("label,f1,f2,\n0,1.5,2.5,\n1,3.0,4.0,,\n")
+        ds = load_dataset(path)
+        assert np.array_equal(ds.samples, [[1.5, 2.5], [3.0, 4.0]])
+        assert ds.labels.tolist() == [0, 1]
+
     def test_usps_shaped_file(self, tmp_path):
         # 9298 samples x 256 features with the standard 7291/2007 split
         rng = np.random.default_rng(0)
