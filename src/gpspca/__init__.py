@@ -52,6 +52,11 @@ from .parallel import (
     par_threshold_accumulate,
 )
 from .pca import PcaModel, explained_variance, pca_fit, project
-from .single_unit import deflate, solve_multi_sequential, solve_single_unit
+from .single_unit import (
+    ComponentSequence,
+    deflate,
+    solve_multi_sequential,
+    solve_single_unit,
+)
 
 __version__ = "0.1.0"

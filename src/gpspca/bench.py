@@ -25,7 +25,7 @@ from .datasets import (
 )
 from .parallel import KernelPlan, check_allocation
 from .pca import pca_fit, project
-from .single_unit import solve_multi_sequential
+from .single_unit import ComponentSequence, solve_multi_sequential
 
 SPCA_VARIANTS = ("sl1", "sl0", "bl1", "bl0")
 VARIANTS = SPCA_VARIANTS + ("pca",)
@@ -75,19 +75,27 @@ class ExperimentConfig:
 
 
 def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=1000,
-                   seed=0, plan=None, center=True):
+                   seed=0, plan=None, center=True, reuse=None):
     """Learn an n x m projection from training rows.
 
     Returns (loadings, mean, report) where report is None for the PCA
     baseline.  Sparse variants consume the centered training matrix
     as-is: its rows are the sphere dimension, its columns the variables.
     center=False hands the matrix to the solver untouched (timing runs
-    on raw synthetic instances).
+    on raw synthetic instances).  reuse, a dict shared by fits of the
+    same training rows and settings that differ only in m, keeps work a
+    later fit can extend or slice (the PCA factorization, the sl1/sl0
+    component sequence); the results are bitwise those of a fresh fit.
     """
     plan = plan or KernelPlan()
     train_samples = np.asarray(train_samples, dtype=np.float64)
     if variant == "pca":
-        model = pca_fit(train_samples, m)
+        if reuse is None:
+            model = pca_fit(train_samples, m)
+        else:
+            if "pca" not in reuse:
+                reuse["pca"] = pca_fit(train_samples)
+            model = reuse["pca"].head(m)
         return model.components, model.mean, None
     if variant not in SPCA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -103,7 +111,17 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
             penalty=penalty, mode="single_unit", m=m, gamma=gamma, mu=mu,
             tol=tol, max_iter=max_iter, seed=seed,
         )
-        loadings, report = solve_multi_sequential(centered, config, plan)
+        # Sequential component j depends on gamma_j, not on m, so with one
+        # gamma (and mu) for every component a larger m extends the last
+        # fit's components exactly.  A per-component gamma or mu is tied
+        # to its m, and block fits (bl1/bl0) couple all m components:
+        # those fit from scratch.
+        sequence = None
+        if reuse is not None and np.size(gamma) == 1 and np.size(mu) == 1:
+            if "sequence" not in reuse:
+                reuse["sequence"] = ComponentSequence(centered, config, plan)
+            sequence = reuse["sequence"]
+        loadings, report = solve_multi_sequential(centered, config, plan, sequence=sequence)
     else:
         config = SolverConfig(
             penalty=penalty, mode="block", m=m, gamma=gamma, mu=mu,
@@ -126,8 +144,12 @@ def run_recognition_experiment(config, dataset=None):
     """Fit on train, embed everything, 1-NN classify; repeat and sweep m.
 
     Returns the CSV rows (one per repetition and m, mean rows appended)
-    and writes them to config.out when set.  Solver failures are
-    recorded in the row's error column, not raised.
+    and writes them to config.out when set.  The fits of one repetition
+    share a reuse state (see fit_projection), so a row's fit_seconds is
+    the fit time spent in its repetition so far, its own fit included.
+    converged is 1 when every component of a sparse fit converged, 0
+    otherwise, and empty for pca.  Solver failures are recorded in the
+    row's error column, not raised.
     """
     if dataset is None:
         dataset = load_dataset(config.dataset)
@@ -140,6 +162,8 @@ def run_recognition_experiment(config, dataset=None):
         split = make_splits(dataset, config.split, seed=[config.seed, rep])
         train_x, train_y = split.train()
         test_x, test_y = split.test()
+        reuse = {}
+        fit_seconds = 0.0
         for m in config.m:
             row = {
                 "method": config.variant,
@@ -149,14 +173,18 @@ def run_recognition_experiment(config, dataset=None):
                 "overall_accuracy": None,
             }
             row.update({f"acc_class_{label}": None for label in all_labels})
-            row.update({"nnz_per_component": "", "fit_seconds": None, "error": ""})
+            row.update({"nnz_per_component": "", "fit_seconds": None, "converged": None,
+                        "error": ""})
             try:
                 start = time.perf_counter()
-                loadings, mean, _ = fit_projection(
-                    train_x, config.variant, m, config.gamma, config.mu,
-                    config.tol, config.max_iter, seed=[config.seed, rep], plan=plan,
-                )
-                fit_seconds = time.perf_counter() - start
+                try:
+                    loadings, mean, report = fit_projection(
+                        train_x, config.variant, m, config.gamma, config.mu,
+                        config.tol, config.max_iter, seed=[config.seed, rep], plan=plan,
+                        reuse=reuse,
+                    )
+                finally:
+                    fit_seconds += time.perf_counter() - start
                 train_emb = project(train_x, loadings, mean)
                 test_emb = project(test_x, loadings, mean)
                 predictions, accuracy = knn_classify(
@@ -167,6 +195,7 @@ def run_recognition_experiment(config, dataset=None):
                 nnz = np.count_nonzero(loadings, axis=0)
                 row["nnz_per_component"] = ";".join(str(int(v)) for v in nnz)
                 row["fit_seconds"] = fit_seconds if config.report_timing else 0.0
+                row["converged"] = None if report is None else int(report.converged)
             except Exception as err:  # recorded per repetition, sweep continues
                 row["error"] = f"{type(err).__name__}: {err}"
             rows.append(row)
@@ -210,6 +239,9 @@ def _mean_rows(rows, all_labels, config):
             f"{v:.17g}" for v in np.mean(nnz, axis=0)
         )
         row["fit_seconds"] = float(np.mean([r["fit_seconds"] for r in group]))
+        row["converged"] = (
+            None if config.variant == "pca" else float(np.mean([r["converged"] for r in group]))
+        )
         row["error"] = ""
         means.append(row)
     return means

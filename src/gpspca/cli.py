@@ -296,6 +296,14 @@ def parse_args(argv=None):
     if layered:
         commands[args.command].set_defaults(**layered)
         args = parser.parse_args(argv)
+    m_values = np.atleast_1d(getattr(args, "m", ()))
+    for name in ("gamma", "mu"):
+        value = getattr(args, name, None)
+        if isinstance(value, tuple) and np.any(m_values != len(value)):
+            raise UsageError(
+                f"--{name} has {len(value)} values; give one, or one per component "
+                "for every --m"
+            )
     return args
 
 

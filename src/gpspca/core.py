@@ -221,7 +221,11 @@ class RunReport:
 
     objective_history is non-decreasing for a single ascent run; for
     sequential multi-component extraction it holds the first component's
-    trace and component_histories keeps one trace per component.
+    trace and component_histories keeps one trace per component.  A
+    sequential fit that extends an earlier one (solve_multi_sequential
+    with a ComponentSequence) still reports all m components' traces,
+    nnz counts and converged flag, but iterations and wall_time count
+    only the components that call added and the seconds it ran.
     """
 
     objective_history: list = field(default_factory=list)

@@ -125,10 +125,14 @@ def read_svmlight(path, n_features=0):
             if not tokens:
                 continue
             try:
-                labels.append(int(float(tokens[0])))
+                label = float(tokens[0])
                 pairs = [(int(i), float(v)) for i, v in (tok.split(":") for tok in tokens[1:])]
-            except (ValueError, OverflowError):
+            except ValueError:
                 raise DatasetFormatError(f"line {line_no}: bad svmlight record") from None
+            # abs < 2**63 also rejects nan and labels that overflow int64.
+            if not (abs(label) < 2.0**63 and label == int(label)):
+                raise DatasetFormatError(f"line {line_no}: label {label!r} is not an integer")
+            labels.append(int(label))
             if any(i < 1 for i, _ in pairs):
                 raise DatasetFormatError(f"line {line_no}: feature indices start at 1")
             records.append(pairs)

@@ -23,6 +23,17 @@ class PcaModel:
     def m(self):
         return self.components.shape[1]
 
+    def head(self, m):
+        """The first m components (and singular values) as a new model;
+        the factorization does not depend on m, so one fit serves every m."""
+        if not 1 <= m <= self.m:
+            raise ValueError(f"need 1 <= m <= min(#samples, #variables) = {self.m}")
+        # np.array keeps the components' column-major layout, so products
+        # with the copy round exactly as with the full model's columns.
+        return PcaModel(
+            np.array(self.components[:, :m]), self.singular_values[:m].copy(), self.mean.copy()
+        )
+
 
 def deterministic_signs(loadings):
     """Flip each column so its largest-magnitude entry is positive."""
@@ -34,24 +45,20 @@ def deterministic_signs(loadings):
     return L
 
 
-def pca_fit(samples, m):
+def pca_fit(samples, m=None):
     """Top-m principal components of a samples x variables matrix.
 
     Components are the leading right singular vectors of the centered
-    data, sign-fixed for determinism.
+    data, sign-fixed for determinism; m=None keeps all min(#samples,
+    #variables) of them, to be cut with PcaModel.head.
     """
     S = np.asarray(samples, dtype=np.float64)
     if S.ndim != 2:
         raise ValueError("samples must be a 2-d matrix")
-    if not 1 <= m <= min(S.shape):
-        raise ValueError(f"need 1 <= m <= min(#samples, #variables) = {min(S.shape)}")
     mean = S.mean(axis=0)
     _, s, Vt = np.linalg.svd(S - mean, full_matrices=False)
-    return PcaModel(
-        components=deterministic_signs(Vt[:m].T),
-        singular_values=s[:m].copy(),
-        mean=mean,
-    )
+    model = PcaModel(components=deterministic_signs(Vt.T), singular_values=s, mean=mean)
+    return model if m is None else model.head(m)
 
 
 def project(samples, loadings, mean=None):

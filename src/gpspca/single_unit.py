@@ -4,7 +4,8 @@ One component at a time: each is a run of the generalized power loop
 (block.ascend) on the unit sphere in sample space, from one or more
 starting directions and optionally refined over nearby supports; the
 sparse loading vector is read off the final correlations.  More
-components come from sequential orthogonal-projection deflation.
+components come from sequential orthogonal-projection deflation, in a
+ComponentSequence that a later request for more components extends.
 """
 
 import time
@@ -145,41 +146,79 @@ def deflate(A, x):
     return DataMatrix._own(out)
 
 
-def solve_multi_sequential(A, config, plan=DEFAULT_PLAN):
+class ComponentSequence:
+    """The sequential components of one matrix, extracted on demand.
+
+    Component j is solved on the data deflated by components 1..j-1 with
+    gamma_j, so it does not depend on how many components are asked for:
+    growing a sequence to m and then to m' gives, bitwise, the
+    components of one solve at m'.  The sequence keeps the deflated
+    matrix and each component's loading column, objective history and
+    converged flag, and deflates only when a further component is asked
+    for.  It grows past config.m only when every gamma_j is the same,
+    because a per-component gamma belongs to its m.  Once a component
+    comes back all-zero the rest are recorded as zero as well (deflation
+    only shrinks activations), which is reported, not an error.
+    """
+
+    def __init__(self, A, config, plan=DEFAULT_PLAN):
+        if config.mode != "single_unit":
+            raise ValueError("solve_multi_sequential requires mode='single_unit'")
+        self.config = config
+        self.plan = plan
+        self.columns = []
+        self.histories = []
+        self.converged = []
+        # Matrix of the next component (None once one came back zero) and
+        # the direction to deflate it by before that component is solved.
+        self._current = as_data_matrix(A)
+        self._pending = None
+        self._n = self._current.n
+
+    def _gamma(self, j):
+        gamma = self.config.gamma
+        if j >= gamma.size and np.any(gamma != gamma[0]):
+            raise ValueError(f"a per-component gamma fixes m={gamma.size}; cannot extend past it")
+        return float(gamma[min(j, gamma.size - 1)])
+
+    def solve(self, m):
+        """Loadings and report of the first m components, extracting the
+        missing ones; iterations and wall_time count only this call."""
+        start = time.perf_counter()
+        first_new = len(self.columns)
+        while len(self.columns) < m:
+            z, history, converged = np.zeros(self._n), [0.0], True
+            if self._current is not None:
+                if self._pending is not None:
+                    self._current = deflate(self._current, self._pending)
+                    self._pending = None
+                z, history, converged, self._pending = _solve_component(
+                    self._current, self._gamma(len(self.columns)), self.config, self.plan
+                )
+                if not np.any(z):
+                    self._current = None
+            self.columns.append(z)
+            self.histories.append(history)
+            self.converged.append(converged)
+        loadings = SparseLoadings(np.column_stack(self.columns[:m]))
+        return loadings, RunReport(
+            objective_history=self.histories[0],
+            iterations=sum(len(h) - 1 for h in self.histories[first_new:]),
+            wall_time=time.perf_counter() - start,
+            nnz_per_component=loadings.nnz_per_component(),
+            converged=all(self.converged[:m]),
+            component_histories=self.histories[:m],
+        )
+
+
+def solve_multi_sequential(A, config, plan=DEFAULT_PLAN, sequence=None):
     """Extract config.m components by repeated solve + deflate.
 
-    Component j uses gamma_j.  If some component comes back all-zero the
-    remaining ones are recorded as zero as well (deflation only shrinks
-    activations), which is reported, not an error.
+    Component j uses gamma_j.  sequence, a ComponentSequence built on the
+    same A, plan and settings (m aside), is extended to config.m instead
+    of starting over; the report then counts only the iterations and
+    seconds of the components this call added.
     """
-    A = as_data_matrix(A)
-    if config.mode != "single_unit":
-        raise ValueError("solve_multi_sequential requires mode='single_unit'")
-    start = time.perf_counter()
-    columns = []
-    histories = []
-    converged_all = True
-    current = A
-    for j in range(config.m):
-        z, history, converged, x = _solve_component(
-            current, float(config.gamma[j]), config, plan
-        )
-        columns.append(z)
-        histories.append(history)
-        converged_all = converged_all and converged
-        if not np.any(z):
-            for _ in range(j + 1, config.m):
-                columns.append(np.zeros(A.n))
-                histories.append([0.0])
-            break
-        if j + 1 < config.m:
-            current = deflate(current, x)
-    loadings = SparseLoadings(np.column_stack(columns))
-    return loadings, RunReport(
-        objective_history=histories[0],
-        iterations=sum(len(h) - 1 for h in histories),
-        wall_time=time.perf_counter() - start,
-        nnz_per_component=loadings.nnz_per_component(),
-        converged=converged_all,
-        component_histories=histories,
-    )
+    if sequence is None:
+        sequence = ComponentSequence(A, config, plan)
+    return sequence.solve(config.m)

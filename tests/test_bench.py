@@ -12,6 +12,7 @@ from gpspca import (
     run_timing_experiment,
     synthetic_sparse_factors,
 )
+from gpspca import bench, single_unit
 from gpspca.pca import project
 
 
@@ -162,6 +163,141 @@ class TestRecognitionExperiment:
             run_recognition_experiment(
                 ExperimentConfig(variant="pca", split=None), dataset=small_dataset()
             )
+
+
+class TestSweepReuse:
+    """Within a repetition sl1/sl0 fits extend one component sequence and
+    pca slices one factorization; every row must match a fresh fit."""
+
+    def sweep(self, monkeypatch, variant, ms, gamma=0.05, **kw):
+        calls = []
+        original = bench.fit_projection
+
+        def tap(*args, **kwargs):
+            out = original(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(bench, "fit_projection", tap)
+        settings = dict(repetitions=2, seed=7, split=PerClassCount(7), max_iter=300,
+                        report_timing=False)
+        settings.update(kw)
+        config = ExperimentConfig(variant=variant, m=ms, gamma=gamma, **settings)
+        ds = small_dataset()
+        rows = run_recognition_experiment(config, dataset=ds)
+        monkeypatch.setattr(bench, "fit_projection", original)
+        return ds, config, [r for r in rows if r["repetition"] != "mean"], calls
+
+    def fresh(self, ds, config, rep, m):
+        split = make_splits(ds, config.split, seed=[config.seed, rep])
+        train_x, train_y = split.train()
+        test_x, test_y = split.test()
+        loadings, mean, report = fit_projection(
+            train_x, config.variant, m, config.gamma, config.mu, config.tol,
+            config.max_iter, seed=[config.seed, rep],
+        )
+        _, accuracy = knn_classify(
+            project(train_x, loadings, mean), train_y, project(test_x, loadings, mean), test_y
+        )
+        return loadings, report, accuracy
+
+    @pytest.mark.parametrize("ms", [(2, 5, 10), (5, 2, 5, 10)], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("variant", ["sl1", "sl0", "pca"])
+    def test_rows_bitwise_equal_to_fresh_fits(self, monkeypatch, variant, ms):
+        ds, config, rows, calls = self.sweep(monkeypatch, variant, ms)
+        assert len(rows) == len(calls) == 2 * len(ms)
+        for row, (loadings, _, report) in zip(rows, calls):
+            want, want_report, accuracy = self.fresh(ds, config, row["repetition"], row["m"])
+            assert not row["error"]
+            assert loadings.shape == (ds.n_features, row["m"])
+            assert np.array_equal(loadings, want)
+            assert row["nnz_per_component"] == ";".join(
+                str(int(v)) for v in np.count_nonzero(want, axis=0))
+            assert row["overall_accuracy"] == accuracy
+            if variant == "pca":
+                assert report is None and row["converged"] is None
+                continue
+            # Whole objective traces, final objectives included.
+            assert report.component_histories == want_report.component_histories
+            assert report.converged == want_report.converged
+            assert row["converged"] == int(want_report.converged)
+
+    def test_block_variant_solves_every_row(self, monkeypatch):
+        solves = []
+        original = bench.solve_block
+        monkeypatch.setattr(
+            bench, "solve_block", lambda *a, **k: solves.append(1) or original(*a, **k))
+        ds, config, rows, calls = self.sweep(monkeypatch, "bl1", (2, 3, 2))
+        assert len(solves) == len(rows) == 6
+        for row, (loadings, _, report) in zip(rows, calls):
+            want, want_report, _ = self.fresh(ds, config, row["repetition"], row["m"])
+            assert np.array_equal(loadings, want)
+            assert report.iterations == want_report.iterations
+
+    def test_pca_m_above_rank_records_its_own_error(self, monkeypatch):
+        # 35 training rows x 30 features: at most 30 components.
+        ds, config, rows, _ = self.sweep(monkeypatch, "pca", (2, 31, 5))
+        errors = [r["error"] for r in rows]
+        assert errors == ["", "ValueError: need 1 <= m <= min(#samples, #variables) = 30", ""] * 2
+        for row in rows:
+            if not row["error"]:
+                assert row["overall_accuracy"] == self.fresh(ds, config, row["repetition"],
+                                                             row["m"])[2]
+
+    def test_extension_deflates_only_for_new_components(self, monkeypatch):
+        count = []
+        original = single_unit.deflate
+        monkeypatch.setattr(
+            single_unit, "deflate", lambda *a: count.append(1) or original(*a))
+        _, _, rows, calls = self.sweep(monkeypatch, "sl1", (2, 5, 10), repetitions=1)
+        assert all(np.count_nonzero(loadings, axis=0).all() for loadings, _, _ in calls)
+        assert len(count) == 9  # 1 + 3 + 5; fresh fits at each m would make 1 + 4 + 9
+
+    def test_extended_report_counts_only_new_components(self, monkeypatch):
+        _, _, rows, calls = self.sweep(monkeypatch, "sl1", (2, 5, 3, 10))
+        done = 0
+        for row, (_, _, report) in zip(rows, calls):
+            if row["m"] == 2:
+                done = 0  # a new repetition starts a new sequence
+            new = report.component_histories[done:]
+            assert report.iterations == sum(len(h) - 1 for h in new)
+            done = max(done, row["m"])
+        assert calls[2][2].iterations == 0
+
+    def test_per_component_gamma_fits_from_scratch(self, monkeypatch):
+        count = []
+        original = single_unit.deflate
+        monkeypatch.setattr(
+            single_unit, "deflate", lambda *a: count.append(1) or original(*a))
+        _, _, rows, _ = self.sweep(monkeypatch, "sl1", (3, 3), gamma=(0.05, 0.1, 0.05),
+                                   repetitions=1)
+        assert not any(r["error"] for r in rows)
+        assert len(count) == 4  # two fresh 3-component fits
+
+    def test_converged_column(self, monkeypatch):
+        _, _, rows, _ = self.sweep(monkeypatch, "sl1", (2, 4), max_iter=1)
+        assert [r["converged"] for r in rows] == [0] * 4
+        config = ExperimentConfig(
+            variant="sl1", m=(2, 4), gamma=0.05, repetitions=2, seed=7,
+            split=PerClassCount(7), max_iter=1,
+        )
+        means = [r for r in run_recognition_experiment(config, dataset=small_dataset())
+                 if r["repetition"] == "mean"]
+        assert [r["converged"] for r in means] == [0.0, 0.0]
+        _, _, rows, _ = self.sweep(monkeypatch, "sl1", (2, 4))
+        assert [r["converged"] for r in rows] == [1] * 4
+
+    def test_fit_seconds_accumulate_within_a_repetition(self, monkeypatch):
+        # A clock that advances one second per reading: each fit lasts 1 s.
+        ticks = iter(range(1000))
+        monkeypatch.setattr(bench, "time", type("Clock", (), {
+            "perf_counter": staticmethod(lambda: float(next(ticks)))}))
+        config = ExperimentConfig(
+            variant="sl1", m=(2, 5, 10), gamma=0.05, repetitions=2, seed=7,
+            split=PerClassCount(7),
+        )
+        rows = run_recognition_experiment(config, dataset=small_dataset())
+        assert [r["fit_seconds"] for r in rows] == [1.0, 2.0, 3.0] * 3  # two repetitions, then the means
 
 
 class TestTimingExperiment:

@@ -67,6 +67,18 @@ class TestExitCodes:
         assert main(["solve", "--input", str(data), *flags, "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m", "2", "--gamma", "0.1,0.2,0.3"], ["--m", "3", "--mu", "1,2"]],
+        ids=["gamma-3-for-m-2", "mu-2-for-m-3"],
+    )
+    def test_per_component_list_length_must_match_m(self, tmp_path, capsys, flags):
+        data = write_labeled_csv(tmp_path / "d.csv")
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", str(data), *flags, "--out", str(out)]) == 1
+        assert "--m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_is_zero(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv")
         out = tmp_path / "loadings.csv"
@@ -272,6 +284,32 @@ class TestBenchCommands:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m", "1,2", "--gamma", "0.1,0.2"], ["--m", "2,3", "--mu", "1,2"]],
+        ids=["gamma-2-for-m-1", "mu-2-for-m-3"],
+    )
+    def test_bench_recognition_per_component_list_needs_every_m(self, tmp_path, capsys,
+                                                                 flags):
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        out = tmp_path / "rec.csv"
+        code = main([
+            "bench-recognition", "--dataset", str(data), "--variant", "sl1", *flags,
+            "--split", "per-class:6", "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+
+    def test_bench_recognition_per_component_gamma_at_its_m(self, tmp_path, capsys):
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        out = tmp_path / "rec.csv"
+        code = main([
+            "bench-recognition", "--dataset", str(data), "--variant", "sl1",
+            "--m", "2,2", "--gamma", "0.1,0.2", "--split", "per-class:6", "--out", str(out),
+        ])
+        assert code == 0
+        assert "Error" not in out.read_text()
+
     @pytest.mark.parametrize("bad", ["abc", "2.5"])
     def test_bench_recognition_bad_group_id_is_data_error(self, tmp_path, capsys, bad):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
@@ -327,6 +365,17 @@ class TestDatasetsConvert:
     def test_svmlight_index_below_one_is_data_error(self, tmp_path, capsys, index):
         raw = tmp_path / "raw.svm"
         raw.write_text(f"3 1:0.5 2:2.0\n1 {index}:9.0 2:1.0\n")
+        out = tmp_path / "out.csv"
+        assert main([
+            "datasets", "convert", "--input", str(raw), "--output", str(out),
+            "--from", "svmlight",
+        ]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_svmlight_non_integer_label_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw.svm"
+        raw.write_text("3 1:0.5 2:2.0\n2.7 2:1.0\n")
         out = tmp_path / "out.csv"
         assert main([
             "datasets", "convert", "--input", str(raw), "--output", str(out),

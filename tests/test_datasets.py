@@ -12,7 +12,7 @@ from gpspca import (
     make_splits,
     synthetic_sparse_factors,
 )
-from gpspca.datasets import LabeledDataset
+from gpspca.datasets import LabeledDataset, read_svmlight
 
 
 class TestLoadDataset:
@@ -79,6 +79,22 @@ class TestLoadDataset:
         )
         assert split.train_indices.size == 7291
         assert split.test_indices.size == 2007
+
+
+class TestReadSvmlight:
+    def test_integral_float_label_accepted(self, tmp_path):
+        path = tmp_path / "d.svm"
+        path.write_text("3.0 1:0.5\n-1 2:1.0\n")
+        labels, features = read_svmlight(path)
+        assert labels.tolist() == [3, -1]
+        assert np.array_equal(features, [[0.5, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("label", ["2.7", "nan", "inf", "1e300"])
+    def test_non_integer_label_names_line(self, tmp_path, label):
+        path = tmp_path / "d.svm"
+        path.write_text(f"1 1:0.5\n{label} 2:1.0\n")
+        with pytest.raises(DatasetFormatError, match="line 2: label"):
+            read_svmlight(path)
 
 
 class TestLoadMatrixCsv:

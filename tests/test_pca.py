@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpspca import explained_variance, pca_fit, project
+from gpspca.pca import deterministic_signs
 
 
 class TestPcaFit:
@@ -27,6 +28,23 @@ class TestPcaFit:
         model = pca_fit(rng.standard_normal((15, 6)), 4)
         assert np.linalg.norm(model.components.T @ model.components - np.eye(4)) <= 1e-10
         assert np.all(np.diff(model.singular_values) <= 0)
+
+    def test_head_is_the_truncated_factorization(self):
+        rng = np.random.default_rng(54)
+        S = rng.standard_normal((9, 14))
+        _, s, Vt = np.linalg.svd(S - S.mean(axis=0), full_matrices=False)
+        full = pca_fit(S)
+        assert full.m == 9
+        for m in (1, 4, 9):
+            # The slice of one fit against the factorization truncated first.
+            want = deterministic_signs(Vt[:m].T)
+            for model in (full.head(m), pca_fit(S, m)):
+                assert np.array_equal(model.components, want)
+                assert model.components.flags.f_contiguous == want.flags.f_contiguous
+                assert np.array_equal(model.singular_values, s[:m])
+                assert np.array_equal(model.mean, S.mean(axis=0))
+        with pytest.raises(ValueError, match="= 9"):
+            full.head(10)
 
     def test_sample_permutation_invariance(self):
         rng = np.random.default_rng(52)

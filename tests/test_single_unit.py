@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gpspca import (
+    ComponentSequence,
     DataMatrix,
     SolverConfig,
     ascend,
@@ -398,3 +399,43 @@ class TestSolveMultiSequential:
         cfg = SolverConfig(penalty="l1", gamma=[0.0, 10.0], m=2)
         loadings, _ = solve_multi_sequential(A, cfg)
         assert loadings.nnz_per_component()[1] == 0
+
+
+class TestComponentSequence:
+    def test_extension_is_bitwise_a_fresh_solve(self):
+        rng = np.random.default_rng(31)
+        A = rng.standard_normal((12, 40))
+        cfg = {m: SolverConfig(penalty="l1", gamma=0.3, m=m, max_iter=500) for m in (2, 5)}
+        sequence = ComponentSequence(A, cfg[2])
+        first, _ = solve_multi_sequential(A, cfg[2], sequence=sequence)
+        grown, report = solve_multi_sequential(A, cfg[5], sequence=sequence)
+        fresh, fresh_report = solve_multi_sequential(A, cfg[5])
+        assert np.array_equal(first.values, fresh.values[:, :2])
+        assert np.array_equal(grown.values, fresh.values)
+        assert report.component_histories == fresh_report.component_histories
+        assert report.converged == fresh_report.converged
+        assert report.iterations == sum(len(h) - 1 for h in report.component_histories[2:])
+        again, report = sequence.solve(3)
+        assert np.array_equal(again.values, fresh.values[:, :3])
+        assert report.iterations == 0
+
+    def test_zero_component_ends_the_sequence(self, monkeypatch):
+        from gpspca import single_unit
+
+        A = np.zeros((3, 2))
+        A[0, 0] = 5.0
+        A[1, 1] = 0.3
+        sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=1.0, m=1))
+        sequence.solve(2)
+        monkeypatch.setattr(single_unit, "deflate", None)  # no further deflation
+        loadings, report = sequence.solve(4)
+        assert loadings.nnz_per_component() == [1, 0, 0, 0]
+        assert report.component_histories[1:] == [[0.0]] * 3
+        assert report.converged and report.iterations == 0
+
+    def test_per_component_gamma_fixes_m(self):
+        A = np.diag([3.0, 2.0, 1.0])
+        sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=[0.1, 0.2], m=2))
+        sequence.solve(2)
+        with pytest.raises(ValueError, match="per-component gamma"):
+            sequence.solve(3)
