@@ -44,7 +44,6 @@ class ExperimentConfig:
     seed: int = 0
     out: str = None
     workers: int = 1
-    chunk: int = 256
     tol: float = 1e-6
     max_iter: int = 1000
     knn_k: int = 1
@@ -71,7 +70,7 @@ class ExperimentConfig:
             raise ValueError("m values must be >= 1")
 
     def plan(self):
-        return KernelPlan(workers=self.workers, chunk=self.chunk)
+        return KernelPlan(workers=self.workers)
 
 
 def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=1000,
@@ -272,7 +271,7 @@ def run_timing_experiment(config):
         for variant in config.timing_variants:
             for gamma in config.timing_gammas:
                 for workers in worker_counts:
-                    plan = KernelPlan(workers=workers, chunk=config.chunk)
+                    plan = KernelPlan(workers=workers)
                     seconds, iterations, converged = [], [], []
                     for instance in range(config.timing_instances):
                         rng = np.random.default_rng([config.seed, N, instance])

@@ -1,10 +1,10 @@
 """Command-line interface: solve, bench-timing, bench-recognition, datasets.
 
 Flag values come from, in decreasing precedence: the command line, the
-GPSPCA_WORKERS / GPSPCA_CHUNK environment variables (workers and chunk
-only), a --config key=value file, then built-in defaults.  Every value,
-whatever its source, is checked by its flag's type.  Exit codes: 0
-success, 1 usage error, 2 data error, 3 solver error.
+GPSPCA_WORKERS environment variable (workers only), a --config
+key=value file, then built-in defaults.  Every value, whatever its
+source, is checked by its flag's type.  Exit codes: 0 success, 1 usage
+error, 2 data error, 3 solver error.
 """
 
 import argparse
@@ -31,12 +31,13 @@ from .datasets import (
     PerClassCount,
     load_dataset,
     load_matrix_csv,
+    numbered_lines,
     read_svmlight,
     read_table,
 )
 from .parallel import KernelPlan
 
-ENV_KEYS = {"workers": "GPSPCA_WORKERS", "chunk": "GPSPCA_CHUNK"}
+ENV_KEYS = {"workers": "GPSPCA_WORKERS"}
 # Flags that name the inputs of one run; a --config file cannot set them.
 FLAG_ONLY = {"command", "config", "input", "no_center", "group_file", "test_groups"}
 
@@ -61,7 +62,10 @@ def read_config_file(path):
         text = ref.read_text(encoding="utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as err:
+                raise UsageError(f"config {path}: not UTF-8 text ({err.reason})") from None
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -129,7 +133,6 @@ def _add_common_flags(parser, workers=POSITIVE):
     parser.add_argument("--config", help="key = value file or preset:<name>")
     parser.add_argument("--seed", type=NON_NEGATIVE, default="0")
     parser.add_argument("--workers", type=workers, default="1")
-    parser.add_argument("--chunk", type=POSITIVE, default="256")
     parser.add_argument("--tol", type=TOL, default="1e-6")
     parser.add_argument("--max-iter", dest="max_iter", type=POSITIVE, default="1000")
     parser.add_argument("--mu", type=MU, default="1")
@@ -145,7 +148,7 @@ def cmd_solve(args):
         samples = load_matrix_csv(args.input)
     loadings, _, report = fit_projection(
         samples, args.variant, args.m, args.gamma, args.mu, args.tol, args.max_iter,
-        seed=args.seed, plan=KernelPlan(workers=args.workers, chunk=args.chunk),
+        seed=args.seed, plan=KernelPlan(workers=args.workers),
         center=not args.no_center,
     )
     rows = [
@@ -177,8 +180,8 @@ def _split_policy(dataset, args):
             raise UsageError("head split must leave at least one test sample")
         return FixedSplit(np.arange(value), np.arange(value, dataset.n_samples))
     if kind == "file":
-        with open(value, encoding="utf-8") as fh:
-            marks = np.array([line.strip().lower() for line in fh if line.strip()])
+        marks = np.array([line.strip().lower() for _, line in numbered_lines(value)
+                          if line.strip()])
         if len(marks) != dataset.n_samples or set(marks) - {"train", "test"}:
             raise DatasetFormatError("split file needs one train/test token per sample")
         return FixedSplit(np.nonzero(marks == "train")[0], np.nonzero(marks == "test")[0])
@@ -197,7 +200,7 @@ def cmd_bench_recognition(args):
     config = ExperimentConfig(
         dataset=args.dataset, variant=args.variant, m=args.m, gamma=args.gamma,
         mu=args.mu, repetitions=args.repetitions, seed=args.seed, out=args.out,
-        workers=args.workers, chunk=args.chunk, tol=args.tol, max_iter=args.max_iter,
+        workers=args.workers, tol=args.tol, max_iter=args.max_iter,
         knn_k=args.knn_k, split=_split_policy(dataset, args),
     )
     rows = run_recognition_experiment(config, dataset=dataset)
@@ -210,7 +213,7 @@ def cmd_bench_timing(args):
         raise UsageError("bench-timing requires --out")
     config = ExperimentConfig(
         variant=args.variants[0], m=args.m, gamma=0.0, mu=args.mu, seed=args.seed,
-        out=args.out, workers=args.workers[0], chunk=args.chunk, tol=args.tol,
+        out=args.out, workers=args.workers[0], tol=args.tol,
         max_iter=args.max_iter, timing_sizes=args.sizes, timing_gammas=args.gammas,
         timing_variants=args.variants, timing_instances=args.instances,
         timing_workers=args.workers,

@@ -68,44 +68,57 @@ class GroupedSplit:
     test_groups: tuple
 
 
+def numbered_lines(path):
+    """(1-based line number, line) for each line of a UTF-8 text file;
+    a file that does not decode is a DatasetFormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as err:
+            raise DatasetFormatError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
 def read_table(path, sep=",", label=None):
     """Parse a delimited numeric table: comma-separated, or whitespace
     when sep is None.
 
     Blank lines are skipped, trailing commas are ignored, and a first
     line that does not parse as numbers is a header.  Every row must
-    have the same width; errors name the 1-based line.  Returns the
-    float matrix, or with label (a column index) that column as int64
-    labels and the remaining columns: (labels, features).
+    have the same width and finite values; errors name the 1-based line.
+    Returns the float matrix, or with label (a column index) that column
+    as int64 labels and the remaining columns: (labels, features).
     """
     rows, line_numbers = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip().rstrip(",")
-            if not line:
+    for line_no, line in numbered_lines(path):
+        line = line.strip().rstrip(",")
+        if not line:
+            continue
+        try:
+            row = np.array(line.split(sep), dtype=np.float64)
+        except ValueError:
+            if line_no == 1:
                 continue
-            try:
-                row = np.array(line.split(sep), dtype=np.float64)
-            except ValueError:
-                if line_no == 1:
-                    continue
-                raise DatasetFormatError(f"line {line_no}: non-numeric value") from None
-            if rows and len(row) != len(rows[0]):
-                raise DatasetFormatError(
-                    f"line {line_no}: expected {len(rows[0])} columns, got {len(row)}"
-                )
-            rows.append(row)
-            line_numbers.append(line_no)
+            raise DatasetFormatError(f"line {line_no}: non-numeric value") from None
+        if rows and len(row) != len(rows[0]):
+            raise DatasetFormatError(
+                f"line {line_no}: expected {len(rows[0])} columns, got {len(row)}"
+            )
+        rows.append(row)
+        line_numbers.append(line_no)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
     values = np.array(rows, dtype=np.float64)
     # Drop the row list before the features are copied out, so that copy
     # adds nothing to the peak memory.
     del rows
+    # A value such as 1e999 parses, to inf.
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise DatasetFormatError(f"line {line_numbers[bad[0]]}: non-finite value")
     if label is None:
         return values
     labels = values[:, label]
-    # abs < 2**63 also rejects nan and labels that overflow int64.
+    # abs < 2**63 also rejects labels that overflow int64.
     bad = np.flatnonzero(~(np.abs(labels) < 2.0**63) | (labels != np.trunc(labels)))
     if bad.size:
         raise DatasetFormatError(
@@ -119,23 +132,22 @@ def read_svmlight(path, n_features=0):
     `#` comments) into int64 labels and a dense feature matrix at least
     n_features wide."""
     labels, records = [], []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            tokens = line.split("#", 1)[0].split()
-            if not tokens:
-                continue
-            try:
-                label = float(tokens[0])
-                pairs = [(int(i), float(v)) for i, v in (tok.split(":") for tok in tokens[1:])]
-            except ValueError:
-                raise DatasetFormatError(f"line {line_no}: bad svmlight record") from None
-            # abs < 2**63 also rejects nan and labels that overflow int64.
-            if not (abs(label) < 2.0**63 and label == int(label)):
-                raise DatasetFormatError(f"line {line_no}: label {label!r} is not an integer")
-            labels.append(int(label))
-            if any(i < 1 for i, _ in pairs):
-                raise DatasetFormatError(f"line {line_no}: feature indices start at 1")
-            records.append(pairs)
+    for line_no, line in numbered_lines(path):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        try:
+            label = float(tokens[0])
+            pairs = [(int(i), float(v)) for i, v in (tok.split(":") for tok in tokens[1:])]
+        except ValueError:
+            raise DatasetFormatError(f"line {line_no}: bad svmlight record") from None
+        # abs < 2**63 also rejects nan and labels that overflow int64.
+        if not (abs(label) < 2.0**63 and label == int(label)):
+            raise DatasetFormatError(f"line {line_no}: label {label!r} is not an integer")
+        labels.append(int(label))
+        if any(i < 1 for i, _ in pairs):
+            raise DatasetFormatError(f"line {line_no}: feature indices start at 1")
+        records.append(pairs)
     if not records:
         raise DatasetFormatError(f"{path}: no data rows")
     width = max([n_features] + [i for pairs in records for i, _ in pairs])

@@ -3,13 +3,14 @@
 Every solver funnels its column-indexed inner loops through the three
 kernels here: batched column dot products (par_matvec_t), weighted
 column accumulation (par_gram_apply), and thresholded gradient
-accumulation (par_threshold_accumulate).  Work is split into fixed-size
-column chunks, and each worker takes one contiguous run of them (one
-pool task per worker, not per chunk).  Every chunk's partial result is
-computed the same way whichever worker runs it, and the partials are
-combined by a pairwise tree whose shape depends only on (n, chunk),
-never on scheduling, so kernel output is bitwise identical for any
-worker count at a fixed chunk.
+accumulation (par_threshold_accumulate).  Work is split into column
+chunks, and each worker takes one contiguous run of them (one pool task
+per worker, not per chunk).  The chunk width is derived from the call's
+shape (rows p and iterate columns m, see GEMM_BUDGET), never from the
+worker count.  Every chunk's partial result is computed the same way
+whichever worker runs it, and the partials are combined by a pairwise
+tree whose shape depends only on the chunk layout, never on scheduling,
+so kernel output is bitwise identical for any worker count.
 """
 
 import os
@@ -25,24 +26,43 @@ from .core import as_data_matrix
 KERNELS = ("matvec_t", "gram_apply", "threshold_accumulate")
 
 
+# Multiply-adds (chunk * p * m) per chunk GEMM.  OpenBLAS 0.3.31 runs a
+# chunk's A_c'X about twice as fast below roughly 1e6 of them as above:
+# at 800x8000, m=5, one thread, it takes 5.2 ms at 248 columns and
+# 11.0 ms at 256, and the same cliff shows at 400x1000 (between 320 and
+# 512 columns) and 200x2000 (between 512 and 1024).  2**19 keeps every
+# chunk well below it.
+GEMM_BUDGET = 2**19
+# A tall matrix still gets chunks of a few dozen columns, not one call
+# per column.
+MIN_CHUNK = 32
+
+
 @dataclass(frozen=True)
 class KernelPlan:
-    """Execution plan: worker count and columns per task."""
+    """Execution plan: worker count, and optionally a fixed chunk width
+    (None derives it from each call's shape)."""
 
     workers: int = 1
-    chunk: int = 256
+    chunk: int = None
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunk < 1:
+        if self.chunk is not None and self.chunk < 1:
             raise ValueError("chunk must be >= 1")
 
 
 DEFAULT_PLAN = KernelPlan()
 
 
-def _chunk_bounds(n, chunk):
+def _chunk_bounds(plan, p, n, iterate):
+    """Column ranges of one kernel call on a p x n matrix; m, in the
+    budget, is the iterate's (or weights') column count, 1 for a vector."""
+    chunk = plan.chunk
+    if chunk is None:
+        m = iterate.shape[1] if iterate.ndim == 2 else 1
+        chunk = min(max(GEMM_BUDGET // max(p * m, 1), MIN_CHUNK), n)
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
@@ -101,19 +121,23 @@ def par_matvec_t(A, x, plan=DEFAULT_PLAN):
     a p x m block (one GEMM per chunk instead of m GEMVs)."""
     A = as_data_matrix(A)
     x = _check_rows(x, A.p, "x")
-    bounds = _chunk_bounds(A.n, plan.chunk)
     values = A.values
-    parts = _map_chunks(lambda lo, hi: values[:, lo:hi].T @ x, bounds, plan.workers)
     out = np.empty((A.n,) + x.shape[1:])
-    for (lo, hi), part in zip(bounds, parts):
-        out[lo:hi] = part
+    # Each worker writes its chunks straight into their output rows.
+    _map_chunks(
+        lambda lo, hi: np.matmul(values[:, lo:hi].T, x, out=out[lo:hi]),
+        _chunk_bounds(plan, A.p, A.n, x), plan.workers,
+    )
     return out
 
 
 def _accumulate_columns(values, weights, plan):
-    bounds = _chunk_bounds(values.shape[1], plan.chunk)
+    # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs
+    # 25-30% faster at 800x8000, m=5 (and 10-20% slower at 200x2000, m=5,
+    # where the derived chunk still gains more than that end to end).
+    bounds = _chunk_bounds(plan, values.shape[0], values.shape[1], weights)
     parts = _map_chunks(
-        lambda lo, hi: values[:, lo:hi] @ weights[lo:hi], bounds, plan.workers
+        lambda lo, hi: (weights[lo:hi].T @ values[:, lo:hi].T).T, bounds, plan.workers
     )
     return _pairwise_combine(parts)
 
@@ -205,13 +229,14 @@ def _kernel_invocation(kernel, A, rng):
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 
-def measure_scaling(kernel, sizes, workers, instances=20, chunk=256, seed=0):
+def measure_scaling(kernel, sizes, workers, instances=20, chunk=None, seed=0):
     """Median kernel wall times over a (P, N) size grid and worker counts.
 
     Returns a list of row dicts (kernel, N, P, workers, median_seconds,
     speedup) sorted by N then workers, where speedup is relative to the
     workers=1 median for the same size.  instances independent random
-    matrices are timed per size.
+    matrices are timed per size.  chunk=None times the derived chunk
+    layout that the solvers run.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")

@@ -45,6 +45,25 @@ class TestExitCodes:
         bad.write_text("0,1.0,2.0\n1,3.0\n")
         assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_overflowing_csv_value_is_data_error(self, tmp_path, capsys):
+        # 1e999 parses, to inf, so only the finiteness check catches it.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("label,f1,f2\n0,1.0,2.0\n1,1e999,3.0\n")
+        assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "line 3: non-finite value" in capsys.readouterr().err
+
+    def test_data_file_not_utf8_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"label,f\xe9\n0,1.0\n1,2.0\n")
+        assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_chunk_flag_is_gone(self, tmp_path, capsys):
+        data = write_labeled_csv(tmp_path / "d.csv")
+        code = main(["solve", "--input", str(data), "--chunk", "64",
+                     "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+
     def test_rank_collapse_is_solver_error(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv")
         code = main([
@@ -189,6 +208,17 @@ class TestConfigResolution:
             "solve", "--input", str(data), "--config", str(cfg),
             "--out", str(tmp_path / "o.csv"),
         ]) == 1
+
+
+    def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
+        data = write_labeled_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"m = 2  # caf\xe9\n")
+        assert main([
+            "solve", "--input", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert "not UTF-8" in capsys.readouterr().err
 
 
 class TestBenchCommands:

@@ -3,7 +3,14 @@ import pytest
 
 from gpspca import DataMatrix, KernelPlan, par_gram_apply, par_matvec_t, par_threshold_accumulate
 import gpspca.parallel
-from gpspca.parallel import check_allocation, measure_scaling, threshold_weights
+from gpspca.block import ascend
+from gpspca.parallel import (
+    GEMM_BUDGET,
+    MIN_CHUNK,
+    check_allocation,
+    measure_scaling,
+    threshold_weights,
+)
 
 WORKER_COUNTS = (1, 2, 4, 8)
 
@@ -39,6 +46,17 @@ class TestParMatvecT:
         outs = [par_matvec_t(A, x, KernelPlan(workers=w, chunk=64)) for w in WORKER_COUNTS]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 5)], ids=["vector", "block"])
+    def test_each_chunk_is_a_plain_matmul(self, shape):
+        rng = np.random.default_rng(12)
+        A = DataMatrix(rng.standard_normal((64, 1000)))
+        x = rng.standard_normal(shape)
+        want = np.concatenate(
+            [A.values[:, lo : lo + 64].T @ x for lo in range(0, 1000, 64)]
+        )
+        for w in (1, 3):
+            assert np.array_equal(par_matvec_t(A, x, KernelPlan(workers=w, chunk=64)), want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -191,6 +209,75 @@ class TestWorkerRuns:
         for call in self.kernels(A, rng, block=False):
             call(KernelPlan(workers=3, chunk=64))
         assert submitted == [3, 3, 3]
+
+
+@pytest.fixture
+def chunk_widths(monkeypatch):
+    """Column widths of every chunk run by each kernel call."""
+    calls = []
+    real = gpspca.parallel._map_chunks
+
+    def recording(fn, bounds, workers):
+        calls.append([hi - lo for lo, hi in bounds])
+        return real(fn, bounds, workers)
+
+    monkeypatch.setattr(gpspca.parallel, "_map_chunks", recording)
+    return calls
+
+
+class TestDerivedChunk:
+    """The default plan sizes each chunk from the call's own shape: a
+    chunk GEMM does at most GEMM_BUDGET multiply-adds, but no fewer
+    columns than MIN_CHUNK, whatever the worker count."""
+
+    @pytest.mark.parametrize("p, n, m", [(800, 8000, 1), (800, 8000, 5), (200, 2000, 5)])
+    def test_chunk_gemm_stays_within_budget(self, chunk_widths, p, n, m):
+        A = DataMatrix(np.ones((p, n)))
+        x = np.ones(p) if m == 1 else np.ones((p, m))
+        par_threshold_accumulate(A, par_matvec_t(A, x), 0.5, "l1")
+        assert len(chunk_widths) == 2
+        for widths in chunk_widths:
+            chunk = max(widths)
+            assert chunk * p * m <= GEMM_BUDGET or chunk == MIN_CHUNK
+            # ...and no smaller than it has to be.
+            assert 2 * chunk * p * m > GEMM_BUDGET
+            assert sum(widths) == n
+
+    def test_tall_matrix_keeps_the_floor(self, chunk_widths):
+        A = DataMatrix(np.ones((40000, 200)))
+        par_matvec_t(A, np.ones(40000))
+        assert chunk_widths == [[MIN_CHUNK] * 6 + [200 - 6 * MIN_CHUNK]]
+
+    @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
+    def test_bitwise_identical_across_workers(self, chunk_widths, m):
+        rng = np.random.default_rng(11)
+        p, n = 1024, 2600
+        A = DataMatrix(rng.standard_normal((p, n)))
+        shape = (p,) if m == 1 else (p, m)
+        x = np.linalg.qr(rng.standard_normal((p, m)))[0].reshape(shape)
+        c = par_matvec_t(A, x)
+        gamma = 0.3 * np.abs(c).max(axis=0)
+        calls = [
+            lambda plan: par_matvec_t(A, x, plan),
+            lambda plan: par_threshold_accumulate(A, c, gamma, "l1", plan),
+            # X, S and the objective history after five steps
+            lambda plan: ascend(A, x, gamma, 1.0, "l1", 1e-12, 5, plan)[:3],
+        ]
+        if m == 1:
+            z = rng.standard_normal(n)
+            calls.append(lambda plan: par_gram_apply(A, z, plan))
+        chunk_widths.clear()
+        # GEMM_BUDGET // (p * m) columns: 512 for a vector, 102 for p x 5.
+        chunks = {1: 6, 5: 26}[m]
+        for call in calls:
+            want = call(KernelPlan(workers=1))
+            for w in (2, 3):
+                got = call(KernelPlan(workers=w))
+                if isinstance(want, tuple):
+                    assert all(np.array_equal(a, b) for a, b in zip(want, got))
+                else:
+                    assert np.array_equal(want, got)
+        assert {len(widths) for widths in chunk_widths} == {chunks}
 
 
 class TestThresholdWeights:
