@@ -8,6 +8,7 @@ convert` turns into it; conversion notes for the usual benchmark corpora
 live in the README.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,9 @@ def read_svmlight(path, n_features=0):
         labels.append(int(label))
         if any(i < 1 for i, _ in pairs):
             raise DatasetFormatError(f"line {line_no}: feature indices start at 1")
+        # A value such as 1e999 parses, to inf.
+        if not all(math.isfinite(v) for _, v in pairs):
+            raise DatasetFormatError(f"line {line_no}: non-finite value")
         records.append(pairs)
     if not records:
         raise DatasetFormatError(f"{path}: no data rows")
@@ -211,6 +215,8 @@ def make_splits(dataset, policy, seed=0):
         mask = np.ones(dataset.n_samples, dtype=bool)
         mask[train_idx] = False
         test_idx = np.nonzero(mask)[0]
+        if test_idx.size == 0:
+            raise DatasetFormatError("per-class split leaves no test sample")
     elif isinstance(policy, GroupedSplit):
         groups = np.asarray(policy.groups)
         if groups.shape != (dataset.n_samples,):

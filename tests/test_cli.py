@@ -304,6 +304,18 @@ class TestBenchCommands:
         assert code == 0
 
 
+    def test_bench_recognition_per_class_split_without_test_set(self, tmp_path, capsys):
+        # per-class:8 takes every sample of every class for training.
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=8)
+        out = tmp_path / "rec.csv"
+        code = main([
+            "bench-recognition", "--dataset", str(data), "--variant", "pca",
+            "--m", "2", "--gamma", "0", "--split", "per-class:8", "--out", str(out),
+        ])
+        assert code == 2
+        assert "per-class split leaves no test sample" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_recognition_zero_mu_is_usage_error(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
         out = tmp_path / "rec.csv"
@@ -401,6 +413,18 @@ class TestDatasetsConvert:
             "--from", "svmlight",
         ]) == 2
         assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e999", "nan"])
+    def test_svmlight_non_finite_feature_is_data_error(self, tmp_path, capsys, value):
+        raw = tmp_path / "raw.svm"
+        raw.write_text(f"1 1:0.5 2:3\n2 1:{value} 2:1\n")
+        out = tmp_path / "out.csv"
+        assert main([
+            "datasets", "convert", "--input", str(raw), "--output", str(out),
+            "--from", "svmlight",
+        ]) == 2
+        assert "line 2: non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_svmlight_non_integer_label_is_data_error(self, tmp_path, capsys):

@@ -96,6 +96,13 @@ class TestReadSvmlight:
         with pytest.raises(DatasetFormatError, match="line 2: label"):
             read_svmlight(path)
 
+    @pytest.mark.parametrize("value", ["1e999", "-inf", "nan"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "d.svm"
+        path.write_text(f"1 1:0.5\n2 1:1.0 2:{value}\n")
+        with pytest.raises(DatasetFormatError, match="line 2: non-finite value"):
+            read_svmlight(path)
+
 
 class TestLoadMatrixCsv:
     def test_optional_header(self, tmp_path):

@@ -280,6 +280,128 @@ class TestDerivedChunk:
         assert {len(widths) for widths in chunk_widths} == {chunks}
 
 
+@pytest.fixture
+def engine_shapes(monkeypatch):
+    """(p, n) of the matrix each kernel call hands to the chunk engine."""
+    shapes = []
+    real = gpspca.parallel._chunk_bounds
+
+    def recording(plan, p, n, iterate):
+        shapes.append((p, n))
+        return real(plan, p, n, iterate)
+
+    monkeypatch.setattr(gpspca.parallel, "_chunk_bounds", recording)
+    return shapes
+
+
+def sparse_correlations(rng, n, m, active, spread=False):
+    """Correlations whose l1 weights at gamma 1 are nonzero in exactly the
+    given rows: |c| of 1.5-3 there, below 1 elsewhere.  With spread, an
+    active row passes the threshold in column row % m only."""
+    shape = (n,) if m == 1 else (n, m)
+    c = rng.uniform(-0.9, 0.9, shape)
+    big = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.5, 3.0, shape)
+    if spread and m > 1:
+        c[active, active % m] = big[active, active % m]
+    else:
+        c[active] = big[active]
+    return c
+
+
+class TestActiveColumns:
+    """When at most n // GATHER_DIVISOR columns carry a nonzero weight,
+    the accumulations run on a gathered p x k copy of them."""
+
+    @pytest.mark.parametrize("share", [0.01, 0.10, 0.25])
+    @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
+    def test_gathered_sum_matches_dense_product(self, engine_shapes, m, share):
+        rng = np.random.default_rng(20)
+        p, n = 48, 2000
+        A = DataMatrix(rng.standard_normal((p, n)))
+        active = np.sort(rng.choice(n, int(share * n), replace=False))
+        c = sparse_correlations(rng, n, m, active)
+        cases = [(
+            lambda: par_threshold_accumulate(A, c, 1.0, "l1"),
+            A.values @ threshold_weights(c, 1.0, "l1"),
+        )]
+        if m == 1:
+            z = np.zeros(n)
+            z[active] = rng.standard_normal(active.size)
+            cases.append((lambda: par_gram_apply(A, z), A.values @ z))
+        for call, want in cases:
+            engine_shapes.clear()
+            got = call()
+            assert engine_shapes == [(p, active.size)]
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_bitwise_identical_across_workers(self, engine_shapes, chunk_widths):
+        rng = np.random.default_rng(21)
+        p, n = 800, 8000
+        A = DataMatrix(rng.standard_normal((p, n)))
+        active = np.sort(rng.choice(n, n // 5, replace=False))
+        c = sparse_correlations(rng, n, 1, active)
+        C = sparse_correlations(rng, n, 5, active, spread=True)
+        z = np.where(np.isin(np.arange(n), active), rng.standard_normal(n), 0.0)
+        # 1600 gathered columns: 3 derived chunks for a vector, 13 for p x 5.
+        calls = [
+            (lambda plan: par_threshold_accumulate(A, c, 1.0, "l1", plan), 3),
+            (lambda plan: par_threshold_accumulate(A, C, np.ones(5), "l0", plan), 13),
+            (lambda plan: par_gram_apply(A, z, plan), 3),
+        ]
+        for call, chunks in calls:
+            engine_shapes.clear()
+            chunk_widths.clear()
+            want = call(KernelPlan(workers=1))
+            for w in (2, 3):
+                assert np.array_equal(call(KernelPlan(workers=w)), want)
+            assert engine_shapes == [(p, n // 5)] * 3
+            assert [len(widths) for widths in chunk_widths] == [chunks] * 3
+
+    @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
+    def test_no_active_column_gives_exact_zeros(self, engine_shapes, m):
+        rng = np.random.default_rng(22)
+        A = DataMatrix(rng.standard_normal((16, 400)))
+        c = sparse_correlations(rng, 400, m, np.array([], dtype=int))
+        out = par_threshold_accumulate(A, c, 1.0, "l1")
+        assert out.shape == ((16,) if m == 1 else (16, m))
+        assert np.array_equal(out, np.zeros(out.shape))
+        if m == 1:
+            assert np.array_equal(par_gram_apply(A, np.zeros(400)), np.zeros(16))
+        assert engine_shapes == []
+
+    def test_zero_gradient_start_is_converged(self):
+        rng = np.random.default_rng(23)
+        A = DataMatrix(rng.standard_normal((16, 400)))
+        x = rng.standard_normal(16)
+        x /= np.linalg.norm(x)
+        gamma = float(np.abs(par_matvec_t(A, x)).max()) + 1.0
+        X, _, history, converged = ascend(A, x, gamma, 1.0, "l1", 1e-8, 50)
+        assert converged
+        assert history == [0.0]
+        assert np.array_equal(X, x)
+
+    @pytest.mark.parametrize(
+        "m, spread", [(1, False), (5, False), (5, True)],
+        ids=["vector", "block", "block-one-column-per-row"],
+    )
+    @pytest.mark.parametrize("placement", ["leading", "random"])
+    def test_gathers_at_a_quarter_and_not_above(self, engine_shapes, m, spread, placement):
+        rng = np.random.default_rng(24)
+        p, n = 8, 1000
+        A = DataMatrix(rng.standard_normal((p, n)))
+        gamma = np.ones(m) if m > 1 else 1.0
+        for k, handed in ((n // 4, n // 4), (n // 4 + 1, n)):
+            if placement == "leading":
+                active = np.arange(k)
+            else:
+                active = np.sort(rng.choice(n, k, replace=False))
+            c = sparse_correlations(rng, n, m, active, spread)
+            engine_shapes.clear()
+            par_threshold_accumulate(A, c, gamma, "l1")
+            assert engine_shapes == [(p, handed)]
+
+
 class TestThresholdWeights:
     def test_l1_soft_threshold(self):
         c = np.array([-2.0, -0.1, 0.0, 0.1, 2.0])
