@@ -19,11 +19,7 @@ from .core import (
     RunReport,
     SolverConfig,
     SparseLoadings,
-    StiefelPoint,
-    center_columns,
     column_norms,
-    gram_quadratic,
-    positive_part,
 )
 from .datasets import (
     DatasetFormatError,
@@ -51,7 +47,7 @@ from .parallel import (
     par_matvec_t,
     par_threshold_accumulate,
 )
-from .pca import PcaModel, explained_variance, pca_fit, project
+from .pca import PcaModel, pca_fit, project
 from .single_unit import (
     ComponentSequence,
     deflate,

@@ -107,7 +107,7 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     penalty = "l1" if variant.endswith("1") else "l0"
     if variant.startswith("s"):
         config = SolverConfig(
-            penalty=penalty, mode="single_unit", m=m, gamma=gamma, mu=mu,
+            penalty=penalty, m=m, gamma=gamma, mu=mu,
             tol=tol, max_iter=max_iter, seed=seed,
         )
         # Sequential component j depends on gamma_j, not on m, so with one
@@ -123,7 +123,7 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         loadings, report = solve_multi_sequential(centered, config, plan, sequence=sequence)
     else:
         config = SolverConfig(
-            penalty=penalty, mode="block", m=m, gamma=gamma, mu=mu,
+            penalty=penalty, m=m, gamma=gamma, mu=mu,
             tol=tol, max_iter=max_iter, init="random_orthonormal", seed=seed,
         )
         loadings, report = solve_block(centered, config, plan)

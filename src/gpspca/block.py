@@ -17,11 +17,9 @@ import numpy as np
 from .core import (
     RunReport,
     SparseLoadings,
-    StiefelPoint,
     _as_length_m,
     as_data_matrix,
     column_norms,
-    positive_part,
 )
 from .parallel import DEFAULT_PLAN, par_matvec_t, par_threshold_accumulate, threshold_weights
 
@@ -50,8 +48,6 @@ class RankDeficiencyError(RuntimeError):
 def _check_iterate(X, p):
     """X as a float array: a unit length-p vector or a p x m matrix with
     orthonormal columns."""
-    if isinstance(X, StiefelPoint):
-        X = X.values
     X = np.asarray(X, dtype=np.float64)
     if X.ndim not in (1, 2) or X.shape[0] != p:
         raise ValueError(f"X must have p={p} rows, got shape {X.shape}")
@@ -78,9 +74,9 @@ def _objective(S, gamma, penalty):
     # S holds the scaled correlations mu_j a_i'x_j; gamma broadcasts over
     # its columns.  The gradient weights are parallel.threshold_weights.
     if penalty == "l1":
-        t = positive_part(np.abs(S) - gamma)
+        t = np.maximum(np.abs(S) - gamma, 0.0)
         return float(np.vdot(t, t))
-    return float(np.sum(positive_part(S * S - gamma)))
+    return float(np.sum(np.maximum(S * S - gamma, 0.0)))
 
 
 def _loadings(S, gamma, penalty):
@@ -138,7 +134,7 @@ def polar_projection(G):
     rank = int(np.count_nonzero(s > cutoff)) if s[0] > 0 else 0
     if rank < G.shape[1]:
         raise RankDeficiencyError(rank, G.shape[1])
-    return StiefelPoint(U @ Vt)
+    return U @ Vt
 
 
 def ascend(A, X, gamma, mu, penalty, tol, max_iter, plan=DEFAULT_PLAN):
@@ -169,7 +165,7 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, plan=DEFAULT_PLAN):
             X = G / norm
         else:
             try:
-                X = polar_projection(G).values
+                X = polar_projection(G)
             except RankDeficiencyError as err:
                 err.iteration = iteration
                 err.history = history
@@ -189,14 +185,9 @@ def _init_block(A, config):
     if config.init == "random_orthonormal":
         rng = np.random.default_rng(config.seed)
         M = rng.standard_normal((p, m))
-    elif config.init == "max_norm_column":
+    else:
         order = np.argsort(-column_norms(A), kind="stable")
         M = A.values[:, order[:m]].copy()
-    else:
-        X = _check_iterate(config.x0, p).reshape(p, -1)
-        if X.shape[1] != m:
-            raise ValueError(f"x0 must be {p}x{m}, got {X.shape}")
-        return X
     Q, R = np.linalg.qr(M)
     diag = np.diagonal(R)
     if np.any(np.abs(diag) <= m * np.finfo(np.float64).eps * max(1.0, np.abs(diag).max())):
@@ -217,8 +208,6 @@ def solve_block(A, config, plan=DEFAULT_PLAN):
     RankDeficiencyError tagged with the iteration index.
     """
     A = as_data_matrix(A)
-    if config.mode != "block":
-        raise ValueError("solve_block requires mode='block'")
     if not 1 <= config.m <= min(A.p, A.n):
         raise ValueError(f"need 1 <= m <= min(p, n) = {min(A.p, A.n)}, got m={config.m}")
     start = time.perf_counter()

@@ -4,7 +4,8 @@ Flag values come from, in decreasing precedence: the command line, the
 GPSPCA_WORKERS environment variable (workers only), a --config
 key=value file, then built-in defaults.  Every value, whatever its
 source, is checked by its flag's type.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 solver error.
+error, 2 data error, 3 solver error.  The --config file is a setting,
+not data: one that is missing, unreadable or not UTF-8 is a usage error.
 """
 
 import argparse
@@ -61,11 +62,13 @@ def read_config_file(path):
             raise UsageError(f"unknown preset {name!r}")
         text = ref.read_text(encoding="utf-8")
     else:
-        with open(path, encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-            except UnicodeDecodeError as err:
-                raise UsageError(f"config {path}: not UTF-8 text ({err.reason})") from None
+        except OSError as err:
+            raise UsageError(f"config {path}: cannot read ({err.strerror})") from None
+        except UnicodeDecodeError as err:
+            raise UsageError(f"config {path}: not UTF-8 text ({err.reason})") from None
     values = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()

@@ -11,14 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PENALTIES = ("l1", "l0")
-MODES = ("single_unit", "block")
-INITS = ("max_norm_column", "random_orthonormal", "user_supplied")
+INITS = ("max_norm_column", "random_orthonormal")
 
 # Absolute tolerance for algebraic identities (unit norms, orthogonality,
 # pattern/value agreement); solver convergence uses the relative tol in
 # SolverConfig instead.
 ALGEBRAIC_TOL = 1e-12
-STIEFEL_TOL = 1e-10
 
 
 class DataMatrix:
@@ -57,10 +55,6 @@ class DataMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("DataMatrix is immutable")
-
-    def column(self, i):
-        """Contiguous view of column a_i."""
-        return self.values[:, i]
 
     @property
     def shape(self):
@@ -119,36 +113,6 @@ class SparseLoadings:
         return f"SparseLoadings(n={self.n}, m={self.m}, nnz={self.nnz_per_component()})"
 
 
-class StiefelPoint:
-    """p x m matrix with orthonormal columns; for m=1 a unit vector."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values, tol=STIEFEL_TOL):
-        arr = np.array(values, dtype=np.float64, copy=True)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        p, m = arr.shape
-        if m > p:
-            raise ValueError(f"need m <= p, got p={p}, m={m}")
-        err = np.linalg.norm(arr.T @ arr - np.eye(m))
-        if err > tol:
-            raise ValueError(f"columns not orthonormal: ||X'X - I||_F = {err:.3e}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StiefelPoint is immutable")
-
-    @property
-    def p(self):
-        return self.values.shape[0]
-
-    @property
-    def m(self):
-        return self.values.shape[1]
-
-
 def _as_length_m(value, m, name):
     vec = np.atleast_1d(np.asarray(value, dtype=np.float64))
     if vec.size == 1:
@@ -160,15 +124,14 @@ def _as_length_m(value, m, name):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings for one solve: penalty, mode, thresholds, stopping rule.
+    """Settings for one solve: penalty, thresholds, stopping rule.
 
     gamma and mu accept a scalar or a length-m sequence and are stored
-    as length-m vectors (gamma_j >= 0, mu_j > 0).  x0 is only consulted
-    when init="user_supplied".
+    as length-m vectors (gamma_j >= 0, mu_j > 0).  solve_multi_sequential
+    extracts the m components one at a time, solve_block jointly.
     """
 
     penalty: str = "l1"
-    mode: str = "single_unit"
     m: int = 1
     gamma: object = 0.0
     mu: object = 1.0
@@ -176,7 +139,6 @@ class SolverConfig:
     max_iter: int = 1000
     init: str = "max_norm_column"
     seed: int = 0
-    x0: object = None
     # Robustness knobs for the single-unit solvers; the defaults keep the
     # canonical single-start behavior.  restarts>1 climbs from that many
     # initial directions and keeps the best final objective; refine=True
@@ -189,8 +151,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.penalty not in PENALTIES:
             raise ValueError(f"penalty must be one of {PENALTIES}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}")
         if self.m < 1:
@@ -211,8 +171,6 @@ class SolverConfig:
         mu.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "mu", mu)
-        if self.init == "user_supplied" and self.x0 is None:
-            raise ValueError("init='user_supplied' requires x0")
 
 
 @dataclass(frozen=True)
@@ -236,31 +194,7 @@ class RunReport:
     component_histories: list = None
 
 
-def positive_part(t):
-    """max(0, t), elementwise on arrays."""
-    return np.maximum(t, 0.0)
-
-
-def center_columns(A):
-    """Subtract each column's mean; returns a new DataMatrix.
-
-    With samples-as-rows data this gives every variable zero mean.
-    """
-    A = as_data_matrix(A)
-    return DataMatrix(A.values - A.values.mean(axis=0, keepdims=True))
-
-
 def column_norms(A):
     """Euclidean norm of every column a_i, as a length-n vector."""
     A = as_data_matrix(A)
     return np.linalg.norm(A.values, axis=0)
-
-
-def gram_quadratic(A, z):
-    """z' (A'A) z evaluated as ||Az||^2, never forming the Gram matrix."""
-    A = as_data_matrix(A)
-    z = np.asarray(z, dtype=np.float64)
-    if z.shape != (A.n,):
-        raise ValueError(f"z must have length n={A.n}, got shape {z.shape}")
-    v = A.values @ z
-    return float(v @ v)

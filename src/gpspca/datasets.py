@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .parallel import check_allocation
+
 
 class DatasetFormatError(ValueError):
     """Raised when a dataset file cannot be parsed or a split is invalid."""
@@ -131,8 +133,10 @@ def read_table(path, sep=",", label=None):
 def read_svmlight(path, n_features=0):
     """Parse svmlight records `label index:value ...` (1-based indices,
     `#` comments) into int64 labels and a dense feature matrix at least
-    n_features wide."""
+    n_features wide.  A width that cannot fit in memory is refused, naming
+    the line with the largest index, before the matrix is allocated."""
     labels, records = [], []
+    width, widest_line = n_features, None
     for line_no, line in numbered_lines(path):
         tokens = line.split("#", 1)[0].split()
         if not tokens:
@@ -152,9 +156,16 @@ def read_svmlight(path, n_features=0):
         if not all(math.isfinite(v) for _, v in pairs):
             raise DatasetFormatError(f"line {line_no}: non-finite value")
         records.append(pairs)
+        top = max((i for i, _ in pairs), default=0)
+        if top > width:
+            width, widest_line = top, line_no
     if not records:
         raise DatasetFormatError(f"{path}: no data rows")
-    width = max([n_features] + [i for pairs in records for i, _ in pairs])
+    try:
+        check_allocation(len(records), width)
+    except MemoryError as err:
+        where = "n_features" if widest_line is None else f"line {widest_line}: feature index"
+        raise DatasetFormatError(f"{where} {width} is too large ({err})") from None
     features = np.zeros((len(records), width))
     for row, pairs in zip(features, records):
         for i, v in pairs:

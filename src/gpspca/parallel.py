@@ -6,15 +6,15 @@ column accumulation (par_gram_apply), and thresholded gradient
 accumulation (par_threshold_accumulate).  Work is split into column
 chunks, and each worker takes one contiguous run of them (one pool task
 per worker, not per chunk).  The chunk width is derived from the call's
-shape (rows p and iterate columns m, see GEMM_BUDGET), never from the
-worker count.  Every chunk's partial result is computed the same way
-whichever worker runs it, and the partials are combined by a pairwise
-tree whose shape depends only on the chunk layout, never on scheduling,
-so kernel output is bitwise identical for any worker count.  The two
-accumulations run on the active columns alone (those with a nonzero
-weight) when at most a quarter of them are active, see GATHER_DIVISOR;
-the choice depends on the weights alone, so results stay bitwise
-identical across worker counts.
+shape alone (rows p and iterate columns m, see GEMM_BUDGET); neither the
+plan nor the worker count sets it.  Every chunk's partial result is
+computed the same way whichever worker runs it, and the partials are
+combined by a pairwise tree whose shape depends only on the chunk
+layout, never on scheduling, so kernel output is bitwise identical for
+any worker count.  The two accumulations run on the active columns
+alone (those with a nonzero weight) when at most a quarter of them are
+active, see GATHER_DIVISOR; the choice depends on the weights alone, so
+results stay bitwise identical across worker counts.
 """
 
 import os
@@ -52,29 +52,24 @@ GATHER_DIVISOR = 4
 
 @dataclass(frozen=True)
 class KernelPlan:
-    """Execution plan: worker count, and optionally a fixed chunk width
-    (None derives it from each call's shape)."""
+    """Execution plan: the worker count.  The chunk width is not part of
+    it; each call derives that from its own shape (_chunk_bounds)."""
 
     workers: int = 1
-    chunk: int = None
 
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.chunk is not None and self.chunk < 1:
-            raise ValueError("chunk must be >= 1")
 
 
 DEFAULT_PLAN = KernelPlan()
 
 
-def _chunk_bounds(plan, p, n, iterate):
+def _chunk_bounds(p, n, iterate):
     """Column ranges of one kernel call on a p x n matrix; m, in the
     budget, is the iterate's (or weights') column count, 1 for a vector."""
-    chunk = plan.chunk
-    if chunk is None:
-        m = iterate.shape[1] if iterate.ndim == 2 else 1
-        chunk = min(max(GEMM_BUDGET // max(p * m, 1), MIN_CHUNK), n)
+    m = iterate.shape[1] if iterate.ndim == 2 else 1
+    chunk = min(max(GEMM_BUDGET // max(p * m, 1), MIN_CHUNK), n)
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
@@ -138,7 +133,7 @@ def par_matvec_t(A, x, plan=DEFAULT_PLAN):
     # Each worker writes its chunks straight into their output rows.
     _map_chunks(
         lambda lo, hi: np.matmul(values[:, lo:hi].T, x, out=out[lo:hi]),
-        _chunk_bounds(plan, A.p, A.n, x), plan.workers,
+        _chunk_bounds(A.p, A.n, x), plan.workers,
     )
     return out
 
@@ -172,7 +167,7 @@ def _accumulate_columns(values, weights, plan):
     # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs
     # 25-30% faster at 800x8000, m=5 (and 10-20% slower at 200x2000, m=5,
     # where the derived chunk still gains more than that end to end).
-    bounds = _chunk_bounds(plan, values.shape[0], values.shape[1], weights)
+    bounds = _chunk_bounds(values.shape[0], values.shape[1], weights)
     parts = _map_chunks(
         lambda lo, hi: (weights[lo:hi].T @ values[:, lo:hi].T).T, bounds, plan.workers
     )
@@ -266,14 +261,13 @@ def _kernel_invocation(kernel, A, rng):
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 
-def measure_scaling(kernel, sizes, workers, instances=20, chunk=None, seed=0):
+def measure_scaling(kernel, sizes, workers, instances=20, seed=0):
     """Median kernel wall times over a (P, N) size grid and worker counts.
 
     Returns a list of row dicts (kernel, N, P, workers, median_seconds,
     speedup) sorted by N then workers, where speedup is relative to the
     workers=1 median for the same size.  instances independent random
-    matrices are timed per size.  chunk=None times the derived chunk
-    layout that the solvers run.
+    matrices are timed per size, in the chunk layout the solvers run.
     """
     if not sizes:
         raise ValueError("sizes must be nonempty")
@@ -291,7 +285,7 @@ def measure_scaling(kernel, sizes, workers, instances=20, chunk=None, seed=0):
             A = as_data_matrix(rng.standard_normal((P, N)))
             run = _kernel_invocation(kernel, A, rng)
             for w in workers:
-                plan = KernelPlan(workers=w, chunk=chunk)
+                plan = KernelPlan(workers=w)
                 start = time.perf_counter()
                 run(plan)
                 times[w].append(time.perf_counter() - start)

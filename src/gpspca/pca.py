@@ -1,8 +1,8 @@
-"""Dense PCA baseline and shared evaluation quantities.
+"""Dense PCA baseline and the projection shared with the sparse fits.
 
 Works in the benchmark's samples-as-rows layout so that PCA components
-and sparse loadings live in the same feature space and can be compared
-via projection quality and explained variance.
+and sparse loadings live in the same feature space and embed samples
+the same way.
 """
 
 from dataclasses import dataclass
@@ -76,35 +76,3 @@ def project(samples, loadings, mean=None):
     if mean is None:
         mean = S.mean(axis=0)
     return (S - np.asarray(mean, dtype=np.float64)) @ L
-
-
-def explained_variance(samples, loadings, zero_tol=1e-12):
-    """Variance captured per component, adjusted by sequential deflation.
-
-    Component j is credited only with the variance of the data after
-    the directions of components 1..j-1 have been projected out, so
-    correlated (non-orthogonal) loadings are not double counted.  For
-    orthonormal PCA loadings this equals singular_values^2/(N-1).
-    Columns must be unit norm; zero columns contribute 0.
-    """
-    S = np.asarray(samples, dtype=np.float64)
-    L = np.asarray(loadings, dtype=np.float64)
-    if L.ndim == 1:
-        L = L[:, None]
-    if S.shape[1] != L.shape[0]:
-        raise ValueError("samples and loadings disagree on the feature count")
-    norms = np.linalg.norm(L, axis=0)
-    nonzero = norms > zero_tol
-    if np.any(np.abs(norms[nonzero] - 1.0) > 1e-9):
-        raise ValueError("loading columns must be unit norm or zero")
-    B = S - S.mean(axis=0)
-    denom = max(S.shape[0] - 1, 1)
-    out = np.zeros(L.shape[1])
-    for j in range(L.shape[1]):
-        if not nonzero[j]:
-            continue
-        v = L[:, j]
-        scores = B @ v
-        out[j] = float(scores @ scores) / denom
-        B = B - np.outer(scores, v)
-    return out

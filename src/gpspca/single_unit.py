@@ -36,8 +36,6 @@ def _initial_iterates(A, config, norms):
     are A's column norms); asking for more starts than there are columns
     tops up with seeded random directions.
     """
-    if config.init == "user_supplied":
-        return [_check_unit(config.x0, A.p)]
     rng = np.random.default_rng(config.seed)
     if config.init == "random_orthonormal":
         out = []
@@ -162,8 +160,6 @@ class ComponentSequence:
     """
 
     def __init__(self, A, config, plan=DEFAULT_PLAN):
-        if config.mode != "single_unit":
-            raise ValueError("solve_multi_sequential requires mode='single_unit'")
         self.config = config
         self.plan = plan
         self.columns = []

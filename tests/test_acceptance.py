@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gpspca.block
+import gpspca.parallel
 from gpspca import (
     DataMatrix,
     ExperimentConfig,
@@ -64,7 +65,7 @@ def test_criterion_01_monotone_ascent():
             assert np.all(np.diff(rep.objective_history) >= -1e-12)
             checked["s" + penalty] += 1
             cfg_b = SolverConfig(
-                penalty=penalty, mode="block", m=m, gamma=gamma,
+                penalty=penalty, m=m, gamma=gamma,
                 init="random_orthonormal", seed=int(rng.integers(1 << 16)),
                 max_iter=300,
             )
@@ -143,7 +144,7 @@ def test_criterion_03_pca_equivalence_at_gamma_zero():
         loadings, _ = solve_single_unit(A, cfg)
         assert abs(loadings.values[:, 0] @ V[:, 0]) >= 1 - 1e-8
         cfg_b = SolverConfig(
-            penalty=penalty, mode="block", m=2, gamma=0.0,
+            penalty=penalty, m=2, gamma=0.0,
             init="random_orthonormal", seed=trial, tol=1e-14, max_iter=20000,
         )
         loadings_b, _ = solve_block(A, cfg_b)
@@ -196,10 +197,9 @@ def test_criterion_05_stiefel_feasibility(monkeypatch):
     original = polar_projection
 
     def recording_polar(G):
-        point = original(G)
-        X = point.values
+        X = original(G)
         errors.append(np.linalg.norm(X.T @ X - np.eye(X.shape[1])))
-        return point
+        return X
 
     monkeypatch.setattr(gpspca.block, "polar_projection", recording_polar)
     rng = np.random.default_rng(105)
@@ -210,7 +210,7 @@ def test_criterion_05_stiefel_feasibility(monkeypatch):
         m = int(rng.integers(1, min(p, n, 4) + 1))
         for penalty in ("l1", "l0"):
             cfg = SolverConfig(
-                penalty=penalty, mode="block", m=m, gamma=float(rng.choice(GAMMAS)),
+                penalty=penalty, m=m, gamma=float(rng.choice(GAMMAS)),
                 init="random_orthonormal", seed=int(rng.integers(1 << 16)),
                 max_iter=200,
             )
@@ -227,9 +227,20 @@ def test_criterion_05_stiefel_feasibility(monkeypatch):
     )
 
 
-def test_criterion_06_parallel_determinism(tmp_path):
+def test_criterion_06_parallel_determinism(tmp_path, monkeypatch):
     rng = np.random.default_rng(106)
-    plans = [KernelPlan(workers=w, chunk=256) for w in (1, 2, 4, 8)]
+    plans = [KernelPlan(workers=w) for w in (1, 2, 4, 8)]
+    layouts = []
+    real_map_chunks = gpspca.parallel._map_chunks
+
+    def recording_map_chunks(fn, bounds, workers):
+        layouts.append([hi - lo for lo, hi in bounds])
+        return real_map_chunks(fn, bounds, workers)
+
+    # A budget of 256 columns of 64 rows: 16 chunks per call, where the
+    # default budget would run 64 x 4096 as a single chunk.
+    monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 256 * 64)
+    monkeypatch.setattr(gpspca.parallel, "_map_chunks", recording_map_chunks)
     for _ in range(20):
         A = DataMatrix(rng.standard_normal((64, 4096)))
         x = rng.standard_normal(64)
@@ -244,6 +255,9 @@ def test_criterion_06_parallel_determinism(tmp_path):
             outs = [kernel(*args, plan) for plan in plans]
             for other in outs[1:]:
                 assert np.array_equal(outs[0], other)
+    monkeypatch.undo()
+    assert len(layouts) == 20 * (1 + 4 * len(plans))
+    assert all(widths == [256] * 16 for widths in layouts)
     # full recognition pipeline: byte-identical CSV across worker counts
     ds = synthetic_sparse_factors(
         n_classes=5, per_class=12, n_features=64, n_factors=3, support_size=8,
@@ -263,7 +277,8 @@ def test_criterion_06_parallel_determinism(tmp_path):
     report(
         6,
         "three kernels bitwise identical across workers {1,2,4,8} on 20 64x4096 "
-        "instances; recognition CSV byte-identical across worker counts",
+        "instances in 16 chunks of 256; recognition CSV byte-identical across "
+        "worker counts",
     )
 
 

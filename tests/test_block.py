@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from gpspca import (
+    DataMatrix,
     RankDeficiencyError,
     SolverConfig,
+    ascend,
     ascent_direction,
     objective,
     polar_projection,
+    recover_pattern,
     solve_block,
     solve_single_unit,
 )
@@ -147,17 +150,17 @@ class TestPolarProjection:
     def test_orthonormal_input_is_fixed(self):
         rng = np.random.default_rng(34)
         Q = random_stiefel(rng, 5, 3)
-        assert np.allclose(polar_projection(Q).values, Q, atol=1e-12)
+        assert np.allclose(polar_projection(Q), Q, atol=1e-12)
 
     def test_positive_diagonal(self):
         G = np.zeros((4, 2))
         G[0, 0], G[1, 1] = 3.0, 2.0
-        assert np.allclose(polar_projection(G).values, np.eye(4)[:, :2], atol=1e-12)
+        assert np.allclose(polar_projection(G), np.eye(4)[:, :2], atol=1e-12)
 
     def test_maximizes_trace_against_random_stiefel(self):
         rng = np.random.default_rng(35)
         G = rng.standard_normal((6, 3))
-        X = polar_projection(G).values
+        X = polar_projection(G)
         best = np.trace(X.T @ G)
         for _ in range(10_000):
             Y = random_stiefel(rng, 6, 3)
@@ -167,7 +170,7 @@ class TestPolarProjection:
         rng = np.random.default_rng(36)
         for _ in range(200):
             G = rng.standard_normal((7, 3))
-            X = polar_projection(G).values
+            X = polar_projection(G)
             assert np.linalg.norm(X.T @ X - np.eye(3)) <= 1e-10
 
     def test_rank_deficient_raises_with_rank(self):
@@ -186,10 +189,9 @@ class TestSolveBlock:
         rng = np.random.default_rng(37)
         A = rng.standard_normal((5, 8))
         for penalty in ("l1", "l0"):
-            cfg_b = SolverConfig(penalty=penalty, mode="block", m=1, gamma=0.2, tol=1e-12)
-            cfg_s = SolverConfig(penalty=penalty, mode="single_unit", m=1, gamma=0.2, tol=1e-12)
-            zb, rb = solve_block(A, cfg_b)
-            zs, rs = solve_single_unit(A, cfg_s)
+            cfg = SolverConfig(penalty=penalty, m=1, gamma=0.2, tol=1e-12)
+            zb, rb = solve_block(A, cfg)
+            zs, rs = solve_single_unit(A, cfg)
             assert abs(rb.objective_history[-1] - rs.objective_history[-1]) <= 1e-8
             diff = min(
                 np.abs(zb.values[:, 0] - zs.values[:, 0]).max(),
@@ -200,7 +202,7 @@ class TestSolveBlock:
     def test_gamma_zero_distinct_mu_aligns_axes(self):
         A = np.diag([3.0, 2.0, 1.0])
         cfg = SolverConfig(
-            penalty="l1", mode="block", m=2, gamma=0.0, mu=(1.0, 0.5),
+            penalty="l1", m=2, gamma=0.0, mu=(1.0, 0.5),
             init="random_orthonormal", seed=3, tol=1e-14, max_iter=20000,
         )
         loadings, _ = solve_block(A, cfg)
@@ -209,7 +211,7 @@ class TestSolveBlock:
 
     def test_symmetric_instance_objective_three(self):
         cfg = SolverConfig(
-            penalty="l1", mode="block", m=3, gamma=0.0, init="random_orthonormal",
+            penalty="l1", m=3, gamma=0.0, init="random_orthonormal",
             seed=0, tol=1e-12,
         )
         _, report = solve_block(np.eye(3), cfg)
@@ -222,7 +224,7 @@ class TestSolveBlock:
             p = int(rng.integers(3, 8))
             A = rng.standard_normal((p, int(rng.integers(3, 12))))
             cfg = SolverConfig(
-                penalty=penalty, mode="block", m=2, gamma=float(rng.uniform(0, 0.3)),
+                penalty=penalty, m=2, gamma=float(rng.uniform(0, 0.3)),
                 init="random_orthonormal", seed=int(rng.integers(1 << 16)),
             )
             try:
@@ -233,29 +235,23 @@ class TestSolveBlock:
             assert np.all(np.diff(history) >= -1e-12)
 
     def test_permutation_equivariance(self):
+        # Both climbs start from the same given point, permuted.
         rng = np.random.default_rng(39)
-        A = rng.standard_normal((5, 9))
+        A = DataMatrix(rng.standard_normal((5, 9)))
         X0 = random_stiefel(rng, 5, 3)
-        gamma = (0.05, 0.1, 0.2)
-        mu = (1.0, 0.8, 0.6)
+        gamma = np.array([0.05, 0.1, 0.2])
+        mu = np.array([1.0, 0.8, 0.6])
         perm = [2, 0, 1]
-        cfg = SolverConfig(
-            penalty="l1", mode="block", m=3, gamma=gamma, mu=mu,
-            init="user_supplied", x0=X0, tol=1e-12, max_iter=5000,
-        )
-        Z, _ = solve_block(A, cfg)
-        cfg_p = SolverConfig(
-            penalty="l1", mode="block", m=3,
-            gamma=tuple(gamma[i] for i in perm), mu=tuple(mu[i] for i in perm),
-            init="user_supplied", x0=X0[:, perm], tol=1e-12, max_iter=5000,
-        )
-        Z_p, _ = solve_block(A, cfg_p)
-        assert np.allclose(Z_p.values, Z.values[:, perm], atol=1e-10)
+        X, _, _, _ = ascend(A, X0, gamma, mu, "l1", 1e-12, 5000)
+        X_p, _, _, _ = ascend(A, X0[:, perm], gamma[perm], mu[perm], "l1", 1e-12, 5000)
+        Z = recover_pattern(A, X, gamma, "l1", mu)
+        Z_p = recover_pattern(A, X_p, gamma[perm], "l1", mu[perm])
+        assert np.allclose(Z_p, Z[:, perm], atol=1e-10)
 
     def test_rank_collapse_carries_iteration(self):
         A = np.diag([3.0, 0.1])
         cfg = SolverConfig(
-            penalty="l0", mode="block", m=2, gamma=0.5,
+            penalty="l0", m=2, gamma=0.5,
             init="random_orthonormal", seed=1, max_iter=500,
         )
         with pytest.raises(RankDeficiencyError) as err:
@@ -265,7 +261,7 @@ class TestSolveBlock:
 
     def test_all_zero_gradient_raises_at_first_iteration(self):
         cfg = SolverConfig(
-            penalty="l1", mode="block", m=2, gamma=10.0, init="random_orthonormal",
+            penalty="l1", m=2, gamma=10.0, init="random_orthonormal",
         )
         with pytest.raises(RankDeficiencyError) as err:
             solve_block(np.eye(3), cfg)
@@ -274,17 +270,13 @@ class TestSolveBlock:
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
-            solve_block(np.eye(3), SolverConfig(mode="block", m=4))
-
-    def test_requires_block_mode(self):
-        with pytest.raises(ValueError):
-            solve_block(np.eye(3), SolverConfig(mode="single_unit"))
+            solve_block(np.eye(3), SolverConfig(m=4))
 
     def test_max_norm_column_init(self):
         rng = np.random.default_rng(40)
         A = rng.standard_normal((6, 10))
         cfg = SolverConfig(
-            penalty="l1", mode="block", m=2, gamma=0.05, init="max_norm_column",
+            penalty="l1", m=2, gamma=0.05, init="max_norm_column",
         )
         loadings, report = solve_block(A, cfg)
         assert loadings.values.shape == (10, 2)

@@ -3,6 +3,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import gpspca.parallel
 from gpspca.cli import main, parse_args, read_config_file
 
 PRESETS = sorted(
@@ -209,6 +210,19 @@ class TestConfigResolution:
             "--out", str(tmp_path / "o.csv"),
         ]) == 1
 
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, capsys, kind):
+        data = write_labeled_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        assert main([
+            "solve", "--input", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert f"config {cfg}: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_config_not_utf8_is_usage_error(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv")
@@ -425,6 +439,20 @@ class TestDatasetsConvert:
             "--from", "svmlight",
         ]) == 2
         assert "line 2: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_svmlight_index_beyond_memory_is_data_error(self, tmp_path, capsys, monkeypatch):
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemAvailable: 1000 kB\n")
+        monkeypatch.setattr(gpspca.parallel, "MEMINFO", str(meminfo))
+        raw = tmp_path / "raw.svm"
+        raw.write_text("1 1000000000000:1\n")
+        out = tmp_path / "out.csv"
+        assert main([
+            "datasets", "convert", "--input", str(raw), "--output", str(out),
+            "--from", "svmlight",
+        ]) == 2
+        assert "line 1: feature index 1000000000000 is too large" in capsys.readouterr().err
         assert not out.exists()
 
     def test_svmlight_non_integer_label_is_data_error(self, tmp_path, capsys):

@@ -1,62 +1,7 @@
 import numpy as np
 import pytest
 
-from gpspca import (
-    DataMatrix,
-    SolverConfig,
-    SparseLoadings,
-    StiefelPoint,
-    center_columns,
-    column_norms,
-    gram_quadratic,
-    positive_part,
-)
-
-
-class TestPositivePart:
-    def test_negative_clamps_to_zero(self):
-        assert positive_part(-3.0) == 0.0
-
-    def test_boundary(self):
-        assert positive_part(0.0) == 0.0
-
-    def test_identity_on_positives(self):
-        assert positive_part(2.5) == 2.5
-
-    def test_idempotent_and_monotone(self):
-        rng = np.random.default_rng(0)
-        t = rng.standard_normal(1000) * 10
-        once = positive_part(t)
-        assert np.array_equal(positive_part(once), once)
-        s = np.sort(t)
-        assert np.all(np.diff(positive_part(s)) >= 0)
-
-
-class TestCenterColumns:
-    def test_two_by_two(self):
-        out = center_columns(DataMatrix([[1.0, 3.0], [3.0, 5.0]]))
-        assert np.allclose(out.values, [[-1.0, -1.0], [1.0, 1.0]])
-
-    def test_zero_matrix_fixed_point(self):
-        out = center_columns(DataMatrix(np.zeros((3, 2))))
-        assert np.array_equal(out.values, np.zeros((3, 2)))
-
-    def test_single_row_becomes_zero(self):
-        out = center_columns(DataMatrix([[4.0, -7.0, 2.0]]))
-        assert np.array_equal(out.values, np.zeros((1, 3)))
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(1)
-        A = DataMatrix(rng.standard_normal((7, 5)))
-        once = center_columns(A)
-        twice = center_columns(once)
-        assert np.allclose(twice.values, once.values, atol=1e-12)
-
-    def test_original_unmodified(self):
-        values = np.arange(6.0).reshape(3, 2)
-        A = DataMatrix(values)
-        center_columns(A)
-        assert np.array_equal(A.values, values)
+from gpspca import DataMatrix, SolverConfig, SparseLoadings, column_norms
 
 
 class TestColumnNorms:
@@ -68,42 +13,6 @@ class TestColumnNorms:
 
     def test_zero_matrix(self):
         assert np.array_equal(column_norms(DataMatrix(np.zeros((4, 3)))), np.zeros(3))
-
-
-class TestGramQuadratic:
-    def test_identity(self):
-        assert gram_quadratic(DataMatrix(np.eye(2)), [1.0, 0.0]) == pytest.approx(1.0)
-
-    def test_diagonal_scaling(self):
-        A = DataMatrix([[2.0, 0.0], [0.0, 3.0]])
-        assert gram_quadratic(A, [0.0, 1.0]) == pytest.approx(9.0)
-
-    def test_matches_explicit_gram_matrix(self):
-        # oracle: form Sigma = A'A explicitly and evaluate the quadratic
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            A = rng.standard_normal((4, 6))
-            z = rng.standard_normal(6)
-            sigma = A.T @ A
-            assert gram_quadratic(DataMatrix(A), z) == pytest.approx(
-                float(z @ sigma @ z), rel=1e-12
-            )
-
-    def test_nonnegative_and_zero_iff_in_kernel(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            A = rng.standard_normal((3, 5))
-            z = rng.standard_normal(5)
-            val = gram_quadratic(DataMatrix(A), z)
-            assert val >= 0
-            assert (val < 1e-12) == (np.linalg.norm(A @ z) < 1e-6)
-        # an exact kernel vector gives exactly zero
-        A = np.array([[1.0, 1.0], [2.0, 2.0]])
-        assert gram_quadratic(DataMatrix(A), [1.0, -1.0]) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            gram_quadratic(DataMatrix(np.eye(3)), np.ones(2))
 
 
 class TestDataMatrix:
@@ -118,7 +27,7 @@ class TestDataMatrix:
     def test_column_contiguous_and_immutable(self):
         A = DataMatrix(np.arange(12.0).reshape(3, 4))
         assert A.values.flags.f_contiguous
-        assert A.column(1).flags.c_contiguous
+        assert A.values[:, 1].flags.c_contiguous
         with pytest.raises(ValueError):
             A.values[0, 0] = 7.0
         with pytest.raises(AttributeError):
@@ -141,21 +50,6 @@ class TestSparseLoadings:
             SparseLoadings(np.array([[0.5], [0.5]]))
 
 
-class TestStiefelPoint:
-    def test_accepts_orthonormal(self):
-        X = StiefelPoint(np.eye(4)[:, :2])
-        assert X.p == 4 and X.m == 2
-
-    def test_rejects_oblique(self):
-        with pytest.raises(ValueError):
-            StiefelPoint(np.ones((3, 2)))
-
-    def test_rejects_m_greater_p(self):
-        StiefelPoint(np.eye(3))  # square is fine
-        with pytest.raises(ValueError):
-            StiefelPoint(np.eye(3)[:2, :])
-
-
 class TestSolverConfig:
     def test_gamma_broadcast(self):
         cfg = SolverConfig(m=3, gamma=0.1)
@@ -172,7 +66,3 @@ class TestSolverConfig:
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             SolverConfig(m=2, gamma=[0.1, 0.2, 0.3])
-
-    def test_user_supplied_needs_x0(self):
-        with pytest.raises(ValueError):
-            SolverConfig(init="user_supplied")

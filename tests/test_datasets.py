@@ -12,6 +12,7 @@ from gpspca import (
     make_splits,
     synthetic_sparse_factors,
 )
+import gpspca.parallel
 from gpspca.datasets import LabeledDataset, read_svmlight
 
 
@@ -102,6 +103,21 @@ class TestReadSvmlight:
         path.write_text(f"1 1:0.5\n2 1:1.0 2:{value}\n")
         with pytest.raises(DatasetFormatError, match="line 2: non-finite value"):
             read_svmlight(path)
+
+    def test_width_beyond_memory_refused_before_allocating(self, tmp_path, monkeypatch):
+        # With 1000 kB available, three rows fit 42666 columns, not 10**6.
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemAvailable: 1000 kB\n")
+        monkeypatch.setattr(gpspca.parallel, "MEMINFO", str(meminfo))
+        path = tmp_path / "d.svm"
+        path.write_text("1 1:0.5\n2 3:1.0 1000000:2.0\n3 999999:1.0\n")
+        with pytest.raises(DatasetFormatError, match="line 2: feature index 1000000 "):
+            read_svmlight(path)
+        with pytest.raises(DatasetFormatError, match="n_features 2000000 "):
+            read_svmlight(path, n_features=2_000_000)
+        narrow = tmp_path / "narrow.svm"
+        narrow.write_text("1 40000:1.0\n")
+        assert read_svmlight(narrow)[1].shape == (1, 40000)
 
 
 class TestLoadMatrixCsv:

@@ -15,6 +15,37 @@ from gpspca.parallel import (
 WORKER_COUNTS = (1, 2, 4, 8)
 
 
+@pytest.fixture
+def chunk_widths(monkeypatch):
+    """Column widths of every chunk run by each kernel call."""
+    calls = []
+    real = gpspca.parallel._map_chunks
+
+    def recording(fn, bounds, workers):
+        calls.append([hi - lo for lo, hi in bounds])
+        return real(fn, bounds, workers)
+
+    monkeypatch.setattr(gpspca.parallel, "_map_chunks", recording)
+    return calls
+
+
+@pytest.fixture
+def chunk_of(monkeypatch):
+    """Set GEMM_BUDGET so that calls on p rows with m iterate columns run
+    in chunks of the given width: a small matrix then gets the many-chunk
+    layout of a large one."""
+
+    def set_width(width, p, m=1):
+        monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", width * p * m)
+
+    return set_width
+
+
+def layout(n, chunk):
+    """Chunk widths of n columns cut every chunk columns."""
+    return [min(chunk, n - lo) for lo in range(0, n, chunk)]
+
+
 def reference_accumulate(values, weights, chunk):
     """Independent re-statement of the summation order: chunk partials
     combined by a pairwise tree over the chunk index."""
@@ -39,38 +70,44 @@ class TestParMatvecT:
         A = DataMatrix(np.random.default_rng(0).standard_normal((5, 9)))
         assert np.array_equal(par_matvec_t(A, np.zeros(5)), np.zeros(9))
 
-    def test_bitwise_identical_across_workers(self):
+    def test_bitwise_identical_across_workers(self, chunk_of, chunk_widths):
         rng = np.random.default_rng(1)
         A = DataMatrix(rng.standard_normal((64, 1000)))
         x = rng.standard_normal(64)
-        outs = [par_matvec_t(A, x, KernelPlan(workers=w, chunk=64)) for w in WORKER_COUNTS]
+        chunk_of(64, 64)
+        outs = [par_matvec_t(A, x, KernelPlan(workers=w)) for w in WORKER_COUNTS]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+        assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
 
     @pytest.mark.parametrize("shape", [(64,), (64, 5)], ids=["vector", "block"])
-    def test_each_chunk_is_a_plain_matmul(self, shape):
+    def test_each_chunk_is_a_plain_matmul(self, chunk_of, chunk_widths, shape):
         rng = np.random.default_rng(12)
         A = DataMatrix(rng.standard_normal((64, 1000)))
         x = rng.standard_normal(shape)
         want = np.concatenate(
             [A.values[:, lo : lo + 64].T @ x for lo in range(0, 1000, 64)]
         )
+        chunk_of(64, *shape)
         for w in (1, 3):
-            assert np.array_equal(par_matvec_t(A, x, KernelPlan(workers=w, chunk=64)), want)
+            assert np.array_equal(par_matvec_t(A, x, KernelPlan(workers=w)), want)
+        assert chunk_widths == [layout(1000, 64)] * 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             par_matvec_t(DataMatrix(np.eye(3)), np.ones(4))
 
-    def test_block_matches_dense_product_and_workers(self):
+    def test_block_matches_dense_product_and_workers(self, chunk_of, chunk_widths):
         rng = np.random.default_rng(7)
         A = DataMatrix(rng.standard_normal((64, 1000)))
         X = rng.standard_normal((64, 5))
-        outs = [par_matvec_t(A, X, KernelPlan(workers=w, chunk=64)) for w in WORKER_COUNTS]
+        chunk_of(64, 64, 5)
+        outs = [par_matvec_t(A, X, KernelPlan(workers=w)) for w in WORKER_COUNTS]
         assert outs[0].shape == (1000, 5)
         assert np.allclose(outs[0], A.values.T @ X, atol=1e-12)
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+        assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
 
 
 class TestParGramApply:
@@ -79,20 +116,24 @@ class TestParGramApply:
         z = np.array([0.0, 2.0, 0.0])
         assert np.array_equal(par_gram_apply(A, z), 2.0 * A.values[:, 1])
 
-    def test_matches_dense_product(self):
+    def test_matches_dense_product(self, chunk_of, chunk_widths):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((7, 300))
         z = rng.standard_normal(300)
-        out = par_gram_apply(DataMatrix(A), z, KernelPlan(chunk=32))
+        chunk_of(32, 7)
+        out = par_gram_apply(DataMatrix(A), z)
         assert np.allclose(out, A @ z, atol=1e-12)
+        assert chunk_widths == [layout(300, 32)]
 
-    def test_bitwise_identical_across_workers(self):
+    def test_bitwise_identical_across_workers(self, chunk_of, chunk_widths):
         rng = np.random.default_rng(3)
         A = DataMatrix(rng.standard_normal((64, 1000)))
         z = rng.standard_normal(1000)
-        outs = [par_gram_apply(A, z, KernelPlan(workers=w, chunk=64)) for w in WORKER_COUNTS]
+        chunk_of(64, 64)
+        outs = [par_gram_apply(A, z, KernelPlan(workers=w)) for w in WORKER_COUNTS]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+        assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
 
 
 class TestParThresholdAccumulate:
@@ -112,41 +153,47 @@ class TestParThresholdAccumulate:
         assert np.array_equal(out, [0.75, 0.0])
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
-    def test_bitwise_identical_across_workers(self, penalty):
+    def test_bitwise_identical_across_workers(self, chunk_of, chunk_widths, penalty):
         rng = np.random.default_rng(5)
         A = DataMatrix(rng.standard_normal((64, 1000)))
         c = par_matvec_t(A, rng.standard_normal(64))
+        chunk_of(64, 64)
+        chunk_widths.clear()
         outs = [
-            par_threshold_accumulate(A, c, 0.3, penalty, KernelPlan(workers=w, chunk=64))
+            par_threshold_accumulate(A, c, 0.3, penalty, KernelPlan(workers=w))
             for w in WORKER_COUNTS
         ]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+        assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
-    def test_workers_one_equals_reference_order(self, penalty):
+    def test_workers_one_equals_reference_order(self, chunk_of, chunk_widths, penalty):
         rng = np.random.default_rng(6)
         values = rng.standard_normal((16, 530))
         c = rng.standard_normal(530)
         w = threshold_weights(c, 0.2, penalty)
         expected = reference_accumulate(np.asfortranarray(values), w, chunk=64)
-        got = par_threshold_accumulate(
-            DataMatrix(values), c, 0.2, penalty, KernelPlan(workers=1, chunk=64)
-        )
+        chunk_of(64, 16)
+        got = par_threshold_accumulate(DataMatrix(values), c, 0.2, penalty)
         assert np.array_equal(expected, got)
+        assert chunk_widths == [layout(530, 64)]
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
-    def test_block_columns_use_their_own_gamma(self, penalty):
+    def test_block_columns_use_their_own_gamma(self, chunk_of, chunk_widths, penalty):
         rng = np.random.default_rng(8)
         A = DataMatrix(rng.standard_normal((64, 1000)))
         C = par_matvec_t(A, rng.standard_normal((64, 3)))
         gamma = np.array([0.1, 0.3, 0.6])
+        chunk_of(64, 64, 3)
+        chunk_widths.clear()
         outs = [
-            par_threshold_accumulate(A, C, gamma, penalty, KernelPlan(workers=w, chunk=64))
+            par_threshold_accumulate(A, C, gamma, penalty, KernelPlan(workers=w))
             for w in WORKER_COUNTS
         ]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
+        assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
         for j in range(3):
             want = par_threshold_accumulate(A, C[:, j], gamma[j], penalty)
             assert np.allclose(outs[0][:, j], want, atol=1e-12)
@@ -162,7 +209,8 @@ class TestParThresholdAccumulate:
 class TestWorkerRuns:
     """Each worker takes one contiguous run of chunks; output depends only
     on (n, chunk), including when no worker count divides the chunk count
-    and when there are more workers than chunks."""
+    and when there are more workers than chunks.  The budget is set for
+    chunks of 64 columns."""
 
     @staticmethod
     def kernels(A, rng, block):
@@ -185,15 +233,19 @@ class TestWorkerRuns:
         [(700, (2, 3, 4)), (150, (8,))],
         ids=["11-chunks", "3-chunks"],
     )
-    def test_bitwise_identical_across_workers(self, n, workers, block):
+    def test_bitwise_identical_across_workers(self, chunk_of, chunk_widths, n, workers, block):
         rng = np.random.default_rng(9)
         A = DataMatrix(rng.standard_normal((32, n)))
-        for call in self.kernels(A, rng, block):
-            want = call(KernelPlan(workers=1, chunk=64))
+        calls = self.kernels(A, rng, block)
+        chunk_of(64, 32, 3 if block else 1)
+        chunk_widths.clear()
+        for call in calls:
+            want = call(KernelPlan(workers=1))
             for w in workers:
-                assert np.array_equal(call(KernelPlan(workers=w, chunk=64)), want)
+                assert np.array_equal(call(KernelPlan(workers=w)), want)
+        assert chunk_widths == [layout(n, 64)] * (len(calls) * (1 + len(workers)))
 
-    def test_at_most_one_task_per_worker(self, monkeypatch):
+    def test_at_most_one_task_per_worker(self, monkeypatch, chunk_of, chunk_widths):
         pool = gpspca.parallel._pool(3)
         real_map = pool.map
         submitted = []
@@ -205,24 +257,14 @@ class TestWorkerRuns:
 
         monkeypatch.setattr(pool, "map", counting_map)
         rng = np.random.default_rng(10)
-        A = DataMatrix(rng.standard_normal((16, 700)))  # 11 chunks of 64
-        for call in self.kernels(A, rng, block=False):
-            call(KernelPlan(workers=3, chunk=64))
+        A = DataMatrix(rng.standard_normal((16, 700)))
+        calls = self.kernels(A, rng, block=False)
+        chunk_of(64, 16)
+        chunk_widths.clear()
+        for call in calls:
+            call(KernelPlan(workers=3))
         assert submitted == [3, 3, 3]
-
-
-@pytest.fixture
-def chunk_widths(monkeypatch):
-    """Column widths of every chunk run by each kernel call."""
-    calls = []
-    real = gpspca.parallel._map_chunks
-
-    def recording(fn, bounds, workers):
-        calls.append([hi - lo for lo, hi in bounds])
-        return real(fn, bounds, workers)
-
-    monkeypatch.setattr(gpspca.parallel, "_map_chunks", recording)
-    return calls
+        assert chunk_widths == [[64] * 10 + [60]] * 3  # 11 chunks per call
 
 
 class TestDerivedChunk:
@@ -286,9 +328,9 @@ def engine_shapes(monkeypatch):
     shapes = []
     real = gpspca.parallel._chunk_bounds
 
-    def recording(plan, p, n, iterate):
+    def recording(p, n, iterate):
         shapes.append((p, n))
-        return real(plan, p, n, iterate)
+        return real(p, n, iterate)
 
     monkeypatch.setattr(gpspca.parallel, "_chunk_bounds", recording)
     return shapes

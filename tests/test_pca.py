@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpspca import explained_variance, pca_fit, project
+from gpspca import pca_fit, project
 from gpspca.pca import deterministic_signs
 
 
@@ -99,44 +99,3 @@ class TestProject:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             project(np.ones((2, 3)), np.ones((4, 1)))
-
-
-class TestExplainedVariance:
-    def test_pca_loadings_match_singular_values(self):
-        rng = np.random.default_rng(57)
-        S = rng.standard_normal((25, 7))
-        model = pca_fit(S, 5)
-        ev = explained_variance(S, model.components)
-        want = model.singular_values**2 / (25 - 1)
-        assert np.allclose(ev, want, rtol=1e-10, atol=1e-12)
-
-    def test_zero_column_contributes_zero(self):
-        rng = np.random.default_rng(58)
-        S = rng.standard_normal((10, 4))
-        loadings = np.zeros((4, 2))
-        loadings[0, 0] = 1.0
-        ev = explained_variance(S, loadings)
-        assert ev[1] == 0.0
-
-    def test_duplicate_column_explains_nothing_more(self):
-        rng = np.random.default_rng(59)
-        S = rng.standard_normal((12, 5))
-        v = rng.standard_normal(5)
-        v /= np.linalg.norm(v)
-        ev = explained_variance(S, np.column_stack([v, v]))
-        assert ev[0] > 0
-        assert abs(ev[1]) <= 1e-12
-
-    def test_pca_is_upper_bound(self):
-        rng = np.random.default_rng(60)
-        for _ in range(50):
-            S = rng.standard_normal((15, 8))
-            m = int(rng.integers(1, 5))
-            pca_total = explained_variance(S, pca_fit(S, m).components).sum()
-            L = rng.standard_normal((8, m))
-            L /= np.linalg.norm(L, axis=0, keepdims=True)
-            assert explained_variance(S, L).sum() <= pca_total + 1e-10
-
-    def test_rejects_non_unit_columns(self):
-        with pytest.raises(ValueError):
-            explained_variance(np.eye(3), np.full((3, 1), 0.5))

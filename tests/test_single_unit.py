@@ -277,17 +277,13 @@ class TestSolveSingleUnit:
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(19)
-        A = rng.standard_normal((4, 9))
+        A = DataMatrix(rng.standard_normal((4, 9)))
         x0 = random_unit(rng, 4)
         for penalty in ("l1", "l0"):
             out = []
             for sign in (1.0, -1.0):
-                cfg = SolverConfig(
-                    penalty=penalty, gamma=0.2, init="user_supplied", x0=sign * x0,
-                    tol=1e-12,
-                )
-                loadings, report = solve_single_unit(A, cfg)
-                out.append((loadings.values[:, 0], report.objective_history[-1]))
+                x, _, history, _ = ascend(A, sign * x0, 0.2, 1.0, penalty, 1e-12, 1000)
+                out.append((recover_pattern(A, x, 0.2, penalty), history[-1]))
             (z_a, f_a), (z_b, f_b) = out
             assert abs(f_a - f_b) <= 1e-10
             assert np.allclose(z_a, z_b, atol=1e-9) or np.allclose(z_a, -z_b, atol=1e-9)
@@ -307,8 +303,6 @@ class TestSolveSingleUnit:
             assert np.linalg.norm(x - grad / np.linalg.norm(grad)) <= 10 * np.sqrt(tol)
 
     def test_requires_single_unit_mode(self):
-        with pytest.raises(ValueError):
-            solve_single_unit(np.eye(2), SolverConfig(mode="block"))
         with pytest.raises(ValueError):
             solve_single_unit(np.eye(3), SolverConfig(m=2))
 
