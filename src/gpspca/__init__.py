@@ -41,7 +41,6 @@ from .bench import (
     run_timing_experiment,
 )
 from .parallel import (
-    KernelPlan,
     measure_scaling,
     par_gram_apply,
     par_matvec_t,

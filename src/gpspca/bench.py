@@ -20,10 +20,10 @@ from .datasets import (
     GroupedSplit,
     PerClassCount,
     knn_classify,
-    load_dataset,
+    load_dataset,  # noqa: F401  unused here, but perfbench wraps it by this name
     make_splits,
 )
-from .parallel import KernelPlan, check_allocation
+from .parallel import check_allocation, check_workers
 from .pca import pca_fit, project
 from .single_unit import ComponentSequence, solve_multi_sequential
 
@@ -35,7 +35,6 @@ VARIANTS = SPCA_VARIANTS + ("pca",)
 class ExperimentConfig:
     """Settings for one experiment sweep; seed fixes all randomness."""
 
-    dataset: str = None
     variant: str = "sl1"
     m: tuple = (5,)
     gamma: float = 0.1
@@ -68,13 +67,14 @@ class ExperimentConfig:
         self.m = tuple(int(v) for v in self.m)
         if any(v < 1 for v in self.m):
             raise ValueError("m values must be >= 1")
-
-    def plan(self):
-        return KernelPlan(workers=self.workers)
+        # A fit's exception becomes an error row, so a bad worker count is
+        # rejected here rather than in every fit.
+        for workers in (self.workers, *(self.timing_workers or ())):
+            check_workers(workers)
 
 
 def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=1000,
-                   seed=0, plan=None, center=True, reuse=None):
+                   seed=0, workers=1, center=True, reuse=None):
     """Learn an n x m projection from training rows.
 
     Returns (loadings, mean, report) where report is None for the PCA
@@ -86,7 +86,6 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     later fit can extend or slice (the PCA factorization, the sl1/sl0
     component sequence); the results are bitwise those of a fresh fit.
     """
-    plan = plan or KernelPlan()
     train_samples = np.asarray(train_samples, dtype=np.float64)
     if variant == "pca":
         if reuse is None:
@@ -118,15 +117,15 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         sequence = None
         if reuse is not None and np.size(gamma) == 1 and np.size(mu) == 1:
             if "sequence" not in reuse:
-                reuse["sequence"] = ComponentSequence(centered, config, plan)
+                reuse["sequence"] = ComponentSequence(centered, config, workers)
             sequence = reuse["sequence"]
-        loadings, report = solve_multi_sequential(centered, config, plan, sequence=sequence)
+        loadings, report = solve_multi_sequential(centered, config, workers, sequence=sequence)
     else:
         config = SolverConfig(
             penalty=penalty, m=m, gamma=gamma, mu=mu,
             tol=tol, max_iter=max_iter, init="random_orthonormal", seed=seed,
         )
-        loadings, report = solve_block(centered, config, plan)
+        loadings, report = solve_block(centered, config, workers)
     return loadings.values, mean, report
 
 
@@ -139,7 +138,7 @@ def _per_class_accuracy(predictions, test_labels, all_labels):
     return out
 
 
-def run_recognition_experiment(config, dataset=None):
+def run_recognition_experiment(config, dataset):
     """Fit on train, embed everything, 1-NN classify; repeat and sweep m.
 
     Returns the CSV rows (one per repetition and m, mean rows appended)
@@ -150,11 +149,8 @@ def run_recognition_experiment(config, dataset=None):
     otherwise, and empty for pca.  Solver failures are recorded in the
     row's error column, not raised.
     """
-    if dataset is None:
-        dataset = load_dataset(config.dataset)
     if config.split is None:
         raise ValueError("recognition experiment needs a split policy")
-    plan = config.plan()
     all_labels = np.unique(dataset.labels)
     rows = []
     for rep in range(config.repetitions):
@@ -179,8 +175,8 @@ def run_recognition_experiment(config, dataset=None):
                 try:
                     loadings, mean, report = fit_projection(
                         train_x, config.variant, m, config.gamma, config.mu,
-                        config.tol, config.max_iter, seed=[config.seed, rep], plan=plan,
-                        reuse=reuse,
+                        config.tol, config.max_iter, seed=[config.seed, rep],
+                        workers=config.workers, reuse=reuse,
                     )
                 finally:
                     fit_seconds += time.perf_counter() - start
@@ -271,7 +267,6 @@ def run_timing_experiment(config):
         for variant in config.timing_variants:
             for gamma in config.timing_gammas:
                 for workers in worker_counts:
-                    plan = KernelPlan(workers=workers)
                     seconds, iterations, converged = [], [], []
                     for instance in range(config.timing_instances):
                         rng = np.random.default_rng([config.seed, N, instance])
@@ -280,7 +275,7 @@ def run_timing_experiment(config):
                         _, _, report = fit_projection(
                             A, variant, m, gamma, config.mu, config.tol,
                             config.max_iter, seed=[config.seed, N, instance],
-                            plan=plan, center=False,
+                            workers=workers, center=False,
                         )
                         elapsed = time.perf_counter() - start
                         seconds.append(elapsed)

@@ -21,7 +21,7 @@ from .core import (
     as_data_matrix,
     column_norms,
 )
-from .parallel import DEFAULT_PLAN, par_matvec_t, par_threshold_accumulate, threshold_weights
+from .parallel import par_matvec_t, par_threshold_accumulate, threshold_weights
 
 FEASIBILITY_TOL = 1e-8
 
@@ -58,7 +58,7 @@ def _check_iterate(X, p):
     return X
 
 
-def _scaled_correlations(A, X, gamma, mu, plan):
+def _scaled_correlations(A, X, gamma, mu, workers):
     # Checked inputs and S = mu * A'X: scalar gamma and mu for a vector
     # iterate, one (gamma_j, mu_j) per column of a block.
     A = as_data_matrix(A)
@@ -67,7 +67,7 @@ def _scaled_correlations(A, X, gamma, mu, plan):
     gamma, mu = _as_length_m(gamma, m, "gamma"), _as_length_m(mu, m, "mu")
     if X.ndim == 1:
         gamma, mu = gamma[0], mu[0]
-    return A, gamma, mu, mu * par_matvec_t(A, X, plan)
+    return A, gamma, mu, mu * par_matvec_t(A, X, workers)
 
 
 def _objective(S, gamma, penalty):
@@ -87,28 +87,28 @@ def _loadings(S, gamma, penalty):
     return np.divide(Z, norms, out=np.zeros_like(Z), where=norms > 0)
 
 
-def objective(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
+def objective(A, X, gamma, penalty, mu=1.0, workers=1):
     """Penalized objective at a sphere or Stiefel point X.
 
     l1: sum_j sum_i [mu_j |a_i'x_j| - gamma_j]_+^2;
     l0: sum_j sum_i [(mu_j a_i'x_j)^2 - gamma_j]_+.
     gamma and mu are scalars or one entry per column of X.
     """
-    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, plan)
+    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, workers)
     return _objective(S, gamma, penalty)
 
 
-def ascent_direction(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
+def ascent_direction(A, X, gamma, penalty, mu=1.0, workers=1):
     """Ambient gradient of the objective: column j is
     2 mu_j sum_i w(mu_j a_i'x_j, gamma_j) a_i with w = threshold_weights.
 
     Zero exactly when no column is active.
     """
-    A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, plan)
-    return (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, plan)
+    A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, workers)
+    return (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, workers)
 
 
-def recover_pattern(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
+def recover_pattern(A, X, gamma, penalty, mu=1.0, workers=1):
     """Sparse loading columns at a fixed iterate X.
 
     l1 soft-thresholds the correlations, z_i proportional to
@@ -116,7 +116,7 @@ def recover_pattern(A, X, gamma, penalty, mu=1.0, plan=DEFAULT_PLAN):
     (mu a_i'x)^2 > gamma.  Each column is renormalized to unit norm; an
     all-inactive column is returned as zero.
     """
-    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, plan)
+    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, workers)
     return _loadings(S, gamma, penalty)
 
 
@@ -137,7 +137,7 @@ def polar_projection(G):
     return U @ Vt
 
 
-def ascend(A, X, gamma, mu, penalty, tol, max_iter, plan=DEFAULT_PLAN):
+def ascend(A, X, gamma, mu, penalty, tol, max_iter, workers=1):
     """Generalized power iteration from the feasible point X.
 
     Each step correlates, thresholds, accumulates and retracts: a vector
@@ -149,14 +149,16 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, plan=DEFAULT_PLAN):
     after max_iter steps.
 
     Returns (X, S, history, converged), where S = mu * A'X belongs to the
-    returned X.
+    returned X.  An X off the sphere or Stiefel manifold raises ValueError.
     """
-    S = mu * par_matvec_t(A, X, plan)
+    A = as_data_matrix(A)
+    X = _check_iterate(X, A.p)
+    S = mu * par_matvec_t(A, X, workers)
     f = _objective(S, gamma, penalty)
     history = [f]
     converged = False
     for iteration in range(max_iter):
-        G = (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, plan)
+        G = (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, workers)
         if X.ndim == 1:
             norm = np.linalg.norm(G)
             if norm == 0.0:
@@ -170,7 +172,7 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, plan=DEFAULT_PLAN):
                 err.iteration = iteration
                 err.history = history
                 raise
-        S = mu * par_matvec_t(A, X, plan)
+        S = mu * par_matvec_t(A, X, workers)
         f_new = _objective(S, gamma, penalty)
         history.append(f_new)
         if abs(f_new - f) < tol * max(abs(f), 1e-30):
@@ -199,7 +201,7 @@ def _init_block(A, config):
     return Q * np.sign(diag)
 
 
-def solve_block(A, config, plan=DEFAULT_PLAN):
+def solve_block(A, config, workers=1):
     """Extract config.m components jointly; returns (SparseLoadings, RunReport).
 
     Runs ascend on a p x m Stiefel iterate until the relative objective
@@ -213,7 +215,7 @@ def solve_block(A, config, plan=DEFAULT_PLAN):
     start = time.perf_counter()
     _, S, history, converged = ascend(
         A, _init_block(A, config), config.gamma, config.mu, config.penalty,
-        config.tol, config.max_iter, plan,
+        config.tol, config.max_iter, workers,
     )
     loadings = SparseLoadings(_loadings(S, config.gamma, config.penalty))
     return loadings, RunReport(

@@ -5,7 +5,10 @@ GPSPCA_WORKERS environment variable (workers only), a --config
 key=value file, then built-in defaults.  Every value, whatever its
 source, is checked by its flag's type.  Exit codes: 0 success, 1 usage
 error, 2 data error, 3 solver error.  The --config file is a setting,
-not data: one that is missing, unreadable or not UTF-8 is a usage error.
+not data: one that is missing, unreadable or not UTF-8 is a usage error,
+and so is a key that is not a flag the chosen subcommand lets a config
+set (a misspelling, another subcommand's flag, or an input such as
+input or group_file, which only the command line names).
 """
 
 import argparse
@@ -36,7 +39,6 @@ from .datasets import (
     read_svmlight,
     read_table,
 )
-from .parallel import KernelPlan
 
 ENV_KEYS = {"workers": "GPSPCA_WORKERS"}
 # Flags that name the inputs of one run; a --config file cannot set them.
@@ -151,7 +153,7 @@ def cmd_solve(args):
         samples = load_matrix_csv(args.input)
     loadings, _, report = fit_projection(
         samples, args.variant, args.m, args.gamma, args.mu, args.tol, args.max_iter,
-        seed=args.seed, plan=KernelPlan(workers=args.workers),
+        seed=args.seed, workers=args.workers,
         center=not args.no_center,
     )
     rows = [
@@ -201,7 +203,7 @@ def cmd_bench_recognition(args):
         raise UsageError("bench-recognition requires --dataset and --out")
     dataset = load_dataset(args.dataset)
     config = ExperimentConfig(
-        dataset=args.dataset, variant=args.variant, m=args.m, gamma=args.gamma,
+        variant=args.variant, m=args.m, gamma=args.gamma,
         mu=args.mu, repetitions=args.repetitions, seed=args.seed, out=args.out,
         workers=args.workers, tol=args.tol, max_iter=args.max_iter,
         knn_k=args.knn_k, split=_split_policy(dataset, args),
@@ -215,8 +217,7 @@ def cmd_bench_timing(args):
     if not args.out:
         raise UsageError("bench-timing requires --out")
     config = ExperimentConfig(
-        variant=args.variants[0], m=args.m, gamma=0.0, mu=args.mu, seed=args.seed,
-        out=args.out, workers=args.workers[0], tol=args.tol,
+        m=args.m, mu=args.mu, seed=args.seed, out=args.out, tol=args.tol,
         max_iter=args.max_iter, timing_sizes=args.sizes, timing_gammas=args.gammas,
         timing_variants=args.variants, timing_instances=args.instances,
         timing_workers=args.workers,
@@ -293,12 +294,17 @@ def build_parser():
 def parse_args(argv=None):
     """Parse argv into typed settings.  GPSPCA_* and --config values become
     defaults of the chosen subcommand, so a flag still overrides them and
-    the same flag type checks them."""
+    the same flag type checks them; a config key that is not one of those
+    defaults is a usage error."""
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     values = read_config_file(args.config) if getattr(args, "config", None) else {}
+    unknown = [k for k in values if k not in vars(args) or k in FLAG_ONLY]
+    if unknown:
+        raise UsageError(f"config keys that are not settings of {args.command}: "
+                         + ", ".join(unknown))
     values.update((key, os.environ[var]) for key, var in ENV_KEYS.items() if os.environ.get(var))
-    layered = {k: v for k, v in values.items() if k in vars(args) and k not in FLAG_ONLY}
+    layered = {k: v for k, v in values.items() if k in vars(args)}
     if layered:
         commands[args.command].set_defaults(**layered)
         args = parser.parse_args(argv)

@@ -6,22 +6,21 @@ column accumulation (par_gram_apply), and thresholded gradient
 accumulation (par_threshold_accumulate).  Work is split into column
 chunks, and each worker takes one contiguous run of them (one pool task
 per worker, not per chunk).  The chunk width is derived from the call's
-shape alone (rows p and iterate columns m, see GEMM_BUDGET); neither the
-plan nor the worker count sets it.  Every chunk's partial result is
-computed the same way whichever worker runs it, and the partials are
-combined by a pairwise tree whose shape depends only on the chunk
-layout, never on scheduling, so kernel output is bitwise identical for
-any worker count.  The two accumulations run on the active columns
-alone (those with a nonzero weight) when at most a quarter of them are
-active, see GATHER_DIVISOR; the choice depends on the weights alone, so
-results stay bitwise identical across worker counts.
+shape alone (rows p and iterate columns m, see GEMM_BUDGET); the worker
+count does not set it.  Every chunk's partial result is computed the
+same way whichever worker runs it, and the partials are combined by a
+pairwise tree whose shape depends only on the chunk layout, never on
+scheduling, so kernel output is bitwise identical for any worker count.
+The two accumulations run on the active columns alone (those with a
+nonzero weight) when at most a quarter of them are active, see
+GATHER_DIVISOR; the choice depends on the weights alone, so results
+stay bitwise identical across worker counts.
 """
 
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,19 +49,10 @@ MIN_CHUNK = 32
 GATHER_DIVISOR = 4
 
 
-@dataclass(frozen=True)
-class KernelPlan:
-    """Execution plan: the worker count.  The chunk width is not part of
-    it; each call derives that from its own shape (_chunk_bounds)."""
-
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-
-
-DEFAULT_PLAN = KernelPlan()
+def check_workers(workers):
+    """Reject a worker count below 1; every kernel call runs this first."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def _chunk_bounds(p, n, iterate):
@@ -123,9 +113,10 @@ def _check_rows(v, rows, name):
     return v
 
 
-def par_matvec_t(A, x, plan=DEFAULT_PLAN):
+def par_matvec_t(A, x, workers=1):
     """All column dot products a_i'x: length n for a length-p x, n x m for
     a p x m block (one GEMM per chunk instead of m GEMVs)."""
+    check_workers(workers)
     A = as_data_matrix(A)
     x = _check_rows(x, A.p, "x")
     values = A.values
@@ -133,7 +124,7 @@ def par_matvec_t(A, x, plan=DEFAULT_PLAN):
     # Each worker writes its chunks straight into their output rows.
     _map_chunks(
         lambda lo, hi: np.matmul(values[:, lo:hi].T, x, out=out[lo:hi]),
-        _chunk_bounds(A.p, A.n, x), plan.workers,
+        _chunk_bounds(A.p, A.n, x), workers,
     )
     return out
 
@@ -154,7 +145,7 @@ def _active_columns(weights, limit):
     return active if active.size <= limit else None
 
 
-def _accumulate_columns(values, weights, plan):
+def _accumulate_columns(values, weights, workers):
     # Inactive columns add only zeros, so when at most n // GATHER_DIVISOR
     # are active the sum runs over a gathered copy of the active ones.  Its
     # chunk layout comes from (p, k, m), still never from the worker count;
@@ -169,18 +160,19 @@ def _accumulate_columns(values, weights, plan):
     # where the derived chunk still gains more than that end to end).
     bounds = _chunk_bounds(values.shape[0], values.shape[1], weights)
     parts = _map_chunks(
-        lambda lo, hi: (weights[lo:hi].T @ values[:, lo:hi].T).T, bounds, plan.workers
+        lambda lo, hi: (weights[lo:hi].T @ values[:, lo:hi].T).T, bounds, workers
     )
     return _pairwise_combine(parts)
 
 
-def par_gram_apply(A, coefficients, plan=DEFAULT_PLAN):
+def par_gram_apply(A, coefficients, workers=1):
     """Weighted column sum sum_i c_i a_i (i.e. the product A c)."""
+    check_workers(workers)
     A = as_data_matrix(A)
     c = np.asarray(coefficients, dtype=np.float64)
     if c.shape != (A.n,):
         raise ValueError(f"coefficients must have length n={A.n}, got shape {c.shape}")
-    return _accumulate_columns(A.values, c, plan)
+    return _accumulate_columns(A.values, c, workers)
 
 
 def threshold_weights(correlations, gamma, penalty):
@@ -198,17 +190,18 @@ def threshold_weights(correlations, gamma, penalty):
     raise ValueError(f"unknown penalty {penalty!r}")
 
 
-def par_threshold_accumulate(A, correlations, gamma, penalty, plan=DEFAULT_PLAN):
+def par_threshold_accumulate(A, correlations, gamma, penalty, workers=1):
     """Thresholded gradient accumulation sum_i w(c_i, gamma) a_i.
 
     correlations must be the par_matvec_t output for the current iterate
     (length n, or n x m with one gamma per column); the result is the
     ascent direction up to the scheme's constant factor.
     """
+    check_workers(workers)
     A = as_data_matrix(A)
     c = _check_rows(correlations, A.n, "correlations")
     w = threshold_weights(c, gamma, penalty)
-    return _accumulate_columns(A.values, w, plan)
+    return _accumulate_columns(A.values, w, workers)
 
 
 MEMINFO = "/proc/meminfo"
@@ -249,15 +242,15 @@ def check_allocation(P, N):
 def _kernel_invocation(kernel, A, rng):
     if kernel == "matvec_t":
         x = rng.standard_normal(A.p)
-        return lambda plan: par_matvec_t(A, x, plan)
+        return lambda workers: par_matvec_t(A, x, workers)
     if kernel == "gram_apply":
         z = rng.standard_normal(A.n)
-        return lambda plan: par_gram_apply(A, z, plan)
+        return lambda workers: par_gram_apply(A, z, workers)
     if kernel == "threshold_accumulate":
         x = rng.standard_normal(A.p)
         c = par_matvec_t(A, x)
         gamma = 0.05 * float(np.max(np.abs(c)))
-        return lambda plan: par_threshold_accumulate(A, c, gamma, "l1", plan)
+        return lambda workers: par_threshold_accumulate(A, c, gamma, "l1", workers)
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 
@@ -285,9 +278,8 @@ def measure_scaling(kernel, sizes, workers, instances=20, seed=0):
             A = as_data_matrix(rng.standard_normal((P, N)))
             run = _kernel_invocation(kernel, A, rng)
             for w in workers:
-                plan = KernelPlan(workers=w)
                 start = time.perf_counter()
-                run(plan)
+                run(w)
                 times[w].append(time.perf_counter() - start)
         base = float(np.median(times[1]))
         for w in workers:

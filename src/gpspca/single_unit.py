@@ -15,7 +15,7 @@ import numpy as np
 from .block import _check_iterate, _loadings, ascend
 from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
 
-from .parallel import DEFAULT_PLAN, threshold_weights
+from .parallel import threshold_weights
 
 # perfbench/tracing.py wraps the column kernels under each solver
 # module's names, this one included.
@@ -51,7 +51,7 @@ def _initial_iterates(A, config, norms):
     return out
 
 
-def solve_single_unit(A, config, plan=DEFAULT_PLAN):
+def solve_single_unit(A, config, workers=1):
     """Extract one sparse component; returns (SparseLoadings, RunReport).
 
     Climbs from the configured initialization until the relative
@@ -64,7 +64,7 @@ def solve_single_unit(A, config, plan=DEFAULT_PLAN):
     """
     if config.m != 1:
         raise ValueError("solve_single_unit handles m=1; use solve_multi_sequential")
-    return solve_multi_sequential(A, config, plan)
+    return solve_multi_sequential(A, config, workers)
 
 
 def _restricted_leading_direction(A, support, x):
@@ -77,7 +77,7 @@ def _restricted_leading_direction(A, support, x):
     return -U[:, 0] if U[:, 0] @ x < 0 else U[:, 0]
 
 
-def _refine_support(A, best, gamma, config, plan):
+def _refine_support(A, best, gamma, config, workers):
     """Re-climb from supports adjacent to the converged one.
 
     Near-threshold columns create closely spaced local maxima; relaxing
@@ -100,7 +100,7 @@ def _refine_support(A, best, gamma, config, plan):
                 x0 = _restricted_leading_direction(A, support, best[0])
                 if x0 is None:
                     continue
-                trial = ascend(A, x0, gamma, 1.0, penalty, config.tol, config.max_iter, plan)
+                trial = ascend(A, x0, gamma, 1.0, penalty, config.tol, config.max_iter, workers)
                 if trial[2][-1] > best[2][-1] * (1.0 + 1e-12):
                     best = trial
                     improved = True
@@ -109,7 +109,7 @@ def _refine_support(A, best, gamma, config, plan):
     return best
 
 
-def _solve_component(A, gamma, config, plan):
+def _solve_component(A, gamma, config, workers):
     """Shared single-component path; returns (z, history, converged, x)."""
     # |a_i'x| <= ||a_i|| on the sphere: when even the largest column norm
     # is inactive the objective is identically zero; nothing to do.
@@ -118,11 +118,11 @@ def _solve_component(A, gamma, config, plan):
         return np.zeros(A.n), [0.0], True, None
     best = None
     for x0 in _initial_iterates(A, config, norms):
-        trial = ascend(A, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, plan)
+        trial = ascend(A, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, workers)
         if best is None or trial[2][-1] > best[2][-1]:
             best = trial
     if config.refine:
-        best = _refine_support(A, best, gamma, config, plan)
+        best = _refine_support(A, best, gamma, config, workers)
     x, s, history, converged = best
     return _loadings(s, gamma, config.penalty), history, converged, x
 
@@ -159,9 +159,9 @@ class ComponentSequence:
     only shrinks activations), which is reported, not an error.
     """
 
-    def __init__(self, A, config, plan=DEFAULT_PLAN):
+    def __init__(self, A, config, workers=1):
         self.config = config
-        self.plan = plan
+        self.workers = workers
         self.columns = []
         self.histories = []
         self.converged = []
@@ -189,7 +189,7 @@ class ComponentSequence:
                     self._current = deflate(self._current, self._pending)
                     self._pending = None
                 z, history, converged, self._pending = _solve_component(
-                    self._current, self._gamma(len(self.columns)), self.config, self.plan
+                    self._current, self._gamma(len(self.columns)), self.config, self.workers
                 )
                 if not np.any(z):
                     self._current = None
@@ -207,14 +207,14 @@ class ComponentSequence:
         )
 
 
-def solve_multi_sequential(A, config, plan=DEFAULT_PLAN, sequence=None):
+def solve_multi_sequential(A, config, workers=1, sequence=None):
     """Extract config.m components by repeated solve + deflate.
 
     Component j uses gamma_j.  sequence, a ComponentSequence built on the
-    same A, plan and settings (m aside), is extended to config.m instead
+    same A, worker count and settings (m aside), is extended to config.m instead
     of starting over; the report then counts only the iterations and
     seconds of the components this call added.
     """
     if sequence is None:
-        sequence = ComponentSequence(A, config, plan)
+        sequence = ComponentSequence(A, config, workers)
     return sequence.solve(config.m)

@@ -16,7 +16,6 @@ import gpspca.parallel
 from gpspca import (
     DataMatrix,
     ExperimentConfig,
-    KernelPlan,
     PerClassCount,
     SolverConfig,
     par_gram_apply,
@@ -229,7 +228,7 @@ def test_criterion_05_stiefel_feasibility(monkeypatch):
 
 def test_criterion_06_parallel_determinism(tmp_path, monkeypatch):
     rng = np.random.default_rng(106)
-    plans = [KernelPlan(workers=w) for w in (1, 2, 4, 8)]
+    worker_counts = (1, 2, 4, 8)
     layouts = []
     real_map_chunks = gpspca.parallel._map_chunks
 
@@ -245,18 +244,18 @@ def test_criterion_06_parallel_determinism(tmp_path, monkeypatch):
         A = DataMatrix(rng.standard_normal((64, 4096)))
         x = rng.standard_normal(64)
         z = rng.standard_normal(4096)
-        c = par_matvec_t(A, x, plans[0])
+        c = par_matvec_t(A, x)
         for kernel, args in (
             (par_matvec_t, (A, x)),
             (par_gram_apply, (A, z)),
             (par_threshold_accumulate, (A, c, 0.05, "l1")),
             (par_threshold_accumulate, (A, c, 0.05, "l0")),
         ):
-            outs = [kernel(*args, plan) for plan in plans]
+            outs = [kernel(*args, workers) for workers in worker_counts]
             for other in outs[1:]:
                 assert np.array_equal(outs[0], other)
     monkeypatch.undo()
-    assert len(layouts) == 20 * (1 + 4 * len(plans))
+    assert len(layouts) == 20 * (1 + 4 * len(worker_counts))
     assert all(widths == [256] * 16 for widths in layouts)
     # full recognition pipeline: byte-identical CSV across worker counts
     ds = synthetic_sparse_factors(

@@ -164,6 +164,12 @@ class TestRecognitionExperiment:
                 ExperimentConfig(variant="pca", split=None), dataset=small_dataset()
             )
 
+    @pytest.mark.parametrize("counts", [dict(workers=0), dict(timing_workers=(1, 0))])
+    def test_bad_worker_count_rejected_before_any_fit(self, counts):
+        # A fit's exception would only become an error row.
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ExperimentConfig(variant="sl1", split=PerClassCount(7), **counts)
+
 
 class TestSweepReuse:
     """Within a repetition sl1/sl0 fits extend one component sequence and

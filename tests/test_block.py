@@ -248,6 +248,14 @@ class TestSolveBlock:
         Z_p = recover_pattern(A, X_p, gamma[perm], "l1", mu[perm])
         assert np.allclose(Z_p, Z[:, perm], atol=1e-10)
 
+    def test_off_stiefel_start_rejected(self):
+        rng = np.random.default_rng(41)
+        A = DataMatrix(rng.standard_normal((5, 9)))
+        X0 = random_stiefel(rng, 5, 3)
+        X0[:, 2] = X0[:, 0]
+        with pytest.raises(ValueError, match="Stiefel"):
+            ascend(A, X0, np.full(3, 0.1), np.ones(3), "l1", 1e-6, 100)
+
     def test_rank_collapse_carries_iteration(self):
         A = np.diag([3.0, 0.1])
         cfg = SolverConfig(

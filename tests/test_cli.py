@@ -234,6 +234,22 @@ class TestConfigResolution:
         ]) == 1
         assert "not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, keys", [
+        ("gama = 5\nmax_iterr = 1\nm = 2\n", "gama, max_iterr"),  # misspelled
+        ("input = x.csv\n", "input"),  # a flag only the command line sets
+        ("repetitions = 2\n", "repetitions"),  # another subcommand's flag
+    ], ids=["misspelled", "flag-only", "other-command"])
+    def test_key_that_is_not_a_setting_is_usage_error(self, tmp_path, capsys, text, keys):
+        data = write_labeled_csv(tmp_path / "d.csv")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert main([
+            "solve", "--input", str(data), "--config", str(cfg),
+            "--out", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert f"config keys that are not settings of solve: {keys}" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
 
 class TestBenchCommands:
     def test_bench_timing_writes_csv(self, tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpspca import DataMatrix, KernelPlan, par_gram_apply, par_matvec_t, par_threshold_accumulate
+from gpspca import DataMatrix, par_gram_apply, par_matvec_t, par_threshold_accumulate
 import gpspca.parallel
 from gpspca.block import ascend
 from gpspca.parallel import (
@@ -75,7 +75,7 @@ class TestParMatvecT:
         A = DataMatrix(rng.standard_normal((64, 1000)))
         x = rng.standard_normal(64)
         chunk_of(64, 64)
-        outs = [par_matvec_t(A, x, KernelPlan(workers=w)) for w in WORKER_COUNTS]
+        outs = [par_matvec_t(A, x, w) for w in WORKER_COUNTS]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
         assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
@@ -90,7 +90,7 @@ class TestParMatvecT:
         )
         chunk_of(64, *shape)
         for w in (1, 3):
-            assert np.array_equal(par_matvec_t(A, x, KernelPlan(workers=w)), want)
+            assert np.array_equal(par_matvec_t(A, x, w), want)
         assert chunk_widths == [layout(1000, 64)] * 2
 
     def test_dimension_mismatch(self):
@@ -102,7 +102,7 @@ class TestParMatvecT:
         A = DataMatrix(rng.standard_normal((64, 1000)))
         X = rng.standard_normal((64, 5))
         chunk_of(64, 64, 5)
-        outs = [par_matvec_t(A, X, KernelPlan(workers=w)) for w in WORKER_COUNTS]
+        outs = [par_matvec_t(A, X, w) for w in WORKER_COUNTS]
         assert outs[0].shape == (1000, 5)
         assert np.allclose(outs[0], A.values.T @ X, atol=1e-12)
         for other in outs[1:]:
@@ -130,7 +130,7 @@ class TestParGramApply:
         A = DataMatrix(rng.standard_normal((64, 1000)))
         z = rng.standard_normal(1000)
         chunk_of(64, 64)
-        outs = [par_gram_apply(A, z, KernelPlan(workers=w)) for w in WORKER_COUNTS]
+        outs = [par_gram_apply(A, z, w) for w in WORKER_COUNTS]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
         assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
@@ -160,7 +160,7 @@ class TestParThresholdAccumulate:
         chunk_of(64, 64)
         chunk_widths.clear()
         outs = [
-            par_threshold_accumulate(A, c, 0.3, penalty, KernelPlan(workers=w))
+            par_threshold_accumulate(A, c, 0.3, penalty, w)
             for w in WORKER_COUNTS
         ]
         for other in outs[1:]:
@@ -188,7 +188,7 @@ class TestParThresholdAccumulate:
         chunk_of(64, 64, 3)
         chunk_widths.clear()
         outs = [
-            par_threshold_accumulate(A, C, gamma, penalty, KernelPlan(workers=w))
+            par_threshold_accumulate(A, C, gamma, penalty, w)
             for w in WORKER_COUNTS
         ]
         for other in outs[1:]:
@@ -219,12 +219,12 @@ class TestWorkerRuns:
         c = par_matvec_t(A, x)
         gamma = np.array([0.1, 0.3, 0.6]) if block else 0.3
         calls = [
-            lambda plan: par_matvec_t(A, x, plan),
-            lambda plan: par_threshold_accumulate(A, c, gamma, "l1", plan),
+            lambda workers: par_matvec_t(A, x, workers),
+            lambda workers: par_threshold_accumulate(A, c, gamma, "l1", workers),
         ]
         if not block:
             z = rng.standard_normal(n)
-            calls.append(lambda plan: par_gram_apply(A, z, plan))
+            calls.append(lambda workers: par_gram_apply(A, z, workers))
         return calls
 
     @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
@@ -240,9 +240,9 @@ class TestWorkerRuns:
         chunk_of(64, 32, 3 if block else 1)
         chunk_widths.clear()
         for call in calls:
-            want = call(KernelPlan(workers=1))
+            want = call(1)
             for w in workers:
-                assert np.array_equal(call(KernelPlan(workers=w)), want)
+                assert np.array_equal(call(w), want)
         assert chunk_widths == [layout(n, 64)] * (len(calls) * (1 + len(workers)))
 
     def test_at_most_one_task_per_worker(self, monkeypatch, chunk_of, chunk_widths):
@@ -262,7 +262,7 @@ class TestWorkerRuns:
         chunk_of(64, 16)
         chunk_widths.clear()
         for call in calls:
-            call(KernelPlan(workers=3))
+            call(3)
         assert submitted == [3, 3, 3]
         assert chunk_widths == [[64] * 10 + [60]] * 3  # 11 chunks per call
 
@@ -300,21 +300,21 @@ class TestDerivedChunk:
         c = par_matvec_t(A, x)
         gamma = 0.3 * np.abs(c).max(axis=0)
         calls = [
-            lambda plan: par_matvec_t(A, x, plan),
-            lambda plan: par_threshold_accumulate(A, c, gamma, "l1", plan),
+            lambda workers: par_matvec_t(A, x, workers),
+            lambda workers: par_threshold_accumulate(A, c, gamma, "l1", workers),
             # X, S and the objective history after five steps
-            lambda plan: ascend(A, x, gamma, 1.0, "l1", 1e-12, 5, plan)[:3],
+            lambda workers: ascend(A, x, gamma, 1.0, "l1", 1e-12, 5, workers)[:3],
         ]
         if m == 1:
             z = rng.standard_normal(n)
-            calls.append(lambda plan: par_gram_apply(A, z, plan))
+            calls.append(lambda workers: par_gram_apply(A, z, workers))
         chunk_widths.clear()
         # GEMM_BUDGET // (p * m) columns: 512 for a vector, 102 for p x 5.
         chunks = {1: 6, 5: 26}[m]
         for call in calls:
-            want = call(KernelPlan(workers=1))
+            want = call(1)
             for w in (2, 3):
-                got = call(KernelPlan(workers=w))
+                got = call(w)
                 if isinstance(want, tuple):
                     assert all(np.array_equal(a, b) for a, b in zip(want, got))
                 else:
@@ -387,16 +387,16 @@ class TestActiveColumns:
         z = np.where(np.isin(np.arange(n), active), rng.standard_normal(n), 0.0)
         # 1600 gathered columns: 3 derived chunks for a vector, 13 for p x 5.
         calls = [
-            (lambda plan: par_threshold_accumulate(A, c, 1.0, "l1", plan), 3),
-            (lambda plan: par_threshold_accumulate(A, C, np.ones(5), "l0", plan), 13),
-            (lambda plan: par_gram_apply(A, z, plan), 3),
+            (lambda workers: par_threshold_accumulate(A, c, 1.0, "l1", workers), 3),
+            (lambda workers: par_threshold_accumulate(A, C, np.ones(5), "l0", workers), 13),
+            (lambda workers: par_gram_apply(A, z, workers), 3),
         ]
         for call, chunks in calls:
             engine_shapes.clear()
             chunk_widths.clear()
-            want = call(KernelPlan(workers=1))
+            want = call(1)
             for w in (2, 3):
-                assert np.array_equal(call(KernelPlan(workers=w)), want)
+                assert np.array_equal(call(w), want)
             assert engine_shapes == [(p, n // 5)] * 3
             assert [len(widths) for widths in chunk_widths] == [chunks] * 3
 
@@ -456,10 +456,33 @@ class TestThresholdWeights:
         assert np.allclose(out, [-2.0, 0.0, 0.0, 0.0, 2.0])
 
 
-class TestKernelPlan:
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ValueError):
-            KernelPlan(workers=0)
+class TestWorkerCount:
+    @pytest.mark.parametrize("path", ["dense", "gathered", "all_inactive"])
+    def test_zero_workers_rejected_before_any_work(self, chunk_widths, path):
+        # Dense weights reach the chunk engine over every column, sparse
+        # ones over a gathered copy, and all-zero weights never reach it.
+        rng = np.random.default_rng(31)
+        A = DataMatrix(rng.standard_normal((8, 200)))
+        c = {"dense": 0.5 * rng.standard_normal(200), "gathered": np.eye(200)[0],
+             "all_inactive": np.zeros(200)}[path]
+        calls = [
+            lambda workers: par_gram_apply(A, c, workers),
+            lambda workers: par_threshold_accumulate(A, c, 0.1, "l1", workers),
+            lambda workers: par_threshold_accumulate(A, np.outer(c, [1.0, 2.0]),
+                                                     np.array([0.1, 0.1]), "l0", workers),
+        ]
+        if path == "dense":
+            x = rng.standard_normal(8)
+            calls.append(lambda workers: par_matvec_t(A, x, workers))
+        for call in calls:
+            call(1)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                call(0)
+        assert len(chunk_widths) == (0 if path == "all_inactive" else len(calls))
+
+    def test_measure_scaling_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            measure_scaling("gram_apply", [(10, 100)], [0, 1], instances=1)
 
 
 class TestCheckAllocation:

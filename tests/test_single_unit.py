@@ -164,6 +164,29 @@ class TestPowerStep:
         x, _, history, converged = ascend(A, x0, 2.0, 1.0, "l1", 1e-6, 10)
         assert converged and x is x0 and history == [0.0]
 
+    def test_off_sphere_start_rejected(self):
+        rng = np.random.default_rng(15)
+        A = DataMatrix(rng.standard_normal((6, 20)))
+        x = random_unit(rng, 6)
+        with pytest.raises(ValueError, match="off the sphere"):
+            ascend(A, 3 * x, 0.1, 1.0, "l1", 1e-6, 100)
+
+    def test_plain_array_converted_once(self, monkeypatch):
+        # Every kernel call of the climb reuses the one DataMatrix.
+        builds = []
+        real_adopt = DataMatrix._adopt
+
+        def counting_adopt(matrix, arr):
+            builds.append(arr.shape)
+            real_adopt(matrix, arr)
+
+        monkeypatch.setattr(DataMatrix, "_adopt", counting_adopt)
+        rng = np.random.default_rng(16)
+        A = rng.standard_normal((40, 100))
+        _, _, history, _ = ascend(A, random_unit(rng, 40), 0.0, 1.0, "l1", 0.0, 50)
+        assert len(history) == 51
+        assert builds == [(40, 100)]
+
     @pytest.mark.parametrize("penalty", ["l1", "l0"], ids=SL_IDS["power_step"])
     def test_never_decreases_objective(self, penalty):
         rng = np.random.default_rng(14)
