@@ -1,13 +1,14 @@
 """Generalized power iteration for all four sparse PCA formulations.
 
-One loop serves both modes: correlate the iterate with every column,
-threshold the correlations, accumulate the thresholded columns into the
-ascent direction, and retract.  A length-p iterate is a point on the
-unit sphere (single-unit) and retracts by normalization; a p x m
+One loop (climb) serves both modes: correlate the iterate with every
+column, threshold the correlations, accumulate the thresholded columns
+into the ascent direction, and retract.  A length-p iterate is a point
+on the unit sphere (single-unit) and retracts by normalization; a p x m
 iterate is a point on the Stiefel manifold (block) and retracts by the
-polar factor of the gradient.  Loading columns are the same threshold
-weights of the final correlations, normalized, with the per-component
-weights mu folded in.
+polar factor of the gradient.  ascend runs the loop on a data matrix;
+single_unit runs it with a step that deflates implicitly.  Loading
+columns are the same threshold weights of the final correlations,
+normalized, with the per-component weights mu folded in.
 """
 
 import time
@@ -137,6 +138,66 @@ def polar_projection(G):
     return U @ Vt
 
 
+class _Retraction:
+    """The plain step of ascend: W = w(S) -> gradient A W -> retraction
+    (normalization for a vector, the polar factor for a block) -> the new
+    correlations mu * A'X."""
+
+    def __init__(self, A, X, mu, workers):
+        self.A, self.X, self.mu, self.workers = A, X, mu, workers
+        self.start = mu * par_matvec_t(A, X, workers)
+
+    def __call__(self, S, gamma, penalty):
+        G = (2.0 * self.mu) * par_threshold_accumulate(self.A, S, gamma, penalty, self.workers)
+        if self.X.ndim == 1:
+            norm = np.linalg.norm(G)
+            if norm == 0.0:
+                return None
+            self.X = G / norm
+        else:
+            self.X = polar_projection(G)
+        return self.mu * par_matvec_t(self.A, self.X, self.workers)
+
+    def iterate(self):
+        return self.X
+
+
+def climb(step, gamma, penalty, tol, max_iter):
+    """The generalized power loop, over correlations.
+
+    step.start holds the start correlations; step(S, gamma, penalty)
+    maps the threshold weights of S to the next iterate's correlations,
+    or returns None when the gradient is zero (a fixed point, which counts
+    as converged); step.iterate() is the iterate the last correlations
+    belong to.  Stops when the relative objective change drops below tol
+    or after max_iter steps.  A RankDeficiencyError from a step carries
+    the iteration and the history so far.  Returns (X, S, history,
+    converged).
+    """
+    S = step.start
+    f = _objective(S, gamma, penalty)
+    history = [f]
+    converged = False
+    for iteration in range(max_iter):
+        try:
+            S_new = step(S, gamma, penalty)
+        except RankDeficiencyError as err:
+            err.iteration = iteration
+            err.history = history
+            raise
+        if S_new is None:
+            converged = True
+            break
+        S = S_new
+        f_new = _objective(S, gamma, penalty)
+        history.append(f_new)
+        if abs(f_new - f) < tol * max(abs(f), 1e-30):
+            converged = True
+            break
+        f = f_new
+    return step.iterate(), S, history, converged
+
+
 def ascend(A, X, gamma, mu, penalty, tol, max_iter, workers=1):
     """Generalized power iteration from the feasible point X.
 
@@ -152,34 +213,8 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, workers=1):
     returned X.  An X off the sphere or Stiefel manifold raises ValueError.
     """
     A = as_data_matrix(A)
-    X = _check_iterate(X, A.p)
-    S = mu * par_matvec_t(A, X, workers)
-    f = _objective(S, gamma, penalty)
-    history = [f]
-    converged = False
-    for iteration in range(max_iter):
-        G = (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, workers)
-        if X.ndim == 1:
-            norm = np.linalg.norm(G)
-            if norm == 0.0:
-                converged = True
-                break
-            X = G / norm
-        else:
-            try:
-                X = polar_projection(G)
-            except RankDeficiencyError as err:
-                err.iteration = iteration
-                err.history = history
-                raise
-        S = mu * par_matvec_t(A, X, workers)
-        f_new = _objective(S, gamma, penalty)
-        history.append(f_new)
-        if abs(f_new - f) < tol * max(abs(f), 1e-30):
-            converged = True
-            break
-        f = f_new
-    return X, S, history, converged
+    step = _Retraction(A, _check_iterate(X, A.p), mu, workers)
+    return climb(step, gamma, penalty, tol, max_iter)
 
 
 def _init_block(A, config):

@@ -1,25 +1,43 @@
 """Single-unit sparse PCA solvers (l1 and l0 penalties).
 
 One component at a time: each is a run of the generalized power loop
-(block.ascend) on the unit sphere in sample space, from one or more
+(block.climb) on the unit sphere in sample space, from one or more
 starting directions and optionally refined over nearby supports; the
 sparse loading vector is read off the final correlations.  More
 components come from sequential orthogonal-projection deflation, in a
 ComponentSequence that a later request for more components extends.
+
+The deflation stays implicit.  Component l is solved on
+A_l = (I - X X')A, where X holds the directions of the components
+before it, but A_l is never formed: a step accumulates y = A w, projects
+X out of it and correlates x = y / ||y|| with A.  When few columns are
+active, a step takes its correlations from cached columns of G = A'A
+instead, because A_l'x = G_l w / sqrt(w'G_l w) with G_l = G - C C' and
+C = A'X (see GRAM_DIVISOR).  The iterate itself is then formed once, at
+the end of the climb.
 """
 
 import time
 
 import numpy as np
 
-from .block import _check_iterate, _loadings, ascend
+from .block import _check_iterate, _loadings, climb
 from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
+from .parallel import par_matvec_t, par_threshold_accumulate, threshold_weights
 
-from .parallel import threshold_weights
-
-# perfbench/tracing.py wraps the column kernels under each solver
-# module's names, this one included.
-from .parallel import par_matvec_t, par_threshold_accumulate  # noqa: F401
+# A step with k active columns takes the Gram route when
+# 0 < k <= p // GRAM_DIVISOR.  It reads k rows of G (about k*n
+# multiply-adds) where the matrix route computes A w and A'x (about p*n
+# each).  One thread, per step, Gram against matrix route, with 0 and 50
+# earlier directions, two runs: at 400x1000, 75-151 against 229-259 us
+# at k = p/4 and 201-321 against 243-329 us at p/2; at 200x2000, 91-143
+# against 198-262 us at p/4, 186-234 against 245-264 us at p/3 and
+# 226-333 against 198-231 us at p/2.  The crossover lies between p/3 and
+# p/2; p/4 keeps a margin below it.
+GRAM_DIVISOR = 4
+# G = A'A is built, once per sequence, only when it takes at most this
+# many bytes: 8 MB at n = 1000, 32 MB at n = 2000, 512 MB at n = 8000.
+GRAM_MAX_BYTES = 2**25
 
 
 def _check_unit(x, p):
@@ -29,24 +47,23 @@ def _check_unit(x, p):
     return x
 
 
-def _initial_iterates(A, config, norms):
+def _initial_iterates(data, config):
     """Start directions per the init strategy; config.restarts of them.
 
-    max_norm_column walks the columns in decreasing norm order (norms
-    are A's column norms); asking for more starts than there are columns
-    tops up with seeded random directions.
+    max_norm_column walks the deflated columns in decreasing norm order;
+    asking for more starts than there are columns tops up with seeded
+    random directions.
     """
     rng = np.random.default_rng(config.seed)
-    if config.init == "random_orthonormal":
-        out = []
-        for _ in range(config.restarts):
-            x = rng.standard_normal(A.p)
-            out.append(x / np.linalg.norm(x))
-        return out
-    order = np.argsort(-norms, kind="stable")[: config.restarts]
-    out = [A.values[:, i] / norms[i] for i in order if norms[i] > 0]
+    out = []
+    if config.init == "max_norm_column":
+        for i in np.argsort(-data.norms, kind="stable")[: config.restarts]:
+            column = data.columns(i)
+            norm = np.linalg.norm(column)
+            if norm > 0:
+                out.append(column / norm)
     for _ in range(config.restarts - len(out)):
-        x = rng.standard_normal(A.p)
+        x = rng.standard_normal(data.A.p)
         out.append(x / np.linalg.norm(x))
     return out
 
@@ -67,17 +84,17 @@ def solve_single_unit(A, config, workers=1):
     return solve_multi_sequential(A, config, workers)
 
 
-def _restricted_leading_direction(A, support, x):
-    # Leading left singular vector of the support-restricted matrix,
-    # signed to agree with the current iterate; None if those columns
-    # are all zero.
-    U, s, _ = np.linalg.svd(A.values[:, support], full_matrices=False)
+def _restricted_leading_direction(data, support, x):
+    # Leading left singular vector of the support-restricted deflated
+    # matrix, signed to agree with the current iterate; None if those
+    # columns are all zero.
+    U, s, _ = np.linalg.svd(data.columns(support), full_matrices=False)
     if s[0] == 0.0:
         return None
     return -U[:, 0] if U[:, 0] @ x < 0 else U[:, 0]
 
 
-def _refine_support(A, best, gamma, config, workers):
+def _refine_support(data, best, gamma, config, workers):
     """Re-climb from supports adjacent to the converged one.
 
     Near-threshold columns create closely spaced local maxima; relaxing
@@ -97,10 +114,10 @@ def _refine_support(A, best, gamma, config, workers):
                 support = threshold_weights(s, g2, penalty) != 0
                 if not support.any() or np.array_equal(support, current):
                     continue
-                x0 = _restricted_leading_direction(A, support, best[0])
+                x0 = _restricted_leading_direction(data, support, best[0])
                 if x0 is None:
                     continue
-                trial = ascend(A, x0, gamma, 1.0, penalty, config.tol, config.max_iter, workers)
+                trial = _climb(data, x0, gamma, config, workers)
                 if trial[2][-1] > best[2][-1] * (1.0 + 1e-12):
                     best = trial
                     improved = True
@@ -109,22 +126,125 @@ def _refine_support(A, best, gamma, config, workers):
     return best
 
 
-def _solve_component(A, gamma, config, workers):
-    """Shared single-component path; returns (z, history, converged, x)."""
+class _Deflated:
+    """The deflated matrix A_l = (I - X X')A, never formed.
+
+    Holds A, the orthonormal directions X (p x l), their correlations
+    C = A'X (n x l), the column norms of A_l and, from the first step
+    that takes the Gram route, G = A'A.  A_l'A_l = G - C C', so a step
+    needs only the rows of G at its active columns.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.X = np.empty((A.p, 0))
+        self.C = np.empty((A.n, 0))
+        self.norms = column_norms(A)
+        self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
+        self.gram = None
+
+    def add(self, x, c):
+        """Deflate by one more direction x, orthogonal to X, with c = A'x."""
+        self.X = np.column_stack([self.X, x])
+        self.C = np.column_stack([self.C, c])
+        # Column i of A_l loses (x'a_i)^2 = c_i^2 of its squared norm,
+        # because x is orthogonal to X.
+        self.norms = np.sqrt(np.maximum(self.norms * self.norms - c * c, 0.0))
+
+    def project(self, v):
+        """v with the directions X projected out."""
+        return v - self.X @ (self.X.T @ v)
+
+    def columns(self, index):
+        """Column index of A_l, or the p x k columns for an index array."""
+        return self.A.values[:, index] - self.X @ self.C[index].T
+
+    def gram_correlations(self, w, active):
+        """A_l'x for x = A_l w / ||A_l w||, from the rows of G at the
+        active columns of w; None when w'A_l'A_l w rounds to 0 or below."""
+        if self.gram is None:
+            values = self.A.values
+            self.gram = values.T @ values
+        w = w[active]
+        v = w @ self.gram[active] - self.C @ (self.C[active].T @ w)
+        q = w @ v[active]
+        return v / np.sqrt(q) if q > 0 else None
+
+
+class _Step:
+    """A single-unit step on the deflated data, for block.climb.
+
+    A step with 1 to data.gram_limit active columns takes the Gram route
+    and leaves the iterate unformed; any other step takes the matrix
+    route, which forms it.  Which route a step takes depends on
+    its weights alone, never on the worker count.
+    """
+
+    def __init__(self, data, x, workers):
+        self.data, self.x, self.workers = data, x, workers
+        # The correlations (with gamma and penalty) whose weights give the
+        # iterate, while the Gram route has left it unformed.
+        self._unformed = None
+        self.start = par_matvec_t(data.A, data.project(x), workers)
+
+    def _direction(self, S, gamma, penalty):
+        data = self.data
+        return data.project(par_threshold_accumulate(data.A, S, gamma, penalty, self.workers))
+
+    def _sparse_weights(self, S, gamma, penalty):
+        # The weights of S and their active columns when at most gram_limit
+        # are active, else None.  More than limit active among the first
+        # 2 * limit entries settles a dense step without thresholding all of S.
+        limit = self.data.gram_limit
+        if not limit or np.count_nonzero(threshold_weights(S[: 2 * limit], gamma, penalty)) > limit:
+            return None
+        w = threshold_weights(S, gamma, penalty)
+        active = np.flatnonzero(w)
+        return (w, active) if 0 < active.size <= limit else None
+
+    def __call__(self, S, gamma, penalty):
+        sparse = self._sparse_weights(S, gamma, penalty)
+        if sparse is not None:
+            S_new = self.data.gram_correlations(*sparse)
+            if S_new is not None:
+                self._unformed = (S, gamma, penalty)
+                return S_new
+        # The matrix route, also for a sparse step whose w'A_l'A_l w
+        # rounded to 0 or below.
+        y = self._direction(S, gamma, penalty)
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            return None
+        self.x, self._unformed = y / norm, None
+        return par_matvec_t(self.data.A, self.x, self.workers)
+
+    def iterate(self):
+        if self._unformed is not None:
+            y = self._direction(*self._unformed)
+            self.x, self._unformed = y / np.linalg.norm(y), None
+        return self.x
+
+
+def _climb(data, x0, gamma, config, workers):
+    # One single-unit climb on A_l from x0; returns (x, s, history, converged).
+    return climb(_Step(data, x0, workers), gamma, config.penalty, config.tol, config.max_iter)
+
+
+def _solve_component(data, gamma, config, workers):
+    """Shared single-component path; returns (z, history, converged, x, s)."""
     # |a_i'x| <= ||a_i|| on the sphere: when even the largest column norm
     # is inactive the objective is identically zero; nothing to do.
-    norms = column_norms(A)
-    if not threshold_weights(np.max(norms), gamma, config.penalty):
-        return np.zeros(A.n), [0.0], True, None
+    if not threshold_weights(np.max(data.norms), gamma, config.penalty):
+        return np.zeros(data.A.n), [0.0], True, None, None
     best = None
-    for x0 in _initial_iterates(A, config, norms):
-        trial = ascend(A, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, workers)
+    for x0 in _initial_iterates(data, config):
+        trial = _climb(data, x0, gamma, config, workers)
         if best is None or trial[2][-1] > best[2][-1]:
             best = trial
     if config.refine:
-        best = _refine_support(A, best, gamma, config, workers)
+        best = _refine_support(data, best, gamma, config, workers)
     x, s, history, converged = best
-    return _loadings(s, gamma, config.penalty), history, converged, x
+    return _loadings(s, gamma, config.penalty), history, converged, x, s
 
 
 def deflate(A, x):
@@ -133,7 +253,8 @@ def deflate(A, x):
     The returned matrix is exactly orthogonal to x (x'A' = 0) and
     deflating twice with the same x is a no-op.  It allocates one p x n
     matrix: the outer product is built in it and overwritten by the
-    difference, which the result then owns without a copy.
+    difference, which the result then owns without a copy.  The solvers
+    deflate implicitly (see ComponentSequence); this is the explicit form.
     """
     A = as_data_matrix(A)
     x = _check_unit(x, A.p)
@@ -150,13 +271,15 @@ class ComponentSequence:
     Component j is solved on the data deflated by components 1..j-1 with
     gamma_j, so it does not depend on how many components are asked for:
     growing a sequence to m and then to m' gives, bitwise, the
-    components of one solve at m'.  The sequence keeps the deflated
-    matrix and each component's loading column, objective history and
-    converged flag, and deflates only when a further component is asked
-    for.  It grows past config.m only when every gamma_j is the same,
-    because a per-component gamma belongs to its m.  Once a component
-    comes back all-zero the rest are recorded as zero as well (deflation
-    only shrinks activations), which is reported, not an error.
+    components of one solve at m'.  The deflation is implicit: the
+    sequence keeps the directions and correlations of the components so
+    far, not a deflated copy of the data, and G = A'A once a sparse step
+    has asked for it (see the module docstring).  It also keeps each
+    component's loading column, objective history and converged flag.
+    It grows past config.m only when every gamma_j is the same, because a
+    per-component gamma belongs to its m.  Once a component comes back
+    all-zero the rest are recorded as zero as well (deflation only
+    shrinks activations), which is reported, not an error.
     """
 
     def __init__(self, A, config, workers=1):
@@ -165,11 +288,10 @@ class ComponentSequence:
         self.columns = []
         self.histories = []
         self.converged = []
-        # Matrix of the next component (None once one came back zero) and
-        # the direction to deflate it by before that component is solved.
-        self._current = as_data_matrix(A)
-        self._pending = None
-        self._n = self._current.n
+        # The data deflated by the components so far; None once one came
+        # back zero.
+        self._data = _Deflated(as_data_matrix(A))
+        self._n = self._data.A.n
 
     def _gamma(self, j):
         gamma = self.config.gamma
@@ -184,15 +306,14 @@ class ComponentSequence:
         first_new = len(self.columns)
         while len(self.columns) < m:
             z, history, converged = np.zeros(self._n), [0.0], True
-            if self._current is not None:
-                if self._pending is not None:
-                    self._current = deflate(self._current, self._pending)
-                    self._pending = None
-                z, history, converged, self._pending = _solve_component(
-                    self._current, self._gamma(len(self.columns)), self.config, self.workers
+            if self._data is not None:
+                z, history, converged, x, s = _solve_component(
+                    self._data, self._gamma(len(self.columns)), self.config, self.workers
                 )
-                if not np.any(z):
-                    self._current = None
+                if np.any(z):
+                    self._data.add(x, s)
+                else:
+                    self._data = None
             self.columns.append(z)
             self.histories.append(history)
             self.converged.append(converged)
@@ -208,7 +329,7 @@ class ComponentSequence:
 
 
 def solve_multi_sequential(A, config, workers=1, sequence=None):
-    """Extract config.m components by repeated solve + deflate.
+    """Extract config.m components by repeated solve and (implicit) deflation.
 
     Component j uses gamma_j.  sequence, a ComponentSequence built on the
     same A, worker count and settings (m aside), is extended to config.m instead

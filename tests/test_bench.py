@@ -250,11 +250,23 @@ class TestSweepReuse:
                 assert row["overall_accuracy"] == self.fresh(ds, config, row["repetition"],
                                                              row["m"])[2]
 
-    def test_extension_deflates_only_for_new_components(self, monkeypatch):
+    @staticmethod
+    def count_deflated_solves(monkeypatch):
+        # Components solved on deflated data: every one after the first of
+        # its sequence.
         count = []
-        original = single_unit.deflate
-        monkeypatch.setattr(
-            single_unit, "deflate", lambda *a: count.append(1) or original(*a))
+        original = single_unit._solve_component
+
+        def counting(data, *args):
+            if data.X.shape[1]:
+                count.append(1)
+            return original(data, *args)
+
+        monkeypatch.setattr(single_unit, "_solve_component", counting)
+        return count
+
+    def test_extension_deflates_only_for_new_components(self, monkeypatch):
+        count = self.count_deflated_solves(monkeypatch)
         _, _, rows, calls = self.sweep(monkeypatch, "sl1", (2, 5, 10), repetitions=1)
         assert all(np.count_nonzero(loadings, axis=0).all() for loadings, _, _ in calls)
         assert len(count) == 9  # 1 + 3 + 5; fresh fits at each m would make 1 + 4 + 9
@@ -271,10 +283,7 @@ class TestSweepReuse:
         assert calls[2][2].iterations == 0
 
     def test_per_component_gamma_fits_from_scratch(self, monkeypatch):
-        count = []
-        original = single_unit.deflate
-        monkeypatch.setattr(
-            single_unit, "deflate", lambda *a: count.append(1) or original(*a))
+        count = self.count_deflated_solves(monkeypatch)
         _, _, rows, _ = self.sweep(monkeypatch, "sl1", (3, 3), gamma=(0.05, 0.1, 0.05),
                                    repetitions=1)
         assert not any(r["error"] for r in rows)

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from gpspca import DataMatrix, par_gram_apply, par_matvec_t, par_threshold_accumulate
+from gpspca import (
+    ComponentSequence,
+    DataMatrix,
+    SolverConfig,
+    par_gram_apply,
+    par_matvec_t,
+    par_threshold_accumulate,
+    single_unit,
+    synthetic_sparse_factors,
+)
 import gpspca.parallel
 from gpspca.block import ascend
 from gpspca.parallel import (
@@ -320,6 +329,35 @@ class TestDerivedChunk:
                 else:
                     assert np.array_equal(want, got)
         assert {len(widths) for widths in chunk_widths} == {chunks}
+
+
+class TestSparseSequenceWorkers:
+    def test_gram_route_loadings_bitwise_across_workers(self, monkeypatch, chunk_of,
+                                                         chunk_widths):
+        # Sparse single-unit steps read rows of G = A'A, built without the
+        # engine; the start correlations, the dense steps and each climb's
+        # final iterate still run chunked kernels (7 chunks on all 200
+        # columns here).
+        ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
+                                      n_factors=5, support_size=5, seed=3)
+        A = ds.samples - ds.samples.mean(axis=0)
+        cfg = SolverConfig(penalty="l1", gamma=3.0, m=6, restarts=2, refine=True)
+        chunk_of(32, 40)
+        gram_steps = []
+        original = single_unit._Deflated.gram_correlations
+        monkeypatch.setattr(single_unit._Deflated, "gram_correlations",
+                            lambda *a: gram_steps.append(1) or original(*a))
+        runs = []
+        for workers in (1, 2, 4):
+            gram_steps.clear()
+            chunk_widths.clear()
+            runs.append(ComponentSequence(A, cfg, workers).solve(6))
+            assert len(gram_steps) > 20
+            assert [32] * 6 + [8] in chunk_widths
+        (want, want_report), *others = runs
+        for loadings, report in others:
+            assert np.array_equal(loadings.values, want.values)
+            assert report.component_histories == want_report.component_histories
 
 
 @pytest.fixture

@@ -12,7 +12,9 @@ from gpspca import (
     recover_pattern,
     solve_multi_sequential,
     solve_single_unit,
+    synthetic_sparse_factors,
 )
+from gpspca import single_unit
 
 # The parametrized ids name the single-unit variant each case exercises.
 SL_IDS = {
@@ -437,14 +439,12 @@ class TestComponentSequence:
         assert report.iterations == 0
 
     def test_zero_component_ends_the_sequence(self, monkeypatch):
-        from gpspca import single_unit
-
         A = np.zeros((3, 2))
         A[0, 0] = 5.0
         A[1, 1] = 0.3
         sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=1.0, m=1))
         sequence.solve(2)
-        monkeypatch.setattr(single_unit, "deflate", None)  # no further deflation
+        monkeypatch.setattr(single_unit, "_solve_component", None)  # no further solve
         loadings, report = sequence.solve(4)
         assert loadings.nnz_per_component() == [1, 0, 0, 0]
         assert report.component_histories[1:] == [[0.0]] * 3
@@ -456,3 +456,116 @@ class TestComponentSequence:
         sequence.solve(2)
         with pytest.raises(ValueError, match="per-component gamma"):
             sequence.solve(3)
+
+
+def sparse_factor_matrix():
+    """Centered 40 x 200 samples of five sparse factors: at gamma 3 most
+    single-unit steps have at most 10 = p // GRAM_DIVISOR active columns."""
+    ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200, n_factors=5,
+                                  support_size=5, seed=3)
+    return ds.samples - ds.samples.mean(axis=0)
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+class TestImplicitDeflation:
+    """Components after the first are solved on (I - XX')A without forming
+    it; sparse steps read their correlations from the rows of G = A'A."""
+
+    @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 12.0)])
+    def test_gram_route_matches_matrix_route(self, monkeypatch, penalty, gamma):
+        A = sparse_factor_matrix()
+        cfg = SolverConfig(penalty=penalty, gamma=gamma, m=8, max_iter=500)
+        gram_steps = count_calls(monkeypatch, single_unit._Deflated, "gram_correlations")
+        sequence = ComponentSequence(A, cfg)
+        gram, gram_report = sequence.solve(8)
+        assert sequence._data.gram is not None and len(gram_steps) > 20
+        monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
+        gram_steps.clear()
+        matrix, matrix_report = solve_multi_sequential(A, cfg)
+        assert gram_steps == []
+        assert np.array_equal(gram.values != 0, matrix.values != 0)
+        for h_gram, h_matrix in zip(gram_report.component_histories,
+                                    matrix_report.component_histories):
+            assert abs(h_gram[-1] - h_matrix[-1]) <= 1e-12 * abs(h_matrix[-1])
+
+    def test_route_switches_at_the_limit(self, monkeypatch):
+        rng = np.random.default_rng(40)
+        A = DataMatrix(rng.standard_normal((40, 200)))
+        limit = 40 // single_unit.GRAM_DIVISOR
+        matvecs = count_calls(monkeypatch, single_unit, "par_matvec_t")
+        for k, gram_route in ((limit, True), (limit + 1, False)):
+            data = single_unit._Deflated(A)
+            step = single_unit._Step(data, random_unit(rng, 40), 1)
+            S = np.zeros(200)
+            S[rng.choice(200, k, replace=False)] = 2.0
+            matvecs.clear()
+            S_new = step(S, 1.0, "l1")
+            # A Gram step reads G and calls no kernel; a matrix step
+            # correlates its iterate with A.
+            assert (data.gram is not None) == gram_route
+            assert len(matvecs) == (0 if gram_route else 1)
+            x = step.iterate()
+            want = A.values.T @ x
+            assert np.linalg.norm(S_new - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_dense_sequence_never_builds_gram(self):
+        # desk-like: n = 10 p and nearly every column active.
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((40, 400))
+        sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=0.05, m=4))
+        loadings, _ = sequence.solve(4)
+        assert min(loadings.nnz_per_component()) > 300
+        assert sequence._data.gram is None
+
+    def test_gram_over_the_byte_cap_is_never_built(self, monkeypatch):
+        A = sparse_factor_matrix()
+        cfg = SolverConfig(penalty="l1", gamma=3.0, m=3)
+        for cap, built in ((8 * 200 * 200 - 1, False), (8 * 200 * 200, True)):
+            monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", cap)
+            sequence = ComponentSequence(A, cfg)
+            sequence.solve(3)
+            assert (sequence._data.gram is not None) == built
+
+    @pytest.mark.parametrize("init", ["max_norm_column", "random_orthonormal"])
+    @pytest.mark.parametrize("gram", [True, False], ids=["gram", "matrix"])
+    def test_restarts_and_refine_match_explicit_deflation(self, monkeypatch, init, gram):
+        A = sparse_factor_matrix()
+        cfg = SolverConfig(penalty="l1", gamma=3.0, m=3, restarts=3, refine=True,
+                           init=init, seed=5)
+        if not gram:
+            monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
+        sequence = ComponentSequence(A, cfg)
+        loadings, report = sequence.solve(3)
+        assert (sequence._data.gram is not None) == gram
+        # The reference deflates explicitly and climbs the deflated copy on
+        # the matrix route.
+        monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
+        deflated = A
+        for j in range(1, 3):
+            deflated = deflate(deflated, sequence._data.X[:, j - 1])
+            want, want_report = solve_single_unit(deflated, SolverConfig(
+                penalty="l1", gamma=3.0, restarts=3, refine=True, init=init, seed=5))
+            assert np.max(np.abs(loadings.values[:, j] - want.values[:, 0])) <= 1e-10
+            got_history = report.component_histories[j]
+            assert len(got_history) == len(want_report.objective_history)
+            assert np.allclose(got_history, want_report.objective_history, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("excess", [0.0, 1.0], ids=["zero", "negative"])
+    def test_nonpositive_gram_quadratic_takes_the_matrix_route(self, monkeypatch, excess):
+        # Column 0 lies in the span of the deflated direction e1, so
+        # w'G_l w is 0, or below 0 when c = A'e1 is one ulp too large.  The
+        # matrix route then finds the projected gradient exactly zero.
+        monkeypatch.setattr(single_unit, "GRAM_DIVISOR", 1)
+        A = DataMatrix(np.diag([3.0, 2.0, 1.0]))
+        data = single_unit._Deflated(A)
+        data.add(np.array([1.0, 0.0, 0.0]), np.array([np.nextafter(3.0, 3.0 + excess), 0, 0]))
+        step = single_unit._Step(data, np.array([0.0, 1.0, 0.0]), 1)
+        accumulations = count_calls(monkeypatch, single_unit, "par_threshold_accumulate")
+        assert step(np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
+        assert data.gram is not None and len(accumulations) == 1
