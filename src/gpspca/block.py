@@ -5,10 +5,12 @@ column, threshold the correlations, accumulate the thresholded columns
 into the ascent direction, and retract.  A length-p iterate is a point
 on the unit sphere (single-unit) and retracts by normalization; a p x m
 iterate is a point on the Stiefel manifold (block) and retracts by the
-polar factor of the gradient.  ascend runs the loop on a data matrix;
-single_unit runs it with a step that deflates implicitly.  Loading
-columns are the same threshold weights of the final correlations,
-normalized, with the per-component weights mu folded in.
+polar factor of the gradient (_Retraction).  ascend runs the loop with
+that step on a data matrix; single_unit runs it with the same step, the
+earlier directions projected out of the gradient, and takes sparse
+steps from A'A instead.  Loading columns are the same threshold weights
+of the final correlations, normalized, with the per-component weights
+mu folded in.
 """
 
 import time
@@ -139,23 +141,34 @@ def polar_projection(G):
 
 
 class _Retraction:
-    """The plain step of ascend: W = w(S) -> gradient A W -> retraction
-    (normalization for a vector, the polar factor for a block) -> the new
-    correlations mu * A'X."""
+    """The matrix step of the power loop: W = w(S) -> gradient A W, less
+    its projection on the directions that project() removes (none for
+    ascend) -> retraction (normalization for a vector, the polar factor
+    for a block) -> the new correlations mu * A'X."""
 
-    def __init__(self, A, X, mu, workers):
-        self.A, self.X, self.mu, self.workers = A, X, mu, workers
-        self.start = mu * par_matvec_t(A, X, workers)
+    def __init__(self, A, X, mu, workers, project=None):
+        self.A, self.mu, self.workers, self.project = A, mu, workers, project
+        self.X = X if project is None else project(X)
+        self.start = mu * par_matvec_t(A, self.X, workers)
 
-    def __call__(self, S, gamma, penalty):
+    def retract(self, S, gamma, penalty):
+        """Move X to the retracted gradient at S; False, leaving X, when
+        that gradient is zero."""
         G = (2.0 * self.mu) * par_threshold_accumulate(self.A, S, gamma, penalty, self.workers)
-        if self.X.ndim == 1:
+        if self.project is not None:
+            G = self.project(G)
+        if G.ndim == 1:
             norm = np.linalg.norm(G)
             if norm == 0.0:
-                return None
+                return False
             self.X = G / norm
         else:
             self.X = polar_projection(G)
+        return True
+
+    def __call__(self, S, gamma, penalty):
+        if not self.retract(S, gamma, penalty):
+            return None
         return self.mu * par_matvec_t(self.A, self.X, self.workers)
 
     def iterate(self):

@@ -13,17 +13,21 @@ before it, but A_l is never formed: a step accumulates y = A w, projects
 X out of it and correlates x = y / ||y|| with A.  When few columns are
 active, a step takes its correlations from cached columns of G = A'A
 instead, because A_l'x = G_l w / sqrt(w'G_l w) with G_l = G - C C' and
-C = A'X (see GRAM_DIVISOR).  The iterate itself is then formed once, at
-the end of the climb.
+C = A'X (see GRAM_DIVISOR); G is built once the sequence has taken
+enough such steps to pay for it.  The iterate itself is then formed
+once, at the end of the climb.
 """
 
 import time
 
 import numpy as np
 
-from .block import _check_iterate, _loadings, climb
+from .block import _check_iterate, _loadings, _Retraction, climb
 from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
-from .parallel import par_matvec_t, par_threshold_accumulate, threshold_weights
+from .parallel import _active_columns, threshold_weights
+# Single-unit steps reach the kernels through block._Retraction; perfbench
+# still wraps the kernels by these names here.
+from .parallel import par_matvec_t, par_threshold_accumulate  # noqa: F401
 
 # A step with k active columns takes the Gram route when
 # 0 < k <= p // GRAM_DIVISOR.  It reads k rows of G (about k*n
@@ -130,8 +134,8 @@ class _Deflated:
     """The deflated matrix A_l = (I - X X')A, never formed.
 
     Holds A, the orthonormal directions X (p x l), their correlations
-    C = A'X (n x l), the column norms of A_l and, from the first step
-    that takes the Gram route, G = A'A.  A_l'A_l = G - C C', so a step
+    C = A'X (n x l), the column norms of A_l and, once the sequence has
+    taken enough sparse steps, G = A'A.  A_l'A_l = G - C C', so a step
     needs only the rows of G at its active columns.
     """
 
@@ -142,6 +146,9 @@ class _Deflated:
         self.norms = column_norms(A)
         self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
         self.gram = None
+        # Sparse steps left to take on the matrix route before G is built,
+        # see gram_ready.
+        self.gram_due = A.n // 4
 
     def add(self, x, c):
         """Deflate by one more direction x, orthogonal to X, with c = A'x."""
@@ -159,70 +166,85 @@ class _Deflated:
         """Column index of A_l, or the p x k columns for an index array."""
         return self.A.values[:, index] - self.X @ self.C[index].T
 
+    def gram_ready(self):
+        """Whether a sparse step may take the Gram route, building G when
+        it is due; a step that may not counts towards it.
+
+        G = A'A takes p n^2 / 2 multiply-adds (it is symmetric), as many as
+        n / 4 dense matrix steps of 2 p n (A w and A'x), so G is built on
+        the sparse step that follows n // 4 of them on the matrix route,
+        and a short sparse fit never builds it.  The BLAS runs G faster
+        per multiply-add than a step: measured with one thread, G takes
+        7.7 ms at 400x1000 and 23 ms at 200x2000, as long as 45 and 115-140
+        sparse steps save (219-264 us on the matrix route, 37-97 us on the
+        Gram route at k = 5 to p // 4).  Waiting for n // 4 rather than that
+        costs a 50-component recog-sparse sequence (400x1000, about 2400
+        steps) 190 -> 212 ms, and keeps fits of a few dozen steps at the
+        matrix route's cost: 11-15 ms at 200x2000, gamma 4, against 36 ms
+        when G is built on the first sparse step.
+        """
+        if self.gram is None:
+            if self.gram_due > 0:
+                self.gram_due -= 1
+                return False
+            values = self.A.values
+            self.gram = values.T @ values
+        return True
+
     def gram_correlations(self, w, active):
         """A_l'x for x = A_l w / ||A_l w||, from the rows of G at the
         active columns of w; None when w'A_l'A_l w rounds to 0 or below."""
-        if self.gram is None:
-            values = self.A.values
-            self.gram = values.T @ values
         w = w[active]
         v = w @ self.gram[active] - self.C @ (self.C[active].T @ w)
         q = w @ v[active]
         return v / np.sqrt(q) if q > 0 else None
 
 
-class _Step:
+class _Step(_Retraction):
     """A single-unit step on the deflated data, for block.climb.
 
-    A step with 1 to data.gram_limit active columns takes the Gram route
-    and leaves the iterate unformed; any other step takes the matrix
-    route, which forms it.  Which route a step takes depends on
-    its weights alone, never on the worker count.
+    A sparse step (1 to data.gram_limit active columns) takes the Gram
+    route once data.gram_ready() and leaves the iterate unformed; any
+    other step takes the matrix route of _Retraction with X projected
+    out, which forms it.  Which route a step takes depends on its weights
+    and on the sequence's earlier steps, never on the worker count.
     """
 
     def __init__(self, data, x, workers):
-        self.data, self.x, self.workers = data, x, workers
+        super().__init__(data.A, x, 1.0, workers, data.project)
+        self.data = data
         # The correlations (with gamma and penalty) whose weights give the
         # iterate, while the Gram route has left it unformed.
         self._unformed = None
-        self.start = par_matvec_t(data.A, data.project(x), workers)
 
-    def _direction(self, S, gamma, penalty):
+    def _gram_step(self, S, gamma, penalty):
+        # The Gram route's correlations, or None when the step is not sparse,
+        # G is not due yet or w'A_l'A_l w rounded to 0 or below.  Thresholding
+        # all of S before the gate costs 2-6 us more per dense step than
+        # thresholding only the prefix the gate counts, against about 300 us
+        # for the matrix step (200x2000 and 400x1000, one thread).
         data = self.data
-        return data.project(par_threshold_accumulate(data.A, S, gamma, penalty, self.workers))
-
-    def _sparse_weights(self, S, gamma, penalty):
-        # The weights of S and their active columns when at most gram_limit
-        # are active, else None.  More than limit active among the first
-        # 2 * limit entries settles a dense step without thresholding all of S.
-        limit = self.data.gram_limit
-        if not limit or np.count_nonzero(threshold_weights(S[: 2 * limit], gamma, penalty)) > limit:
+        if not data.gram_limit:
             return None
         w = threshold_weights(S, gamma, penalty)
-        active = np.flatnonzero(w)
-        return (w, active) if 0 < active.size <= limit else None
+        active = _active_columns(w, data.gram_limit)
+        if active is None or not active.size or not data.gram_ready():
+            return None
+        return data.gram_correlations(w, active)
 
     def __call__(self, S, gamma, penalty):
-        sparse = self._sparse_weights(S, gamma, penalty)
-        if sparse is not None:
-            S_new = self.data.gram_correlations(*sparse)
-            if S_new is not None:
-                self._unformed = (S, gamma, penalty)
-                return S_new
-        # The matrix route, also for a sparse step whose w'A_l'A_l w
-        # rounded to 0 or below.
-        y = self._direction(S, gamma, penalty)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return None
-        self.x, self._unformed = y / norm, None
-        return par_matvec_t(self.data.A, self.x, self.workers)
+        S_new = self._gram_step(S, gamma, penalty)
+        if S_new is not None:
+            self._unformed = (S, gamma, penalty)
+            return S_new
+        self._unformed = None
+        return super().__call__(S, gamma, penalty)
 
     def iterate(self):
         if self._unformed is not None:
-            y = self._direction(*self._unformed)
-            self.x, self._unformed = y / np.linalg.norm(y), None
-        return self.x
+            self.retract(*self._unformed)
+            self._unformed = None
+        return self.X
 
 
 def _climb(data, x0, gamma, config, workers):
@@ -273,8 +295,8 @@ class ComponentSequence:
     growing a sequence to m and then to m' gives, bitwise, the
     components of one solve at m'.  The deflation is implicit: the
     sequence keeps the directions and correlations of the components so
-    far, not a deflated copy of the data, and G = A'A once a sparse step
-    has asked for it (see the module docstring).  It also keeps each
+    far, not a deflated copy of the data, and G = A'A once its sparse
+    steps have paid for it (see _Deflated.gram_ready).  It also keeps each
     component's loading column, objective history and converged flag.
     It grows past config.m only when every gamma_j is the same, because a
     per-component gamma belongs to its m.  Once a component comes back

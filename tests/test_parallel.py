@@ -335,9 +335,10 @@ class TestSparseSequenceWorkers:
     def test_gram_route_loadings_bitwise_across_workers(self, monkeypatch, chunk_of,
                                                          chunk_widths):
         # Sparse single-unit steps read rows of G = A'A, built without the
-        # engine; the start correlations, the dense steps and each climb's
-        # final iterate still run chunked kernels (7 chunks on all 200
-        # columns here).
+        # engine once the sequence has taken n // 4 = 50 of them on the
+        # matrix route; the start correlations, those first sparse steps,
+        # the dense steps and each climb's final iterate run chunked
+        # kernels (7 chunks on all 200 columns here).
         ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
                                       n_factors=5, support_size=5, seed=3)
         A = ds.samples - ds.samples.mean(axis=0)

@@ -14,7 +14,7 @@ from gpspca import (
     solve_single_unit,
     synthetic_sparse_factors,
 )
-from gpspca import single_unit
+from gpspca import block, single_unit
 
 # The parametrized ids name the single-unit variant each case exercises.
 SL_IDS = {
@@ -475,7 +475,9 @@ def count_calls(monkeypatch, owner, name):
 
 class TestImplicitDeflation:
     """Components after the first are solved on (I - XX')A without forming
-    it; sparse steps read their correlations from the rows of G = A'A."""
+    it; sparse steps read their correlations from the rows of G = A'A.
+    Most tests here set gram_due to 0, so G is built on the first sparse
+    step instead of after n // 4 of them."""
 
     @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 12.0)])
     def test_gram_route_matches_matrix_route(self, monkeypatch, penalty, gamma):
@@ -483,6 +485,7 @@ class TestImplicitDeflation:
         cfg = SolverConfig(penalty=penalty, gamma=gamma, m=8, max_iter=500)
         gram_steps = count_calls(monkeypatch, single_unit._Deflated, "gram_correlations")
         sequence = ComponentSequence(A, cfg)
+        sequence._data.gram_due = 0
         gram, gram_report = sequence.solve(8)
         assert sequence._data.gram is not None and len(gram_steps) > 20
         monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
@@ -498,9 +501,10 @@ class TestImplicitDeflation:
         rng = np.random.default_rng(40)
         A = DataMatrix(rng.standard_normal((40, 200)))
         limit = 40 // single_unit.GRAM_DIVISOR
-        matvecs = count_calls(monkeypatch, single_unit, "par_matvec_t")
+        matvecs = count_calls(monkeypatch, block, "par_matvec_t")
         for k, gram_route in ((limit, True), (limit + 1, False)):
             data = single_unit._Deflated(A)
+            data.gram_due = 0
             step = single_unit._Step(data, random_unit(rng, 40), 1)
             S = np.zeros(200)
             S[rng.choice(200, k, replace=False)] = 2.0
@@ -513,6 +517,39 @@ class TestImplicitDeflation:
             x = step.iterate()
             want = A.values.T @ x
             assert np.linalg.norm(S_new - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_gram_is_built_after_a_quarter_n_sparse_steps(self, monkeypatch):
+        # Building G costs about n // 4 matrix steps, so the first n // 4
+        # sparse steps take the matrix route and the next one builds G.
+        # A step that is not sparse does not count.
+        rng = np.random.default_rng(42)
+        A = DataMatrix(rng.standard_normal((40, 200)))
+        limit = 40 // single_unit.GRAM_DIVISOR
+        data = single_unit._Deflated(A)
+        step = single_unit._Step(data, random_unit(rng, 40), 1)
+        matvecs = count_calls(monkeypatch, block, "par_matvec_t")
+
+        def sparse_correlations(k):
+            S = np.zeros(200)
+            S[rng.choice(200, k, replace=False)] = 2.0
+            return S
+
+        step(sparse_correlations(limit + 1), 1.0, "l1")
+        assert data.gram_due == 200 // 4
+        for _ in range(200 // 4):
+            step(sparse_correlations(limit), 1.0, "l1")
+        assert data.gram is None and data.gram_due == 0 and len(matvecs) == 200 // 4 + 1
+        step(sparse_correlations(limit), 1.0, "l1")
+        assert data.gram is not None and len(matvecs) == 200 // 4 + 1
+
+    def test_short_sparse_sequence_never_builds_gram(self):
+        # One component at gamma 3 takes fewer than n // 4 = 50 steps, all
+        # of them sparse: too few to pay for G.
+        A = sparse_factor_matrix()
+        sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=3.0, m=1))
+        _, report = sequence.solve(1)
+        assert report.iterations < 50
+        assert sequence._data.gram is None and sequence._data.gram_due < 50
 
     def test_dense_sequence_never_builds_gram(self):
         # desk-like: n = 10 p and nearly every column active.
@@ -529,6 +566,7 @@ class TestImplicitDeflation:
         for cap, built in ((8 * 200 * 200 - 1, False), (8 * 200 * 200, True)):
             monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", cap)
             sequence = ComponentSequence(A, cfg)
+            sequence._data.gram_due = 0
             sequence.solve(3)
             assert (sequence._data.gram is not None) == built
 
@@ -541,6 +579,7 @@ class TestImplicitDeflation:
         if not gram:
             monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
         sequence = ComponentSequence(A, cfg)
+        sequence._data.gram_due = 0
         loadings, report = sequence.solve(3)
         assert (sequence._data.gram is not None) == gram
         # The reference deflates explicitly and climbs the deflated copy on
@@ -566,6 +605,6 @@ class TestImplicitDeflation:
         data = single_unit._Deflated(A)
         data.add(np.array([1.0, 0.0, 0.0]), np.array([np.nextafter(3.0, 3.0 + excess), 0, 0]))
         step = single_unit._Step(data, np.array([0.0, 1.0, 0.0]), 1)
-        accumulations = count_calls(monkeypatch, single_unit, "par_threshold_accumulate")
+        accumulations = count_calls(monkeypatch, block, "par_threshold_accumulate")
         assert step(np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
         assert data.gram is not None and len(accumulations) == 1
