@@ -15,9 +15,10 @@ The two accumulations run on the active columns alone (those with a
 nonzero weight) when at most a quarter of them are active, see
 GATHER_DIVISOR; the choice depends on the weights alone, so results
 stay bitwise identical across worker counts.  Sparse single-unit steps
-do not come here: they read cached columns of A'A (see single_unit), and
-call these kernels only for a climb's start correlations, its denser
-steps and its final iterate.
+come here only until their sequence has built A'A: from then on they
+read cached columns of it (see single_unit), and call these kernels
+only for a climb's start correlations, its denser steps and its final
+iterate.
 """
 
 import os
