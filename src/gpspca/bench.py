@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .block import solve_block
-from .core import SolverConfig
+from .core import DataMatrix, SolverConfig, _standard_normal_matrix
 from .datasets import (
     FixedSplit,
     GroupedSplit,
@@ -80,28 +80,36 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     Returns (loadings, mean, report) where report is None for the PCA
     baseline.  Sparse variants consume the centered training matrix
     as-is: its rows are the sphere dimension, its columns the variables.
-    center=False hands the matrix to the solver untouched (timing runs
-    on raw synthetic instances).  reuse, a dict shared by fits of the
-    same training rows and settings that differ only in m, keeps work a
-    later fit can extend or slice (the PCA factorization, the sl1/sl0
-    component sequence); the results are bitwise those of a fresh fit.
+    train_samples may be a DataMatrix, which center=False hands to the
+    solver unchanged (timing runs share one per raw synthetic instance);
+    center=True builds the centered matrix straight into a DataMatrix's
+    column-major storage, so the solver makes no copy of it.  reuse, a
+    dict shared by fits of the same training rows and settings that
+    differ only in m, keeps work a later fit can extend or slice (the PCA
+    factorization, the sl1/sl0 component sequence); the results are
+    bitwise those of a fresh fit.
     """
-    train_samples = np.asarray(train_samples, dtype=np.float64)
+    if isinstance(train_samples, DataMatrix):
+        samples = train_samples.values
+    else:
+        samples = train_samples = np.asarray(train_samples, dtype=np.float64)
     if variant == "pca":
         if reuse is None:
-            model = pca_fit(train_samples, m)
+            model = pca_fit(samples, m)
         else:
             if "pca" not in reuse:
-                reuse["pca"] = pca_fit(train_samples)
+                reuse["pca"] = pca_fit(samples)
             model = reuse["pca"].head(m)
         return model.components, model.mean, None
     if variant not in SPCA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if center:
-        mean = train_samples.mean(axis=0)
-        centered = train_samples - mean
+        mean = samples.mean(axis=0)
+        centered = np.empty(samples.shape, order="F")
+        np.subtract(samples, mean, out=centered)
+        centered = DataMatrix._own(centered)
     else:
-        mean = np.zeros(train_samples.shape[1])
+        mean = np.zeros(samples.shape[1])
         centered = train_samples
     penalty = "l1" if variant.endswith("1") else "l0"
     if variant.startswith("s"):
@@ -245,15 +253,24 @@ def _mean_rows(rows, all_labels, config):
 def run_timing_experiment(config):
     """Wall-time sweep over random dense instances on the (N, P=N/10) grid.
 
-    Every instance matrix is shared by all variants and gammas so the
-    comparison is paired; rows carry per-solve seconds, iteration counts
-    and whether the solve converged (1/0; empty for pca, which has no
-    solver report), with per-cell medians appended, whose converged cell
-    is the share of instances that converged.  Allocation failures skip
-    the size and the sweep continues.
+    Each instance is drawn once, straight into the solvers' column-major
+    storage, and that one matrix is shared by every variant, gamma and
+    worker count, so the comparison is paired and a sweep of the sparse
+    variants peaks at about one P x N matrix.  Rows carry per-solve
+    seconds, iteration counts and whether the solve converged (1/0;
+    empty for pca, which has no solver report), grouped by cell (variant,
+    gamma, workers) with the cell's median row after its instances; the
+    median's converged cell is the share of instances that converged.
+    Allocation failures skip the size and the sweep continues.
     """
     m = config.m[0]
     worker_counts = config.timing_workers or (config.workers,)
+    cells = [
+        (variant, gamma, workers)
+        for variant in config.timing_variants
+        for gamma in config.timing_gammas
+        for workers in worker_counts
+    ]
     rows = []
     for N in sorted(config.timing_sizes):
         if N % 10:
@@ -264,36 +281,35 @@ def run_timing_experiment(config):
         except MemoryError as err:
             print(f"skipping N={N}: {err}", file=sys.stderr)
             continue
-        for variant in config.timing_variants:
-            for gamma in config.timing_gammas:
-                for workers in worker_counts:
-                    seconds, iterations, converged = [], [], []
-                    for instance in range(config.timing_instances):
-                        rng = np.random.default_rng([config.seed, N, instance])
-                        A = rng.standard_normal((P, N))
-                        start = time.perf_counter()
-                        _, _, report = fit_projection(
-                            A, variant, m, gamma, config.mu, config.tol,
-                            config.max_iter, seed=[config.seed, N, instance],
-                            workers=workers, center=False,
-                        )
-                        elapsed = time.perf_counter() - start
-                        seconds.append(elapsed)
-                        iterations.append(report.iterations if report else 0)
-                        converged.append(int(report.converged) if report else None)
-                        rows.append({
-                            "variant": variant, "N": N, "P": P, "gamma": gamma,
-                            "workers": workers, "instance": instance,
-                            "seconds": elapsed, "iterations": iterations[-1],
-                            "converged": converged[-1],
-                        })
-                    rows.append({
-                        "variant": variant, "N": N, "P": P, "gamma": gamma,
-                        "workers": workers, "instance": "median",
-                        "seconds": float(np.median(seconds)),
-                        "iterations": float(np.median(iterations)),
-                        "converged": None if variant == "pca" else float(np.mean(converged)),
-                    })
+        cell_rows = [(cell, []) for cell in cells]
+        for instance in range(config.timing_instances):
+            A = _standard_normal_matrix(np.random.default_rng([config.seed, N, instance]), P, N)
+            for (variant, gamma, workers), out in cell_rows:
+                start = time.perf_counter()
+                _, _, report = fit_projection(
+                    A, variant, m, gamma, config.mu, config.tol,
+                    config.max_iter, seed=[config.seed, N, instance],
+                    workers=workers, center=False,
+                )
+                out.append({
+                    "variant": variant, "N": N, "P": P, "gamma": gamma,
+                    "workers": workers, "instance": instance,
+                    "seconds": time.perf_counter() - start,
+                    "iterations": report.iterations if report else 0,
+                    "converged": int(report.converged) if report else None,
+                })
+            # Release this instance before the next one is drawn.
+            del A
+        for (variant, gamma, workers), out in cell_rows:
+            rows.extend(out)
+            rows.append({
+                "variant": variant, "N": N, "P": P, "gamma": gamma,
+                "workers": workers, "instance": "median",
+                "seconds": float(np.median([r["seconds"] for r in out])),
+                "iterations": float(np.median([r["iterations"] for r in out])),
+                "converged": None if variant == "pca" else float(np.mean(
+                    [r["converged"] for r in out])),
+            })
     if config.out:
         emit_report(rows, config.out)
     return rows

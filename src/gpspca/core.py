@@ -17,6 +17,16 @@ INITS = ("max_norm_column", "random_orthonormal")
 # pattern/value agreement); solver convergence uses the relative tol in
 # SolverConfig instead.
 ALGEBRAIC_TOL = 1e-12
+# Bytes of one block of a p x n matrix that a blocked pass (drawing an
+# instance, checking finiteness, column norms) holds at a time, so its
+# temporaries stay small beside the matrix itself.
+BLOCK_BYTES = 2**21
+
+
+def _column_blocks(p, n):
+    """Column ranges of about BLOCK_BYTES each (at least one column)."""
+    width = max(1, BLOCK_BYTES // (8 * p))
+    return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
 
 
 class DataMatrix:
@@ -46,7 +56,7 @@ class DataMatrix:
         p, n = arr.shape
         if p < 1 or n < 1:
             raise ValueError(f"matrix must be at least 1x1, got {p}x{n}")
-        if not np.all(np.isfinite(arr)):
+        if not all(np.isfinite(arr[:, lo:hi]).all() for lo, hi in _column_blocks(p, n)):
             raise ValueError("matrix entries must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -69,6 +79,19 @@ def as_data_matrix(A):
     if isinstance(A, DataMatrix):
         return A
     return DataMatrix(A)
+
+
+def _standard_normal_matrix(rng, p, n):
+    """rng.standard_normal((p, n)) as a DataMatrix, drawn straight into its
+    column-major storage: bitwise the same values, and the same rng state
+    afterwards, with one block of rows beside the matrix instead of a
+    row-major copy of it."""
+    out = np.empty((p, n), order="F")
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    for lo in range(0, p, rows):
+        hi = min(lo + rows, p)
+        out[lo:hi] = rng.standard_normal((hi - lo, n))
+    return DataMatrix._own(out)
 
 
 class SparseLoadings:
@@ -195,6 +218,15 @@ class RunReport:
 
 
 def column_norms(A):
-    """Euclidean norm of every column a_i, as a length-n vector."""
+    """Euclidean norm of every column a_i, as a length-n vector.
+
+    Bitwise np.linalg.norm(A, axis=0), summed one block of columns at a
+    time, so its squares take one block rather than a second p x n matrix
+    and a solve's peak stays the one matrix check_allocation makes room for.
+    """
     A = as_data_matrix(A)
-    return np.linalg.norm(A.values, axis=0)
+    sums = np.empty(A.n)
+    for lo, hi in _column_blocks(A.p, A.n):
+        block = A.values[:, lo:hi]
+        np.add.reduce(block * block, axis=0, out=sums[lo:hi])
+    return np.sqrt(sums)

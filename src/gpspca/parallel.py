@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .core import as_data_matrix
+from .core import _standard_normal_matrix, as_data_matrix
 
 KERNELS = ("matvec_t", "gram_apply", "threshold_accumulate")
 
@@ -236,7 +236,13 @@ def _available_memory():
 
 def check_allocation(P, N):
     """Raise MemoryError before allocating if a P x N float64 matrix
-    cannot plausibly fit in physical memory."""
+    cannot plausibly fit in physical memory.
+
+    One such matrix is the peak of a scaling run and of a timing sweep of
+    the sparse variants: each instance is drawn straight into the solvers'
+    column-major storage and shared by every fit, and column_norms sums
+    over blocks of columns.  The pca baseline's SVD adds about two more.
+    """
     needed = int(P) * int(N) * 8
     available = _available_memory()
     if available is None:
@@ -283,7 +289,7 @@ def measure_scaling(kernel, sizes, workers, instances=20, seed=0):
         times = {w: [] for w in workers}
         for instance in range(instances):
             rng = np.random.default_rng([seed, N, instance])
-            A = as_data_matrix(rng.standard_normal((P, N)))
+            A = _standard_normal_matrix(rng, P, N)
             run = _kernel_invocation(kernel, A, rng)
             for w in workers:
                 start = time.perf_counter()

@@ -24,7 +24,7 @@ import numpy as np
 
 from .block import _check_iterate, _loadings, _Retraction, climb
 from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
-from .parallel import _active_columns, threshold_weights
+from .parallel import threshold_weights
 # Single-unit steps reach the kernels through block._Retraction; perfbench
 # still wraps the kernels by these names here.
 from .parallel import par_matvec_t, par_threshold_accumulate  # noqa: F401
@@ -217,28 +217,21 @@ class _Step(_Retraction):
         # iterate, while the Gram route has left it unformed.
         self._unformed = None
 
-    def _gram_step(self, S, gamma, penalty):
+    def _gram_step(self, W):
         # The Gram route's correlations, or None when the step is not sparse,
-        # G is not due yet or w'A_l'A_l w rounded to 0 or below.  Thresholding
-        # all of S before the gate costs 2-6 us more per dense step than
-        # thresholding only the prefix the gate counts, against about 300 us
-        # for the matrix step (200x2000 and 400x1000, one thread).
+        # G is not due yet or w'A_l'A_l w rounded to 0 or below.
         data = self.data
-        if not data.gram_limit:
+        if not 0 < np.count_nonzero(W) <= data.gram_limit or not data.gram_ready():
             return None
-        w = threshold_weights(S, gamma, penalty)
-        active = _active_columns(w, data.gram_limit)
-        if active is None or not active.size or not data.gram_ready():
-            return None
-        return data.gram_correlations(w, active)
+        return data.gram_correlations(W, np.flatnonzero(W))
 
-    def __call__(self, S, gamma, penalty):
-        S_new = self._gram_step(S, gamma, penalty)
+    def __call__(self, S, W, gamma, penalty):
+        S_new = self._gram_step(W)
         if S_new is not None:
             self._unformed = (S, gamma, penalty)
             return S_new
         self._unformed = None
-        return super().__call__(S, gamma, penalty)
+        return super().__call__(S, W, gamma, penalty)
 
     def iterate(self):
         if self._unformed is not None:

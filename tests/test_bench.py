@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gpspca import (
+    DataMatrix,
     ExperimentConfig,
     PerClassCount,
     emit_report,
@@ -359,6 +362,48 @@ class TestTimingExperiment:
     def test_rejects_off_grid_size(self):
         with pytest.raises(ValueError):
             run_timing_experiment(self.config(timing_sizes=(55,)))
+
+    def test_every_cell_shares_one_instance(self, monkeypatch):
+        # Each instance is drawn once and handed, as one DataMatrix, to
+        # every variant x gamma x workers cell; rows keep the cell order.
+        seen = []
+        fit = bench.fit_projection
+
+        def recording_fit(A, variant, m, gamma, *args, **kwargs):
+            seen.append((A, variant, gamma, kwargs["workers"], kwargs["seed"]))
+            return fit(A, variant, m, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "fit_projection", recording_fit)
+        rows = run_timing_experiment(self.config(timing_workers=(1, 2)))
+        for N in (50, 100):
+            for instance in range(2):
+                fits = [f for f in seen if f[4] == [0, N, instance]]
+                assert len(fits) == 2 * 2 * 2
+                assert all(f[0] is fits[0][0] for f in fits)
+                assert isinstance(fits[0][0], DataMatrix)
+                want = np.random.default_rng([0, N, instance]).standard_normal((N // 10, N))
+                assert fits[0][0].values.tobytes(order="C") == want.tobytes()
+        cells = [(r["N"], r["variant"], r["gamma"], r["workers"], r["instance"]) for r in rows]
+        assert cells == [
+            (N, variant, gamma, workers, instance)
+            for N in (50, 100) for variant in ("sl1", "bl0") for gamma in (0.01, 0.05)
+            for workers in (1, 2) for instance in (0, 1, "median")
+        ]
+
+    def test_peak_memory_is_about_one_instance(self):
+        # The one column-major instance is the only P x N matrix a sweep
+        # holds: no row-major draw beside it, no squares in column_norms.
+        N = 4000
+        config = self.config(timing_sizes=(N,), timing_gammas=(0.05,),
+                             timing_variants=("sl1", "bl1"), timing_instances=2,
+                             m=(5,), max_iter=3)
+        tracemalloc.start()
+        try:
+            run_timing_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * (N // 10) * N
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "timing.csv"

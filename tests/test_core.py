@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gpspca import DataMatrix, SolverConfig, SparseLoadings, column_norms
+from gpspca import DataMatrix, SolverConfig, SparseLoadings, column_norms, core
 
 
 class TestColumnNorms:
@@ -14,11 +14,30 @@ class TestColumnNorms:
     def test_zero_matrix(self):
         assert np.array_equal(column_norms(DataMatrix(np.zeros((4, 3)))), np.zeros(3))
 
+    @pytest.mark.parametrize("shape, block_bytes", [
+        ((800, 2000), core.BLOCK_BYTES),  # 327 columns a block, 7 blocks
+        ((9000, 7), 8 * 9000 * 3),  # a few long columns
+        ((5, 11), 8 * 5 * 2),
+    ])
+    def test_blocked_sum_is_bitwise_numpy_norm(self, monkeypatch, shape, block_bytes):
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+        A = DataMatrix(np.random.default_rng(3).standard_normal(shape))
+        assert len(core._column_blocks(*shape)) > 1
+        got = column_norms(A)
+        assert got.tobytes() == np.linalg.norm(A.values, axis=0).tobytes()
+
 
 class TestDataMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             DataMatrix([[1.0, np.nan]])
+
+    def test_rejects_nonfinite_in_a_later_block(self, monkeypatch):
+        monkeypatch.setattr(core, "BLOCK_BYTES", 8 * 3 * 2)
+        values = np.ones((3, 10))
+        values[1, 8] = np.inf
+        with pytest.raises(ValueError):
+            DataMatrix(values)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -32,6 +51,23 @@ class TestDataMatrix:
             A.values[0, 0] = 7.0
         with pytest.raises(AttributeError):
             A.p = 5
+
+
+class TestStandardNormalMatrix:
+    @pytest.mark.parametrize("shape, block_bytes", [
+        ((100, 8000), core.BLOCK_BYTES),  # 32 rows a block
+        ((7, 5), 8 * 5 * 2),
+        ((3, 4), 8),  # one row a block
+    ])
+    def test_bitwise_one_draw_and_same_rng_state(self, monkeypatch, shape, block_bytes):
+        monkeypatch.setattr(core, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng([4, shape[1], 2])
+        want_rng = np.random.default_rng([4, shape[1], 2])
+        A = core._standard_normal_matrix(rng, *shape)
+        want = want_rng.standard_normal(shape)
+        assert A.values.flags.f_contiguous and not A.values.flags.writeable
+        assert A.values.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestSparseLoadings:

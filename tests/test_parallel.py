@@ -572,6 +572,24 @@ class TestMeasureScaling:
         assert {r["workers"] for r in rows} == {1, 2}
         assert all(r["median_seconds"] > 0 for r in rows)
 
+    def test_draws_unchanged(self, monkeypatch):
+        # Each instance is rng.standard_normal((P, N)), and the kernel's own
+        # inputs come from the rng state after that draw.
+        seen = []
+        invocation = gpspca.parallel._kernel_invocation
+
+        def recording_invocation(kernel, A, rng):
+            seen.append((A.values.copy(), rng.bit_generator.state))
+            return invocation(kernel, A, rng)
+
+        monkeypatch.setattr(gpspca.parallel, "_kernel_invocation", recording_invocation)
+        measure_scaling("matvec_t", [(30, 300)], [1], instances=2, seed=7)
+        for instance, (values, state) in enumerate(seen):
+            rng = np.random.default_rng([7, 300, instance])
+            assert values.tobytes() == rng.standard_normal((30, 300)).tobytes()
+            assert state == rng.bit_generator.state
+        assert len(seen) == 2
+
     def test_empty_sizes_rejected(self):
         with pytest.raises(ValueError):
             measure_scaling("matvec_t", [], [1])

@@ -15,6 +15,7 @@ from gpspca import (
     synthetic_sparse_factors,
 )
 from gpspca import block, single_unit
+from gpspca.parallel import threshold_weights
 
 # The parametrized ids name the single-unit variant each case exercises.
 SL_IDS = {
@@ -466,6 +467,11 @@ def sparse_factor_matrix():
     return ds.samples - ds.samples.mean(axis=0)
 
 
+def take_step(step, S, gamma, penalty):
+    # One step as block.climb takes it, with the weights of S.
+    return step(S, threshold_weights(S, gamma, penalty), gamma, penalty)
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     original = getattr(owner, name)
@@ -509,7 +515,7 @@ class TestImplicitDeflation:
             S = np.zeros(200)
             S[rng.choice(200, k, replace=False)] = 2.0
             matvecs.clear()
-            S_new = step(S, 1.0, "l1")
+            S_new = take_step(step, S, 1.0, "l1")
             # A Gram step reads G and calls no kernel; a matrix step
             # correlates its iterate with A.
             assert (data.gram is not None) == gram_route
@@ -534,12 +540,12 @@ class TestImplicitDeflation:
             S[rng.choice(200, k, replace=False)] = 2.0
             return S
 
-        step(sparse_correlations(limit + 1), 1.0, "l1")
+        take_step(step, sparse_correlations(limit + 1), 1.0, "l1")
         assert data.gram_due == 200 // 4
         for _ in range(200 // 4):
-            step(sparse_correlations(limit), 1.0, "l1")
+            take_step(step, sparse_correlations(limit), 1.0, "l1")
         assert data.gram is None and data.gram_due == 0 and len(matvecs) == 200 // 4 + 1
-        step(sparse_correlations(limit), 1.0, "l1")
+        take_step(step, sparse_correlations(limit), 1.0, "l1")
         assert data.gram is not None and len(matvecs) == 200 // 4 + 1
 
     def test_short_sparse_sequence_never_builds_gram(self):
@@ -606,5 +612,5 @@ class TestImplicitDeflation:
         data.add(np.array([1.0, 0.0, 0.0]), np.array([np.nextafter(3.0, 3.0 + excess), 0, 0]))
         step = single_unit._Step(data, np.array([0.0, 1.0, 0.0]), 1)
         accumulations = count_calls(monkeypatch, block, "par_threshold_accumulate")
-        assert step(np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
+        assert take_step(step, np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
         assert data.gram is not None and len(accumulations) == 1
