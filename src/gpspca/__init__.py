@@ -29,7 +29,6 @@ from .datasets import (
     PerClassCount,
     knn_classify,
     load_dataset,
-    load_matrix_csv,
     make_splits,
     synthetic_sparse_factors,
 )
@@ -42,7 +41,6 @@ from .bench import (
 )
 from .parallel import (
     measure_scaling,
-    par_gram_apply,
     par_matvec_t,
     par_threshold_accumulate,
 )
@@ -51,7 +49,6 @@ from .single_unit import (
     ComponentSequence,
     deflate,
     solve_multi_sequential,
-    solve_single_unit,
 )
 
 __version__ = "0.1.0"

@@ -47,10 +47,6 @@ class ExperimentConfig:
     max_iter: int = 1000
     knn_k: int = 1
     split: object = None
-    # Writing 0.0 instead of measured fit seconds makes the CSV
-    # bit-reproducible end to end (wall clock is the one nondeterministic
-    # column).
-    report_timing: bool = True
     timing_sizes: tuple = (500, 1000, 2000)
     timing_gammas: tuple = (0.01, 0.05)
     timing_variants: tuple = SPCA_VARIANTS
@@ -197,7 +193,7 @@ def run_recognition_experiment(config, dataset):
                 row.update(_per_class_accuracy(predictions, test_y, all_labels))
                 nnz = np.count_nonzero(loadings, axis=0)
                 row["nnz_per_component"] = ";".join(str(int(v)) for v in nnz)
-                row["fit_seconds"] = fit_seconds if config.report_timing else 0.0
+                row["fit_seconds"] = fit_seconds
                 row["converged"] = None if report is None else int(report.converged)
             except Exception as err:  # recorded per repetition, sweep continues
                 row["error"] = f"{type(err).__name__}: {err}"

@@ -109,7 +109,8 @@ def ascent_direction(A, X, gamma, penalty, mu=1.0, workers=1):
     Zero exactly when no column is active.
     """
     A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, workers)
-    return (2.0 * mu) * par_threshold_accumulate(A, S, gamma, penalty, workers)
+    W = threshold_weights(S, gamma, penalty)
+    return (2.0 * mu) * par_threshold_accumulate(A, W, workers)
 
 
 def recover_pattern(A, X, gamma, penalty, mu=1.0, workers=1):
@@ -142,20 +143,20 @@ def polar_projection(G):
 
 
 class _Retraction:
-    """The matrix step of the power loop: W = w(S) -> gradient A W, less
-    its projection on the directions that project() removes (none for
-    ascend) -> retraction (normalization for a vector, the polar factor
-    for a block) -> the new correlations mu * A'X."""
+    """The matrix step of the power loop: threshold weights W -> gradient
+    A W, less its projection on the directions that project() removes
+    (none for ascend) -> retraction (normalization for a vector, the polar
+    factor for a block) -> the new correlations mu * A'X."""
 
     def __init__(self, A, X, mu, workers, project=None):
         self.A, self.mu, self.workers, self.project = A, mu, workers, project
         self.X = X if project is None else project(X)
         self.start = mu * par_matvec_t(A, self.X, workers)
 
-    def retract(self, S, gamma, penalty):
-        """Move X to the retracted gradient at S; False, leaving X, when
-        that gradient is zero."""
-        G = (2.0 * self.mu) * par_threshold_accumulate(self.A, S, gamma, penalty, self.workers)
+    def retract(self, W):
+        """Move X to the retracted gradient for the weights W; False,
+        leaving X, when that gradient is zero."""
+        G = (2.0 * self.mu) * par_threshold_accumulate(self.A, W, self.workers)
         if self.project is not None:
             G = self.project(G)
         if G.ndim == 1:
@@ -167,10 +168,8 @@ class _Retraction:
             self.X = polar_projection(G)
         return True
 
-    def __call__(self, S, W, gamma, penalty):
-        # W goes unused: par_threshold_accumulate, the kernel perfbench
-        # traces on this route, thresholds S itself.
-        if not self.retract(S, gamma, penalty):
+    def __call__(self, W):
+        if not self.retract(W):
             return None
         return self.mu * par_matvec_t(self.A, self.X, self.workers)
 
@@ -181,14 +180,14 @@ class _Retraction:
 def climb(step, gamma, penalty, tol, max_iter):
     """The generalized power loop, over correlations.
 
-    step.start holds the start correlations; step(S, W, gamma, penalty)
-    maps S and its threshold weights W, computed once per iterate for
-    both the step and the objective, to the next iterate's correlations,
-    or returns None when the gradient is zero (a fixed point, which counts
-    as converged); step.iterate() is the iterate the last correlations
-    belong to.  Stops when the relative objective change drops below tol
-    or after max_iter steps.  A RankDeficiencyError from a step carries
-    the iteration and the history so far.  Returns (X, S, history,
+    step.start holds the start correlations S; step(W) maps their
+    threshold weights W, computed once per iterate for both the step and
+    the objective, to the next iterate's correlations, or returns None
+    when the gradient is zero (a fixed point, which counts as converged);
+    step.iterate() is the iterate the last correlations belong to.
+    Stops when the relative objective change drops below tol or after
+    max_iter steps.  A RankDeficiencyError from a step carries the
+    iteration and the history so far.  Returns (X, S, history,
     converged).
     """
     S = step.start
@@ -198,7 +197,7 @@ def climb(step, gamma, penalty, tol, max_iter):
     converged = False
     for iteration in range(max_iter):
         try:
-            S_new = step(S, W, gamma, penalty)
+            S_new = step(W)
         except RankDeficiencyError as err:
             err.iteration = iteration
             err.history = history

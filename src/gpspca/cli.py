@@ -34,7 +34,6 @@ from .datasets import (
     GroupedSplit,
     PerClassCount,
     load_dataset,
-    load_matrix_csv,
     numbered_lines,
     read_svmlight,
     read_table,
@@ -150,7 +149,7 @@ def cmd_solve(args):
     if args.format == "labeled":
         samples = load_dataset(args.input).samples
     else:
-        samples = load_matrix_csv(args.input)
+        samples = read_table(args.input)
     loadings, _, report = fit_projection(
         samples, args.variant, args.m, args.gamma, args.mu, args.tol, args.max_iter,
         seed=args.seed, workers=args.workers,

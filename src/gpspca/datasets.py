@@ -182,11 +182,6 @@ def load_dataset(path):
     return LabeledDataset(samples=samples, labels=labels)
 
 
-def load_matrix_csv(path):
-    """Parse an unlabeled CSV matrix (optional header, one sample per row)."""
-    return read_table(path)
-
-
 def _validate_split(dataset, train_idx, test_idx):
     n = dataset.n_samples
     train_idx = np.asarray(train_idx, dtype=np.int64)

@@ -1,17 +1,17 @@
 """Deterministic data-parallel kernels over column chunks.
 
-Every solver funnels its column-indexed inner loops through the three
-kernels here: batched column dot products (par_matvec_t), weighted
-column accumulation (par_gram_apply), and thresholded gradient
-accumulation (par_threshold_accumulate).  Work is split into column
-chunks, and each worker takes one contiguous run of them (one pool task
-per worker, not per chunk).  The chunk width is derived from the call's
-shape alone (rows p and iterate columns m, see GEMM_BUDGET); the worker
-count does not set it.  Every chunk's partial result is computed the
-same way whichever worker runs it, and the partials are combined by a
-pairwise tree whose shape depends only on the chunk layout, never on
-scheduling, so kernel output is bitwise identical for any worker count.
-The two accumulations run on the active columns alone (those with a
+Every solver funnels its column-indexed inner loops through the two
+kernels here: batched column dot products (par_matvec_t) and weighted
+column accumulation (par_threshold_accumulate, over weights the caller
+has already thresholded).  Work is split into column chunks, and each
+worker takes one contiguous run of them (one pool task per worker, not
+per chunk).  The chunk width is derived from the call's shape alone
+(rows p and iterate columns m, see GEMM_BUDGET); the worker count does
+not set it.  Every chunk's partial result is computed the same way
+whichever worker runs it, and the partials are combined by a pairwise
+tree whose shape depends only on the chunk layout, never on scheduling,
+so kernel output is bitwise identical for any worker count.
+The accumulation runs on the active columns alone (those with a
 nonzero weight) when at most a quarter of them are active, see
 GATHER_DIVISOR; the choice depends on the weights alone, so results
 stay bitwise identical across worker counts.  Sparse single-unit steps
@@ -30,6 +30,9 @@ import numpy as np
 
 from .core import _standard_normal_matrix, as_data_matrix
 
+# The measure_scaling cases: gram_apply times the accumulation on dense
+# random weights, threshold_accumulate an l1 threshold plus the
+# accumulation, as one solver step runs them.
 KERNELS = ("matvec_t", "gram_apply", "threshold_accumulate")
 
 
@@ -173,16 +176,6 @@ def _accumulate_columns(values, weights, workers):
     return _pairwise_combine(parts)
 
 
-def par_gram_apply(A, coefficients, workers=1):
-    """Weighted column sum sum_i c_i a_i (i.e. the product A c)."""
-    check_workers(workers)
-    A = as_data_matrix(A)
-    c = np.asarray(coefficients, dtype=np.float64)
-    if c.shape != (A.n,):
-        raise ValueError(f"coefficients must have length n={A.n}, got shape {c.shape}")
-    return _accumulate_columns(A.values, c, workers)
-
-
 def threshold_weights(correlations, gamma, penalty):
     """Per-column gradient weights w(c_i, gamma) for the given penalty.
 
@@ -198,17 +191,17 @@ def threshold_weights(correlations, gamma, penalty):
     raise ValueError(f"unknown penalty {penalty!r}")
 
 
-def par_threshold_accumulate(A, correlations, gamma, penalty, workers=1):
-    """Thresholded gradient accumulation sum_i w(c_i, gamma) a_i.
+def par_threshold_accumulate(A, weights, workers=1):
+    """Weighted column sum sum_i w_i a_i: A w for length-n weights, A W
+    for an n x m block.
 
-    correlations must be the par_matvec_t output for the current iterate
-    (length n, or n x m with one gamma per column); the result is the
-    ascent direction up to the scheme's constant factor.
+    In the solvers the weights are threshold_weights of the current
+    correlations, so the result is the ascent direction up to the
+    scheme's constant factor.
     """
     check_workers(workers)
     A = as_data_matrix(A)
-    c = _check_rows(correlations, A.n, "correlations")
-    w = threshold_weights(c, gamma, penalty)
+    w = _check_rows(weights, A.n, "weights")
     return _accumulate_columns(A.values, w, workers)
 
 
@@ -259,12 +252,14 @@ def _kernel_invocation(kernel, A, rng):
         return lambda workers: par_matvec_t(A, x, workers)
     if kernel == "gram_apply":
         z = rng.standard_normal(A.n)
-        return lambda workers: par_gram_apply(A, z, workers)
+        return lambda workers: par_threshold_accumulate(A, z, workers)
     if kernel == "threshold_accumulate":
         x = rng.standard_normal(A.p)
         c = par_matvec_t(A, x)
         gamma = 0.05 * float(np.max(np.abs(c)))
-        return lambda workers: par_threshold_accumulate(A, c, gamma, "l1", workers)
+        return lambda workers: par_threshold_accumulate(
+            A, threshold_weights(c, gamma, "l1"), workers
+        )
     raise ValueError(f"unknown kernel {kernel!r}; expected one of {KERNELS}")
 
 

@@ -72,22 +72,6 @@ def _initial_iterates(data, config):
     return out
 
 
-def solve_single_unit(A, config, workers=1):
-    """Extract one sparse component; returns (SparseLoadings, RunReport).
-
-    Climbs from the configured initialization until the relative
-    objective change drops below config.tol (or max_iter), then recovers
-    the loading vector from the final iterate.  When gamma is so large
-    that no column can activate, the zero loading is returned
-    immediately with a converged report.  With restarts > 1 or
-    refine=True the report carries the winning climb's trace.  This is
-    solve_multi_sequential with m = 1.
-    """
-    if config.m != 1:
-        raise ValueError("solve_single_unit handles m=1; use solve_multi_sequential")
-    return solve_multi_sequential(A, config, workers)
-
-
 def _restricted_leading_direction(data, support, x):
     # Leading left singular vector of the support-restricted deflated
     # matrix, signed to agree with the current iterate; None if those
@@ -213,8 +197,8 @@ class _Step(_Retraction):
     def __init__(self, data, x, workers):
         super().__init__(data.A, x, 1.0, workers, data.project)
         self.data = data
-        # The correlations (with gamma and penalty) whose weights give the
-        # iterate, while the Gram route has left it unformed.
+        # The weights that give the iterate, while the Gram route has left
+        # it unformed.
         self._unformed = None
 
     def _gram_step(self, W):
@@ -225,17 +209,17 @@ class _Step(_Retraction):
             return None
         return data.gram_correlations(W, np.flatnonzero(W))
 
-    def __call__(self, S, W, gamma, penalty):
+    def __call__(self, W):
         S_new = self._gram_step(W)
         if S_new is not None:
-            self._unformed = (S, gamma, penalty)
+            self._unformed = W
             return S_new
         self._unformed = None
-        return super().__call__(S, W, gamma, penalty)
+        return super().__call__(W)
 
     def iterate(self):
         if self._unformed is not None:
-            self.retract(*self._unformed)
+            self.retract(self._unformed)
             self._unformed = None
         return self.X
 
@@ -349,7 +333,10 @@ def solve_multi_sequential(A, config, workers=1, sequence=None):
     Component j uses gamma_j.  sequence, a ComponentSequence built on the
     same A, worker count and settings (m aside), is extended to config.m instead
     of starting over; the report then counts only the iterations and
-    seconds of the components this call added.
+    seconds of the components this call added.  A component whose gamma
+    no column can pass comes back zero at once, with a converged history
+    of [0.0]; with restarts > 1 or refine=True a component's history is
+    its winning climb's.  m = 1 is the single-unit solve.
     """
     if sequence is None:
         sequence = ComponentSequence(A, config, workers)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import gpspca.block
+import gpspca.parallel
 from gpspca import (
     DataMatrix,
     RankDeficiencyError,
@@ -11,8 +13,11 @@ from gpspca import (
     polar_projection,
     recover_pattern,
     solve_block,
-    solve_single_unit,
+    solve_multi_sequential,
+    synthetic_sparse_factors,
 )
+from gpspca import single_unit
+from gpspca.block import climb
 
 
 # ------------------------------------------------------------------ oracles
@@ -191,7 +196,7 @@ class TestSolveBlock:
         for penalty in ("l1", "l0"):
             cfg = SolverConfig(penalty=penalty, m=1, gamma=0.2, tol=1e-12)
             zb, rb = solve_block(A, cfg)
-            zs, rs = solve_single_unit(A, cfg)
+            zs, rs = solve_multi_sequential(A, cfg)
             assert abs(rb.objective_history[-1] - rs.objective_history[-1]) <= 1e-8
             diff = min(
                 np.abs(zb.values[:, 0] - zs.values[:, 0]).max(),
@@ -289,3 +294,57 @@ class TestSolveBlock:
         loadings, report = solve_block(A, cfg)
         assert loadings.values.shape == (10, 2)
         assert report.converged
+
+
+class TestThresholdOncePerIterate:
+    """A climb thresholds each iterate's correlations once, for both the
+    objective and the step; the accumulation kernel takes those weights
+    and thresholds nothing itself."""
+
+    STEPS = 6
+
+    @pytest.fixture
+    def thresholds(self, monkeypatch):
+        calls = {"block": 0, "parallel": 0}
+        for name, module in (("block", gpspca.block), ("parallel", gpspca.parallel)):
+            def counting(*args, _name=name, _original=module.threshold_weights):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, "threshold_weights", counting)
+        return calls
+
+    @pytest.mark.parametrize("m", [1, 3], ids=["vector", "block"])
+    def test_matrix_route(self, thresholds, m):
+        rng = np.random.default_rng(41)
+        A = DataMatrix(rng.standard_normal((20, 120)))
+        X = random_stiefel(rng, 20, m)
+        X, gamma = (X[:, 0], 0.3) if m == 1 else (X, np.full(m, 0.3))
+        # tol 0: every one of the steps runs.
+        _, _, history, converged = ascend(A, X, gamma, 1.0, "l1", 0.0, self.STEPS)
+        assert len(history) == self.STEPS + 1 and not converged
+        assert thresholds == {"block": self.STEPS + 1, "parallel": 0}
+
+    def test_gram_route(self, thresholds, monkeypatch):
+        # Sparse single-unit steps on 40 x 200 data: at gamma 3 most have
+        # at most p // 4 = 10 active columns and read rows of A'A; the
+        # climb's last iterate is then formed from the weights it kept.
+        ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
+                                      n_factors=5, support_size=5, seed=3)
+        data = single_unit._Deflated(DataMatrix(ds.samples - ds.samples.mean(axis=0)))
+        data.gram_due = 0
+        routes = {"gram": 0, "matrix": 0}
+        for route, owner, name in (("gram", single_unit._Deflated, "gram_correlations"),
+                                   ("matrix", gpspca.block, "par_threshold_accumulate")):
+            def counting(*args, _route=route, _original=getattr(owner, name)):
+                routes[_route] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        i = int(np.argmax(data.norms))
+        x0 = data.columns(i) / data.norms[i]
+        _, _, history, converged = climb(single_unit._Step(data, x0, 1), 3.0, "l1", 0.0,
+                                         self.STEPS)
+        assert len(history) == self.STEPS + 1 and not converged
+        assert routes["gram"] > 0 and routes["matrix"] > 0
+        assert thresholds == {"block": self.STEPS + 1, "parallel": 0}

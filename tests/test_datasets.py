@@ -8,12 +8,11 @@ from gpspca import (
     PerClassCount,
     knn_classify,
     load_dataset,
-    load_matrix_csv,
     make_splits,
     synthetic_sparse_factors,
 )
 import gpspca.parallel
-from gpspca.datasets import LabeledDataset, read_svmlight
+from gpspca.datasets import LabeledDataset, read_svmlight, read_table
 
 
 class TestLoadDataset:
@@ -121,17 +120,19 @@ class TestReadSvmlight:
 
 
 class TestLoadMatrixCsv:
+    """read_table on an unlabeled matrix CSV, as `gpspca solve` reads it."""
+
     def test_optional_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-        out = load_matrix_csv(path)
+        out = read_table(path)
         assert np.array_equal(out, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_ragged_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(DatasetFormatError, match="line 2"):
-            load_matrix_csv(path)
+            read_table(path)
 
 
 def toy_dataset(per_class=72, classes=20, seed=0):

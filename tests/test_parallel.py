@@ -5,7 +5,6 @@ from gpspca import (
     ComponentSequence,
     DataMatrix,
     SolverConfig,
-    par_gram_apply,
     par_matvec_t,
     par_threshold_accumulate,
     single_unit,
@@ -53,6 +52,12 @@ def chunk_of(monkeypatch):
 def layout(n, chunk):
     """Chunk widths of n columns cut every chunk columns."""
     return [min(chunk, n - lo) for lo in range(0, n, chunk)]
+
+
+def thresholded(A, c, gamma, penalty, workers=1):
+    """One matrix step's accumulation: the threshold weights of c, then
+    the kernel."""
+    return par_threshold_accumulate(A, threshold_weights(c, gamma, penalty), workers)
 
 
 def reference_accumulate(values, weights, chunk):
@@ -120,17 +125,20 @@ class TestParMatvecT:
 
 
 class TestParGramApply:
+    """The accumulation kernel on plain weights (measure_scaling's
+    gram_apply case): the product A z, whatever the weights."""
+
     def test_single_column_weight(self):
         A = DataMatrix(np.arange(6.0).reshape(2, 3))
         z = np.array([0.0, 2.0, 0.0])
-        assert np.array_equal(par_gram_apply(A, z), 2.0 * A.values[:, 1])
+        assert np.array_equal(par_threshold_accumulate(A, z), 2.0 * A.values[:, 1])
 
     def test_matches_dense_product(self, chunk_of, chunk_widths):
         rng = np.random.default_rng(2)
         A = rng.standard_normal((7, 300))
         z = rng.standard_normal(300)
         chunk_of(32, 7)
-        out = par_gram_apply(DataMatrix(A), z)
+        out = par_threshold_accumulate(DataMatrix(A), z)
         assert np.allclose(out, A @ z, atol=1e-12)
         assert chunk_widths == [layout(300, 32)]
 
@@ -139,13 +147,34 @@ class TestParGramApply:
         A = DataMatrix(rng.standard_normal((64, 1000)))
         z = rng.standard_normal(1000)
         chunk_of(64, 64)
-        outs = [par_gram_apply(A, z, w) for w in WORKER_COUNTS]
+        outs = [par_threshold_accumulate(A, z, w) for w in WORKER_COUNTS]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
         assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
 
+    def test_block_weights_give_one_column_each(self, chunk_of, chunk_widths):
+        rng = np.random.default_rng(13)
+        A = DataMatrix(rng.standard_normal((64, 1000)))
+        Z = rng.standard_normal((1000, 3))
+        chunk_of(64, 64, 3)
+        outs = [par_threshold_accumulate(A, Z, w) for w in WORKER_COUNTS]
+        for other in outs[1:]:
+            assert np.array_equal(outs[0], other)
+        assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
+        assert outs[0].shape == (64, 3)
+        assert np.allclose(outs[0], A.values @ Z, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(999,), (1000, 2, 1), (999, 3)])
+    def test_weights_need_one_row_per_column(self, shape):
+        A = DataMatrix(np.ones((4, 1000)))
+        with pytest.raises(ValueError, match="weights must have 1000 rows"):
+            par_threshold_accumulate(A, np.ones(shape))
+
 
 class TestParThresholdAccumulate:
+    """Threshold weights, then the accumulation kernel, as a matrix step
+    of the power loop runs them."""
+
     def test_all_weights_zero(self):
         rng = np.random.default_rng(4)
         A = DataMatrix(rng.standard_normal((6, 40)))
@@ -153,12 +182,12 @@ class TestParThresholdAccumulate:
         x /= np.linalg.norm(x)
         c = par_matvec_t(A, x)
         gamma = float(np.abs(c).max()) + 1.0
-        assert np.array_equal(par_threshold_accumulate(A, c, gamma, "l1"), np.zeros(6))
+        assert np.array_equal(thresholded(A, c, gamma, "l1"), np.zeros(6))
 
     def test_single_active_column(self):
         A = DataMatrix(np.eye(2))
         c = np.array([1.0, 0.0])
-        out = par_threshold_accumulate(A, c, 0.25, "l1")
+        out = thresholded(A, c, 0.25, "l1")
         assert np.array_equal(out, [0.75, 0.0])
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
@@ -169,7 +198,7 @@ class TestParThresholdAccumulate:
         chunk_of(64, 64)
         chunk_widths.clear()
         outs = [
-            par_threshold_accumulate(A, c, 0.3, penalty, w)
+            thresholded(A, c, 0.3, penalty, w)
             for w in WORKER_COUNTS
         ]
         for other in outs[1:]:
@@ -184,7 +213,7 @@ class TestParThresholdAccumulate:
         w = threshold_weights(c, 0.2, penalty)
         expected = reference_accumulate(np.asfortranarray(values), w, chunk=64)
         chunk_of(64, 16)
-        got = par_threshold_accumulate(DataMatrix(values), c, 0.2, penalty)
+        got = thresholded(DataMatrix(values), c, 0.2, penalty)
         assert np.array_equal(expected, got)
         assert chunk_widths == [layout(530, 64)]
 
@@ -197,21 +226,21 @@ class TestParThresholdAccumulate:
         chunk_of(64, 64, 3)
         chunk_widths.clear()
         outs = [
-            par_threshold_accumulate(A, C, gamma, penalty, w)
+            thresholded(A, C, gamma, penalty, w)
             for w in WORKER_COUNTS
         ]
         for other in outs[1:]:
             assert np.array_equal(outs[0], other)
         assert chunk_widths == [layout(1000, 64)] * len(WORKER_COUNTS)
         for j in range(3):
-            want = par_threshold_accumulate(A, C[:, j], gamma[j], penalty)
+            want = thresholded(A, C[:, j], gamma[j], penalty)
             assert np.allclose(outs[0][:, j], want, atol=1e-12)
 
     def test_l0_tie_is_inactive(self):
         A = DataMatrix(np.eye(2))
         c = np.array([1.0, 0.0])
         # c^2 == gamma exactly: the tied column must not contribute
-        out = par_threshold_accumulate(A, c, 1.0, "l0")
+        out = thresholded(A, c, 1.0, "l0")
         assert np.array_equal(out, np.zeros(2))
 
 
@@ -229,11 +258,11 @@ class TestWorkerRuns:
         gamma = np.array([0.1, 0.3, 0.6]) if block else 0.3
         calls = [
             lambda workers: par_matvec_t(A, x, workers),
-            lambda workers: par_threshold_accumulate(A, c, gamma, "l1", workers),
+            lambda workers: thresholded(A, c, gamma, "l1", workers),
         ]
         if not block:
             z = rng.standard_normal(n)
-            calls.append(lambda workers: par_gram_apply(A, z, workers))
+            calls.append(lambda workers: par_threshold_accumulate(A, z, workers))
         return calls
 
     @pytest.mark.parametrize("block", [False, True], ids=["vector", "block"])
@@ -285,7 +314,7 @@ class TestDerivedChunk:
     def test_chunk_gemm_stays_within_budget(self, chunk_widths, p, n, m):
         A = DataMatrix(np.ones((p, n)))
         x = np.ones(p) if m == 1 else np.ones((p, m))
-        par_threshold_accumulate(A, par_matvec_t(A, x), 0.5, "l1")
+        thresholded(A, par_matvec_t(A, x), 0.5, "l1")
         assert len(chunk_widths) == 2
         for widths in chunk_widths:
             chunk = max(widths)
@@ -310,13 +339,13 @@ class TestDerivedChunk:
         gamma = 0.3 * np.abs(c).max(axis=0)
         calls = [
             lambda workers: par_matvec_t(A, x, workers),
-            lambda workers: par_threshold_accumulate(A, c, gamma, "l1", workers),
+            lambda workers: thresholded(A, c, gamma, "l1", workers),
             # X, S and the objective history after five steps
             lambda workers: ascend(A, x, gamma, 1.0, "l1", 1e-12, 5, workers)[:3],
         ]
         if m == 1:
             z = rng.standard_normal(n)
-            calls.append(lambda workers: par_gram_apply(A, z, workers))
+            calls.append(lambda workers: par_threshold_accumulate(A, z, workers))
         chunk_widths.clear()
         # GEMM_BUDGET // (p * m) columns: 512 for a vector, 102 for p x 5.
         chunks = {1: 6, 5: 26}[m]
@@ -402,13 +431,13 @@ class TestActiveColumns:
         active = np.sort(rng.choice(n, int(share * n), replace=False))
         c = sparse_correlations(rng, n, m, active)
         cases = [(
-            lambda: par_threshold_accumulate(A, c, 1.0, "l1"),
+            lambda: thresholded(A, c, 1.0, "l1"),
             A.values @ threshold_weights(c, 1.0, "l1"),
         )]
         if m == 1:
             z = np.zeros(n)
             z[active] = rng.standard_normal(active.size)
-            cases.append((lambda: par_gram_apply(A, z), A.values @ z))
+            cases.append((lambda: par_threshold_accumulate(A, z), A.values @ z))
         for call, want in cases:
             engine_shapes.clear()
             got = call()
@@ -426,9 +455,9 @@ class TestActiveColumns:
         z = np.where(np.isin(np.arange(n), active), rng.standard_normal(n), 0.0)
         # 1600 gathered columns: 3 derived chunks for a vector, 13 for p x 5.
         calls = [
-            (lambda workers: par_threshold_accumulate(A, c, 1.0, "l1", workers), 3),
-            (lambda workers: par_threshold_accumulate(A, C, np.ones(5), "l0", workers), 13),
-            (lambda workers: par_gram_apply(A, z, workers), 3),
+            (lambda workers: thresholded(A, c, 1.0, "l1", workers), 3),
+            (lambda workers: thresholded(A, C, np.ones(5), "l0", workers), 13),
+            (lambda workers: par_threshold_accumulate(A, z, workers), 3),
         ]
         for call, chunks in calls:
             engine_shapes.clear()
@@ -444,11 +473,11 @@ class TestActiveColumns:
         rng = np.random.default_rng(22)
         A = DataMatrix(rng.standard_normal((16, 400)))
         c = sparse_correlations(rng, 400, m, np.array([], dtype=int))
-        out = par_threshold_accumulate(A, c, 1.0, "l1")
+        out = thresholded(A, c, 1.0, "l1")
         assert out.shape == ((16,) if m == 1 else (16, m))
         assert np.array_equal(out, np.zeros(out.shape))
         if m == 1:
-            assert np.array_equal(par_gram_apply(A, np.zeros(400)), np.zeros(16))
+            assert np.array_equal(par_threshold_accumulate(A, np.zeros(400)), np.zeros(16))
         assert engine_shapes == []
 
     def test_zero_gradient_start_is_converged(self):
@@ -479,7 +508,7 @@ class TestActiveColumns:
                 active = np.sort(rng.choice(n, k, replace=False))
             c = sparse_correlations(rng, n, m, active, spread)
             engine_shapes.clear()
-            par_threshold_accumulate(A, c, gamma, "l1")
+            thresholded(A, c, gamma, "l1")
             assert engine_shapes == [(p, handed)]
 
 
@@ -505,10 +534,10 @@ class TestWorkerCount:
         c = {"dense": 0.5 * rng.standard_normal(200), "gathered": np.eye(200)[0],
              "all_inactive": np.zeros(200)}[path]
         calls = [
-            lambda workers: par_gram_apply(A, c, workers),
-            lambda workers: par_threshold_accumulate(A, c, 0.1, "l1", workers),
-            lambda workers: par_threshold_accumulate(A, np.outer(c, [1.0, 2.0]),
-                                                     np.array([0.1, 0.1]), "l0", workers),
+            lambda workers: par_threshold_accumulate(A, c, workers),
+            lambda workers: thresholded(A, c, 0.1, "l1", workers),
+            lambda workers: thresholded(A, np.outer(c, [1.0, 2.0]),
+                                        np.array([0.1, 0.1]), "l0", workers),
         ]
         if path == "dense":
             x = rng.standard_normal(8)

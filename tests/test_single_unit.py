@@ -11,7 +11,6 @@ from gpspca import (
     objective,
     recover_pattern,
     solve_multi_sequential,
-    solve_single_unit,
     synthetic_sparse_factors,
 )
 from gpspca import block, single_unit
@@ -254,12 +253,14 @@ class TestRecoverPattern:
 
 
 class TestSolveSingleUnit:
+    """One-component solves: solve_multi_sequential at m = 1."""
+
     def test_gamma_zero_recovers_leading_singular_vector(self):
         rng = np.random.default_rng(16)
         for penalty in ("l1", "l0"):
             A = rng.standard_normal((6, 10))
             cfg = SolverConfig(penalty=penalty, gamma=0.0, tol=1e-14, max_iter=5000)
-            loadings, report = solve_single_unit(A, cfg)
+            loadings, report = solve_multi_sequential(A, cfg)
             v1 = np.linalg.svd(A)[2][0]
             assert abs(loadings.values[:, 0] @ v1) >= 1 - 1e-8
             assert report.converged
@@ -267,14 +268,14 @@ class TestSolveSingleUnit:
     def test_diag_l0_selects_strong_axis(self):
         A = np.diag([3.0, 1.0])
         cfg = SolverConfig(penalty="l0", gamma=0.1)
-        loadings, _ = solve_single_unit(A, cfg)
+        loadings, _ = solve_multi_sequential(A, cfg)
         assert np.allclose(np.abs(loadings.values[:, 0]), [1.0, 0.0])
 
     def test_gamma_above_max_norm_returns_zero(self):
         rng = np.random.default_rng(17)
         A = rng.standard_normal((4, 6))
         gamma = float(np.linalg.norm(A, axis=0).max())
-        loadings, report = solve_single_unit(A, SolverConfig(penalty="l1", gamma=gamma))
+        loadings, report = solve_multi_sequential(A, SolverConfig(penalty="l1", gamma=gamma))
         assert not np.any(loadings.values)
         assert report.converged and report.iterations == 0
 
@@ -282,13 +283,13 @@ class TestSolveSingleUnit:
         # columns with norm > 1: the l0 activation threshold is the
         # squared norm, so gamma = max norm still leaves signal
         A = np.diag([3.0, 1.0])
-        loadings, _ = solve_single_unit(A, SolverConfig(penalty="l0", gamma=3.0))
+        loadings, _ = solve_multi_sequential(A, SolverConfig(penalty="l0", gamma=3.0))
         assert np.any(loadings.values)
-        loadings, _ = solve_single_unit(A, SolverConfig(penalty="l0", gamma=9.0))
+        loadings, _ = solve_multi_sequential(A, SolverConfig(penalty="l0", gamma=9.0))
         assert not np.any(loadings.values)
 
     def test_all_zero_matrix(self):
-        loadings, report = solve_single_unit(np.zeros((3, 4)), SolverConfig())
+        loadings, report = solve_multi_sequential(np.zeros((3, 4)), SolverConfig())
         assert not np.any(loadings.values)
         assert report.converged
 
@@ -298,7 +299,7 @@ class TestSolveSingleUnit:
             for _ in range(50):
                 A = rng.standard_normal((5, 12))
                 cfg = SolverConfig(penalty=penalty, gamma=float(rng.uniform(0, 0.5)))
-                _, report = solve_single_unit(A, cfg)
+                _, report = solve_multi_sequential(A, cfg)
                 assert np.all(np.diff(report.objective_history) >= -1e-12)
 
     def test_sign_symmetry(self):
@@ -327,10 +328,6 @@ class TestSolveSingleUnit:
             grad = ascent_direction(A, x, 0.1, penalty)
             assert np.linalg.norm(grad) > 0
             assert np.linalg.norm(x - grad / np.linalg.norm(grad)) <= 10 * np.sqrt(tol)
-
-    def test_requires_single_unit_mode(self):
-        with pytest.raises(ValueError):
-            solve_single_unit(np.eye(3), SolverConfig(m=2))
 
 
 class TestDeflate:
@@ -379,12 +376,15 @@ class TestDeflate:
 
 class TestSolveMultiSequential:
     def test_m_one_identical_to_single_unit(self):
+        # The single-unit solve (m = 1) is bitwise the first component of
+        # a longer sequence.
         rng = np.random.default_rng(23)
         A = rng.standard_normal((4, 7))
-        cfg = SolverConfig(penalty="l1", gamma=0.1, m=1)
-        z_single, rep_single = solve_single_unit(A, cfg)
-        z_multi, rep_multi = solve_multi_sequential(A, cfg)
-        assert np.array_equal(z_single.values, z_multi.values)
+        z_single, rep_single = solve_multi_sequential(
+            A, SolverConfig(penalty="l1", gamma=0.1, m=1))
+        z_multi, rep_multi = solve_multi_sequential(
+            A, SolverConfig(penalty="l1", gamma=0.1, m=3))
+        assert np.array_equal(z_single.values[:, 0], z_multi.values[:, 0])
         assert rep_single.objective_history == rep_multi.objective_history
 
     def test_diag_recovers_axes(self):
@@ -469,7 +469,7 @@ def sparse_factor_matrix():
 
 def take_step(step, S, gamma, penalty):
     # One step as block.climb takes it, with the weights of S.
-    return step(S, threshold_weights(S, gamma, penalty), gamma, penalty)
+    return step(threshold_weights(S, gamma, penalty))
 
 
 def count_calls(monkeypatch, owner, name):
@@ -594,7 +594,7 @@ class TestImplicitDeflation:
         deflated = A
         for j in range(1, 3):
             deflated = deflate(deflated, sequence._data.X[:, j - 1])
-            want, want_report = solve_single_unit(deflated, SolverConfig(
+            want, want_report = solve_multi_sequential(deflated, SolverConfig(
                 penalty="l1", gamma=3.0, restarts=3, refine=True, init=init, seed=5))
             assert np.max(np.abs(loadings.values[:, j] - want.values[:, 0])) <= 1e-10
             got_history = report.component_histories[j]
