@@ -29,6 +29,11 @@ from .single_unit import ComponentSequence, solve_multi_sequential
 
 SPCA_VARIANTS = ("sl1", "sl0", "bl1", "bl0")
 VARIANTS = SPCA_VARIANTS + ("pca",)
+# The peak of a timing sweep with pca, in P x N matrices: 3.12 to 3.18
+# (tracemalloc, N=4000, one instance), because pca_fit makes a centered
+# copy and full SVD factors of the shared instance.  A sweep of the sparse
+# variants is checked for the one instance (see check_allocation).
+PCA_SWEEP_MATRICES = 3.25
 
 
 @dataclass
@@ -252,12 +257,14 @@ def run_timing_experiment(config):
     Each instance is drawn once, straight into the solvers' column-major
     storage, and that one matrix is shared by every variant, gamma and
     worker count, so the comparison is paired and a sweep of the sparse
-    variants peaks at about one P x N matrix.  Rows carry per-solve
-    seconds, iteration counts and whether the solve converged (1/0;
-    empty for pca, which has no solver report), grouped by cell (variant,
-    gamma, workers) with the cell's median row after its instances; the
-    median's converged cell is the share of instances that converged.
-    Allocation failures skip the size and the sweep continues.
+    variants peaks at about one P x N matrix (PCA_SWEEP_MATRICES with
+    pca).  Rows carry per-solve seconds, iteration counts and whether the
+    solve converged (1/0; empty for pca, which has no solver report),
+    grouped by cell (variant, gamma, workers) with the cell's median row
+    after its instances; the median's converged cell is the share of
+    instances that converged.
+    A size whose peak cannot fit in memory is skipped, before its first
+    instance is drawn, and the sweep continues.
     """
     m = config.m[0]
     worker_counts = config.timing_workers or (config.workers,)
@@ -274,6 +281,8 @@ def run_timing_experiment(config):
         P = N // 10
         try:
             check_allocation(P, N)
+            if "pca" in config.timing_variants:
+                check_allocation(P, N, PCA_SWEEP_MATRICES)
         except MemoryError as err:
             print(f"skipping N={N}: {err}", file=sys.stderr)
             continue

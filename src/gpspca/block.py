@@ -7,10 +7,12 @@ on the unit sphere (single-unit) and retracts by normalization; a p x m
 iterate is a point on the Stiefel manifold (block) and retracts by the
 polar factor of the gradient (_Retraction).  ascend runs the loop with
 that step on a data matrix; single_unit runs it with the same step, the
-earlier directions projected out of the gradient, and takes sparse
-steps from A'A instead.  Loading columns are the same threshold weights
-of the final correlations, normalized, with the per-component weights
-mu folded in.
+earlier directions projected out of the gradient.  A step's products
+have three sources: the kernels on A; for a dense step whose threshold
+moved on few columns, the gradient from K = A A' (_SampleGram); and, in
+single_unit, for a sparse step, the correlations from rows of A'A.
+Loading columns are the same threshold weights of the final
+correlations, normalized, with the per-component weights mu folded in.
 """
 
 import time
@@ -24,9 +26,46 @@ from .core import (
     as_data_matrix,
     column_norms,
 )
-from .parallel import par_matvec_t, par_threshold_accumulate, threshold_weights
+from .parallel import (
+    par_matvec_t,
+    par_threshold_accumulate,
+    threshold_residual,
+    threshold_weights,
+)
 
 FEASIBILITY_TOL = 1e-8
+# A dense step reads its gradient from K = A A' (see _SampleGram) when
+# the rows its residual moved, plus K's p rows, number at most
+# n // ROUTE_DIVISOR: the route then reads that many columns of length p
+# (gathered from A, and all of K) where the kernel reads all n.  One
+# thread, route over kernel time per step, two runs, at moved + p = n/8,
+# n/4 and n/3: at 200x2000, 0.23-0.32, 0.44-0.67 and 0.80-1.08 for a
+# vector, 0.39-0.43, 0.60-0.72 and 0.80-0.90 at m = 5; at 800x8000,
+# 0.13-0.16, 0.30-0.32 and 0.54-0.73, and 0.11, 0.23 and 0.27-0.28.
+ROUTE_DIVISOR = 4
+# A fit keeps the route's state, and so may build K, only after its first
+# p // SAMPLE_GRAM_DIVISOR matrix steps, and only until as many of its
+# steps could not take the route.  K costs p^2 n / 2 multiply-adds and a
+# route step saves part of one accumulation (p n m), so the steps K takes
+# to repay grow with p.  Measured as above, K takes 2.5-3.0 ms at
+# 200x2000, what 19-24 vector or 10-14 m = 5 route steps save at n/8 and
+# 26-47 or 19-25 at n/4; 112 ms at 800x8000, what 30-36 or 9-10 steps
+# save at n/8 and 39-43 or 11 at n/4.  The state costs every step that
+# keeps it: inside 200x2000 fits, about 20 us for a vector and 60-120 us
+# at m = 5, where a route step saves about 100 and 300 us.
+SAMPLE_GRAM_DIVISOR = 8
+# A matrix that fits in a core's 2 MiB L2 cache feeds the kernel faster
+# than the route's fixed work per step (the residual and its moved rows)
+# repays: at 120x1200 (1.2 MB), measured as above, the route took
+# 0.80-1.11 and 0.88-0.95 of the kernel's time at n/8, and 1.07-1.46 at
+# n/4.
+ROUTE_MIN_BYTES = 2**21
+# The moved rows of A are gathered this many bytes at a time.  One
+# gathered copy of them all leaves the cache once it outgrows it, and its
+# product reads it back from memory: at 800x8000, one thread, 1866 rows
+# took 2.8 ms for a vector and 7.7 ms at m = 5 in one copy, 1.8 and
+# 2.2 ms in blocks of 1 MiB.  At 200x2000 the route's rows fit in one.
+GATHER_BYTES = 2**20
 
 
 class RankDeficiencyError(RuntimeError):
@@ -142,21 +181,131 @@ def polar_projection(G):
     return U @ Vt
 
 
+class _SampleGram:
+    """K = A A', the p x p Gram matrix of the samples, for the dense-step
+    route of _Retraction.
+
+    One is shared by the climbs of a block fit or of a single-unit
+    sequence.  Their first p // SAMPLE_GRAM_DIVISOR matrix steps run the
+    kernel and keep no state for the route, so a short fit pays nothing
+    for it.  After those, K is built on the first step that takes the
+    route, so a fit whose steps never could never builds it, and the fit
+    stops keeping the state once as many of its steps could not take the
+    route, so a fit whose steps seldom can stops paying for it.
+    """
+
+    def __init__(self, A):
+        self.A = A
+        self.limit = A.n // ROUTE_DIVISOR - A.p if 8 * A.p * A.n >= ROUTE_MIN_BYTES else -1
+        self.due = self.misses = A.p // SAMPLE_GRAM_DIVISOR
+        self.K = None
+
+    def tracking(self):
+        """Whether a matrix step keeps the route's state; a step that does
+        not counts towards it until it is due."""
+        if self.limit < 0 or self.misses <= 0:
+            return False
+        if self.due > 0:
+            self.due -= 1
+            return False
+        return True
+
+    def matrix(self):
+        """K, built on first use."""
+        if self.K is None:
+            values = self.A.values
+            self.K = values @ values.T
+        return self.K
+
+
+def _route_rows(W, R, R_prev, limit):
+    # The rows where the residual moved (in any column of a block), or None
+    # when more than limit did or a column of W is all zero: the kernel
+    # gives such a column an exactly zero gradient, which zero-gradient
+    # stops and the polar factor's rank test rely on, where the route would
+    # leave a rounding-level remainder.
+    changed = R != R_prev
+    if changed.ndim == 2:
+        changed = changed @ np.ones(changed.shape[1], bool)
+    rows = np.flatnonzero(changed)
+    if rows.size > limit:
+        return None
+    # For a block, a boolean product: about 8 us against 48 us for
+    # W.any(axis=0) on a 2000 x 5 block.
+    live = W.any() if W.ndim == 1 else (np.ones(len(W), bool) @ (W != 0)).all()
+    return rows if live else None
+
+
+def _gathered_product(values, rows, D):
+    # values[:, rows] @ D, gathered GATHER_BYTES at a time: one gathered
+    # copy of all the rows leaves the cache once it outgrows it, and its
+    # product then reads it back from memory.
+    width = max(1, GATHER_BYTES // (8 * values.shape[0]))
+    out = values[:, rows[:width]] @ D[:width]
+    for lo in range(width, len(rows), width):
+        out += values[:, rows[lo:lo + width]] @ D[lo:lo + width]
+    return out
+
+
 class _Retraction:
     """The matrix step of the power loop: threshold weights W -> gradient
     A W, less its projection on the directions that project() removes
     (none for ascend) -> retraction (normalization for a vector, the polar
-    factor for a block) -> the new correlations mu * A'X."""
+    factor for a block) -> the new correlations S = mu * A'X.
 
-    def __init__(self, A, X, mu, workers, project=None):
+    A W has two sources.  The accumulation kernel reads all of A.  A
+    dense step can read it from K = A A' instead: with the residual
+    R = S - W (threshold_residual), A W = mu K X - A R, and R moves
+    between steps only on the rows that are or were inactive, plus the
+    l1 rows whose sign flipped, so A R is updated from the previous step's
+    by one product over those rows of A.  A step takes that route when
+    few rows moved and its fit keeps the route's state (sample_gram); the
+    route depends on the weights' history alone, never on the worker
+    count.
+    """
+
+    def __init__(self, A, X, gamma, mu, penalty, workers, project=None, sample_gram=None):
         self.A, self.mu, self.workers, self.project = A, mu, workers, project
+        self.gamma, self.penalty = gamma, penalty
+        self.sample_gram = _SampleGram(A) if sample_gram is None else sample_gram
         self.X = X if project is None else project(X)
-        self.start = mu * par_matvec_t(A, self.X, workers)
+        # S belongs to X.  R is the last step's residual; after a route
+        # step AR is its A R, after a kernel step `last` holds its (A W, X),
+        # from which A R = mu K X - A W is formed only if this step takes
+        # the route.  Each is None when unknown.
+        self.start = self.S = mu * par_matvec_t(A, self.X, workers)
+        self.R = self.AR = self.last = None
+
+    def forget(self):
+        """Drop the route's state: X no longer gives the correlations."""
+        self.S = self.R = self.AR = self.last = None
+
+    def _accumulate(self, W):
+        # A W for the weights W of the correlations S of the current X.
+        S, R_prev, AR_prev, last = self.S, self.R, self.AR, self.last
+        self.forget()
+        gram = self.sample_gram
+        if S is None or not gram.tracking():
+            return par_threshold_accumulate(self.A, W, self.workers)
+        self.R = R = threshold_residual(S, W, self.gamma, self.penalty)
+        rows = None if R_prev is None else _route_rows(W, R, R_prev, gram.limit)
+        if rows is None:
+            if R_prev is not None:
+                gram.misses -= 1
+            AW = par_threshold_accumulate(self.A, W, self.workers)
+            self.last = AW, self.X
+            return AW
+        K = gram.matrix()
+        if AR_prev is None:
+            AW_last, X_last = last
+            AR_prev = self.mu * (K @ X_last) - AW_last
+        self.AR = AR_prev + _gathered_product(self.A.values, rows, R[rows] - R_prev[rows])
+        return self.mu * (K @ self.X) - self.AR
 
     def retract(self, W):
         """Move X to the retracted gradient for the weights W; False,
         leaving X, when that gradient is zero."""
-        G = (2.0 * self.mu) * par_threshold_accumulate(self.A, W, self.workers)
+        G = (2.0 * self.mu) * self._accumulate(W)
         if self.project is not None:
             G = self.project(G)
         if G.ndim == 1:
@@ -171,7 +320,8 @@ class _Retraction:
     def __call__(self, W):
         if not self.retract(W):
             return None
-        return self.mu * par_matvec_t(self.A, self.X, self.workers)
+        self.S = self.mu * par_matvec_t(self.A, self.X, self.workers)
+        return self.S
 
     def iterate(self):
         return self.X
@@ -231,7 +381,7 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, workers=1):
     returned X.  An X off the sphere or Stiefel manifold raises ValueError.
     """
     A = as_data_matrix(A)
-    step = _Retraction(A, _check_iterate(X, A.p), mu, workers)
+    step = _Retraction(A, _check_iterate(X, A.p), gamma, mu, penalty, workers)
     return climb(step, gamma, penalty, tol, max_iter)
 
 

@@ -315,6 +315,11 @@ def parse_args(argv=None):
                 f"--{name} has {len(value)} values; give one, or one per component "
                 "for every --m"
             )
+    # A size of the P = N/10 grid holds at most P components.
+    for size in getattr(args, "sizes", ()):
+        if args.m > size // 10:
+            raise UsageError(f"--m {args.m} exceeds P = {size // 10} at size N={size} "
+                             "(P = N/10 samples carry at most P components)")
     return args
 
 

@@ -18,7 +18,8 @@ stay bitwise identical across worker counts.  Sparse single-unit steps
 come here only until their sequence has built A'A: from then on they
 read cached columns of it (see single_unit), and call these kernels
 only for a climb's start correlations, its denser steps and its final
-iterate.
+iterate.  A dense step whose thresholding moved on few columns skips
+the accumulation once its fit has built A A' (see block._SampleGram).
 """
 
 import os
@@ -191,6 +192,23 @@ def threshold_weights(correlations, gamma, penalty):
     raise ValueError(f"unknown penalty {penalty!r}")
 
 
+def threshold_residual(correlations, weights, gamma, penalty):
+    """What thresholding removed, c_i - w_i, for the weights
+    w = threshold_weights(c, gamma, penalty).
+
+    l1: c_i clipped to [-gamma, gamma], so a column that stays active
+    with the same sign keeps the residual gamma * sign(c_i) bitwise,
+    where the subtraction would round it differently at every iterate;
+    l0: the subtraction, which is exact (w_i is c_i or 0).
+    """
+    c = np.asarray(correlations, dtype=np.float64)
+    if penalty == "l1":
+        return np.minimum(np.maximum(c, -gamma), gamma)
+    if penalty == "l0":
+        return c - weights
+    raise ValueError(f"unknown penalty {penalty!r}")
+
+
 def par_threshold_accumulate(A, weights, workers=1):
     """Weighted column sum sum_i w_i a_i: A w for length-n weights, A W
     for an n x m block.
@@ -227,22 +245,25 @@ def _available_memory():
         return None
 
 
-def check_allocation(P, N):
-    """Raise MemoryError before allocating if a P x N float64 matrix
-    cannot plausibly fit in physical memory.
+def check_allocation(P, N, matrices=1):
+    """Raise MemoryError before allocating if `matrices` P x N float64
+    matrices cannot plausibly fit in physical memory.
 
-    One such matrix is the peak of a scaling run and of a timing sweep of
-    the sparse variants: each instance is drawn straight into the solvers'
-    column-major storage and shared by every fit, and column_norms sums
-    over blocks of columns.  The pca baseline's SVD adds about two more.
+    Callers pass the matrices they hold at their peak: one for a scaling
+    run, a data load, or the instance a timing sweep shares among its
+    fits, bench.PCA_SWEEP_MATRICES for a sweep with pca.  The sparse fits'
+    temporaries (gathered columns, block's K = A A') take a sparse sweep
+    to 1.2-1.3 matrices at N = 4000 and 1.7 at N = 2000 (tracemalloc),
+    which the check leaves as slack.
     """
-    needed = int(P) * int(N) * 8
+    needed = int(matrices * int(P) * int(N) * 8)
     available = _available_memory()
     if available is None:
         return
     if needed > available:
         raise MemoryError(
-            f"a {P}x{N} matrix needs {needed} bytes but only {available} are available"
+            f"{matrices} {P}x{N} matrices need {needed} bytes but only {available} "
+            "are available"
         )
 
 

@@ -10,19 +10,24 @@ ComponentSequence that a later request for more components extends.
 The deflation stays implicit.  Component l is solved on
 A_l = (I - X X')A, where X holds the directions of the components
 before it, but A_l is never formed: a step accumulates y = A w, projects
-X out of it and correlates x = y / ||y|| with A.  When few columns are
-active, a step takes its correlations from cached columns of G = A'A
-instead, because A_l'x = G_l w / sqrt(w'G_l w) with G_l = G - C C' and
-C = A'X (see GRAM_DIVISOR); G is built once the sequence has taken
-enough such steps to pay for it.  The iterate itself is then formed
-once, at the end of the climb.
+X out of it and correlates x = y / ||y|| with A.  A step's products have
+three sources.  A step runs the two kernels on A by default.  When few
+columns are active, it takes its correlations from cached columns of
+G = A'A instead, because A_l'x = G_l w / sqrt(w'G_l w) with
+G_l = G - C C' and C = A'X (see GRAM_DIVISOR), and leaves the iterate
+unformed until the end of the climb.  When nearly every column is active
+and its thresholding moved on few of them, it takes y = A w from
+K = A A' (block._SampleGram): x is orthogonal to X, so A_l'x = A'x, and
+K needs no deflation.  The sequence builds G once it has taken enough
+sparse steps to pay for it (see _Deflated.gram_ready), and K on its
+first route step (see block.SAMPLE_GRAM_DIVISOR).
 """
 
 import time
 
 import numpy as np
 
-from .block import _check_iterate, _loadings, _Retraction, climb
+from .block import _check_iterate, _loadings, _Retraction, _SampleGram, climb
 from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
 from .parallel import threshold_weights
 # Single-unit steps reach the kernels through block._Retraction; perfbench
@@ -120,7 +125,8 @@ class _Deflated:
     Holds A, the orthonormal directions X (p x l), their correlations
     C = A'X (n x l), the column norms of A_l and, once the sequence has
     taken enough sparse steps, G = A'A.  A_l'A_l = G - C C', so a step
-    needs only the rows of G at its active columns.
+    needs only the rows of G at its active columns.  Its sample_gram
+    holds the sequence's K = A A' for dense steps.
     """
 
     def __init__(self, A):
@@ -130,6 +136,7 @@ class _Deflated:
         self.norms = column_norms(A)
         self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
         self.gram = None
+        self.sample_gram = _SampleGram(A)
         # Sparse steps left to take on the matrix route before G is built,
         # see gram_ready.
         self.gram_due = A.n // 4
@@ -190,12 +197,15 @@ class _Step(_Retraction):
     A sparse step (1 to data.gram_limit active columns) takes the Gram
     route once data.gram_ready() and leaves the iterate unformed; any
     other step takes the matrix route of _Retraction with X projected
-    out, which forms it.  Which route a step takes depends on its weights
-    and on the sequence's earlier steps, never on the worker count.
+    out, which forms it.  A Gram step resets the state of _Retraction's
+    route from K, so the next two matrix steps run the kernel.  Which
+    route a step takes depends on its weights and on the sequence's
+    earlier steps, never on the worker count.
     """
 
-    def __init__(self, data, x, workers):
-        super().__init__(data.A, x, 1.0, workers, data.project)
+    def __init__(self, data, x, gamma, penalty, workers):
+        super().__init__(data.A, x, gamma, 1.0, penalty, workers, data.project,
+                         data.sample_gram)
         self.data = data
         # The weights that give the iterate, while the Gram route has left
         # it unformed.
@@ -213,6 +223,7 @@ class _Step(_Retraction):
         S_new = self._gram_step(W)
         if S_new is not None:
             self._unformed = W
+            self.forget()
             return S_new
         self._unformed = None
         return super().__call__(W)
@@ -226,7 +237,8 @@ class _Step(_Retraction):
 
 def _climb(data, x0, gamma, config, workers):
     # One single-unit climb on A_l from x0; returns (x, s, history, converged).
-    return climb(_Step(data, x0, workers), gamma, config.penalty, config.tol, config.max_iter)
+    step = _Step(data, x0, gamma, config.penalty, workers)
+    return climb(step, gamma, config.penalty, config.tol, config.max_iter)
 
 
 def _solve_component(data, gamma, config, workers):

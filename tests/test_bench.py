@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gpspca.parallel
+
 from gpspca import (
     DataMatrix,
     ExperimentConfig,
@@ -407,6 +409,22 @@ class TestTimingExperiment:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * (N // 10) * N
+
+    def test_size_pca_cannot_fit_is_skipped(self, monkeypatch, capsys):
+        # Room for two 5 x 50 matrices: enough for a sparse sweep's one
+        # instance, not for the centered copy and SVD factors of pca's.
+        monkeypatch.setattr(gpspca.parallel, "_available_memory", lambda: 2 * 8 * 5 * 50)
+        draws = []
+        draw = bench._standard_normal_matrix
+        monkeypatch.setattr(bench, "_standard_normal_matrix",
+                            lambda *args: draws.append(args) or draw(*args))
+        rows = run_timing_experiment(self.config(timing_sizes=(50,),
+                                                 timing_variants=("sl1", "pca")))
+        assert rows == [] and draws == []
+        assert "skipping N=50" in capsys.readouterr().err
+        rows = run_timing_experiment(self.config(timing_sizes=(50,),
+                                                 timing_variants=("sl1", "bl1")))
+        assert len(rows) == 2 * 2 * 3 and len(draws) == 2
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "timing.csv"

@@ -343,8 +343,199 @@ class TestThresholdOncePerIterate:
             monkeypatch.setattr(owner, name, counting)
         i = int(np.argmax(data.norms))
         x0 = data.columns(i) / data.norms[i]
-        _, _, history, converged = climb(single_unit._Step(data, x0, 1), 3.0, "l1", 0.0,
-                                         self.STEPS)
+        step = single_unit._Step(data, x0, 3.0, "l1", 1)
+        _, _, history, converged = climb(step, 3.0, "l1", 0.0, self.STEPS)
         assert len(history) == self.STEPS + 1 and not converged
         assert routes["gram"] > 0 and routes["matrix"] > 0
         assert thresholds == {"block": self.STEPS + 1, "parallel": 0}
+
+
+class TestSampleGramRoute:
+    """A dense step may read its gradient as A W = mu K X - A R, from
+    K = A A' and the residual R = S - W updated on the rows where it
+    moved; every such step must agree with the accumulation kernel."""
+
+    GAMMA = {"l1": 0.02, "l0": 0.0004}
+
+    @pytest.fixture(autouse=True)
+    def route_at_any_size(self, monkeypatch):
+        # The 40 x 800 test matrix fits in cache, where the route does not
+        # pay; on it a step may take the route with up to 800 // 4 - 40 = 160
+        # moved rows, once the fit has taken 40 // 8 = 5 matrix steps, until
+        # 5 of its steps could not.
+        monkeypatch.setattr(gpspca.block, "ROUTE_MIN_BYTES", 0)
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        # Compares every gradient a step forms with the kernel on the same
+        # weights, and counts the steps that ran the kernel themselves.
+        log = {"steps": 0, "kernel": 0, "worst": 0.0}
+        original = gpspca.block._Retraction._accumulate
+        kernel = gpspca.parallel.par_threshold_accumulate
+
+        def accumulate(step, W):
+            got = original(step, W)
+            want = kernel(step.A, W)
+            log["steps"] += 1
+            log["worst"] = max(log["worst"], np.linalg.norm(got - want) / np.linalg.norm(want))
+            return got
+
+        def counting(*args):
+            log["kernel"] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(gpspca.block._Retraction, "_accumulate", accumulate)
+        monkeypatch.setattr(gpspca.block, "par_threshold_accumulate", counting)
+        return log
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        # Each _SampleGram that built its K.
+        built = []
+        original = gpspca.block._SampleGram.matrix
+
+        def matrix(gram):
+            if gram.K is None:
+                built.append(gram)
+            return original(gram)
+
+        monkeypatch.setattr(gpspca.block._SampleGram, "matrix", matrix)
+        return built
+
+    @staticmethod
+    def data(seed=50):
+        return DataMatrix(np.random.default_rng(seed).standard_normal((40, 800)))
+
+    @pytest.mark.parametrize("penalty", ["l1", "l0"])
+    @pytest.mark.parametrize("m", [1, 3], ids=["vector", "block"])
+    def test_ascend_matches_kernel(self, checked, builds, penalty, m):
+        A = self.data()
+        X = random_stiefel(np.random.default_rng(51), 40, m)
+        gamma = self.GAMMA[penalty]
+        X, gamma = (X[:, 0], gamma) if m == 1 else (X, np.full(m, gamma))
+        _, _, history, _ = ascend(A, X, gamma, 1.0, penalty, 0.0, 30)
+        assert checked["steps"] == len(history) - 1 == 30
+        assert checked["worst"] <= 1e-12
+        # The first five steps keep no state and the sixth keeps only its
+        # residual; the seventh builds K and takes the route.  A vector's
+        # later steps all take it; a block's moved rows are the union over
+        # its columns, so some of its steps run the kernel.
+        assert len(builds) == 1
+        assert checked["kernel"] == 6 if m == 1 else 6 <= checked["kernel"] <= 12
+
+    @pytest.mark.parametrize("penalty", ["l1", "l0"])
+    def test_sequence_with_earlier_directions_matches_kernel(self, checked, builds, penalty,
+                                                              monkeypatch):
+        # Moved rows gathered three at a time.
+        monkeypatch.setattr(gpspca.block, "GATHER_BYTES", 8 * 40 * 3)
+        config = SolverConfig(penalty=penalty, m=3, gamma=self.GAMMA[penalty], tol=1e-300,
+                              max_iter=25)
+        _, report = solve_multi_sequential(self.data(), config)
+        assert checked["steps"] == report.iterations == 75
+        assert checked["worst"] <= 1e-12
+        # One K for the whole sequence: components 2 and 3 run the kernel
+        # only on their first step, which has no earlier residual, then
+        # take the route.
+        assert len(builds) == 1 and checked["kernel"] == 6 + 1 + 1
+
+    def test_sequence_crossing_gram_steps_matches_kernel(self, checked, monkeypatch):
+        # Force Gram-route steps on a fixed schedule.  A Gram step leaves
+        # the iterate unformed, so the next matrix step has no correlations
+        # for the route and runs the kernel, as does the one after it,
+        # which only recovers A R.
+        schedule = {10, 11, 17}
+        taken = []
+
+        def gram_step(step, W):
+            taken.append(len(taken))
+            if taken[-1] not in schedule:
+                return None
+            data = step.data
+            if data.gram is None:
+                data.gram = data.A.values.T @ data.A.values
+            return data.gram_correlations(W, np.flatnonzero(W))
+
+        monkeypatch.setattr(single_unit._Step, "_gram_step", gram_step)
+        data = single_unit._Deflated(self.data())
+        x0 = data.columns(0) / data.norms[0]
+        gamma = self.GAMMA["l1"]
+        _, _, history, _ = climb(single_unit._Step(data, x0, gamma, "l1", 1), gamma, "l1",
+                                 0.0, 30)
+        assert len(history) == 31
+        # 27 matrix steps; the last step is one, so the iterate is formed.
+        assert checked["steps"] == 27 and checked["worst"] <= 1e-12
+        # Six kernel calls as in test_ascend_matches_kernel, then the
+        # route until step 10.  Steps 12, 13 and 18, 19 run the kernel.
+        assert checked["kernel"] == 6 + 2 + 2
+
+    @pytest.mark.parametrize("m", [1, 3], ids=["vector", "block"])
+    def test_all_zero_weight_column_gives_zero_gradient(self, monkeypatch, m):
+        A = self.data()
+        X = random_stiefel(np.random.default_rng(52), 40, m)
+        gamma = self.GAMMA["l1"] if m == 1 else np.full(m, self.GAMMA["l1"])
+        gram = gpspca.block._SampleGram(A)
+        gram.due = 0
+        step = gpspca.block._Retraction(A, X[:, 0] if m == 1 else X, gamma, 1.0, "l1", 1,
+                                        sample_gram=gram)
+        S = step.start
+        for _ in range(10):
+            S = step(gpspca.parallel.threshold_weights(S, gamma, "l1"))
+        assert gram.K is not None and step.AR is not None
+        gradients = []
+        polar = gpspca.block.polar_projection
+        monkeypatch.setattr(gpspca.block, "polar_projection",
+                            lambda G: gradients.append(G) or polar(G))
+        W = gpspca.parallel.threshold_weights(S, gamma, "l1")
+        if m == 1:
+            assert step(np.zeros_like(W)) is None
+        else:
+            W[:, 1] = 0.0
+            with pytest.raises(RankDeficiencyError):
+                step(W)
+            assert np.all(gradients[0][:, 1] == 0.0)
+
+    def test_workers_bitwise(self, monkeypatch):
+        # Chunks of 32 columns, so two workers split every kernel call.
+        monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
+        A = self.data()
+        for variant in (solve_multi_sequential, solve_block):
+            runs = []
+            for workers in (1, 2):
+                config = SolverConfig(m=3, gamma=self.GAMMA["l1"], tol=1e-300, max_iter=20,
+                                      init="random_orthonormal")
+                loadings, report = variant(A, config, workers)
+                runs.append((loadings.values.tobytes(), report.component_histories))
+            assert runs[0] == runs[1]
+
+    def test_fit_whose_steps_cannot_take_the_route_stops_tracking(self, monkeypatch, builds):
+        residuals = []
+        original = gpspca.block.threshold_residual
+        monkeypatch.setattr(gpspca.block, "threshold_residual",
+                            lambda *args: residuals.append(1) or original(*args))
+        # At gamma 0.5 about a third of each column is inactive, so the
+        # residual moves on far more than 160 rows at every step.
+        X = random_stiefel(np.random.default_rng(54), 40, 3)
+        ascend(self.data(), X, np.full(3, 0.5), 1.0, "l1", 0.0, 30)
+        # Steps 6 to 11 keep the residual: the first has no earlier one to
+        # compare, the next five could not take the route.
+        assert len(residuals) == 6 and builds == []
+
+    def test_no_route_no_k(self, checked, builds):
+        # A sparse sequence: most columns inactive, so the residual moves
+        # on nearly every row and no step could take the route.
+        ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
+                                      n_factors=5, support_size=5, seed=3)
+        A = DataMatrix(ds.samples - ds.samples.mean(axis=0))
+        solve_multi_sequential(A, SolverConfig(m=3, gamma=3.0, max_iter=50))
+        assert builds == []
+        # A dense climb that stops before it could take the route: the first
+        # five steps keep no state, the sixth only its residual.
+        checked.update(steps=0, kernel=0)
+        x0 = random_stiefel(np.random.default_rng(53), 40, 1)[:, 0]
+        ascend(self.data(), x0, self.GAMMA["l1"], 1.0, "l1", 0.0, 6)
+        assert builds == [] and checked["kernel"] == checked["steps"] == 6
+        # A matrix that fits in cache never takes the route.
+        gpspca.block.ROUTE_MIN_BYTES = 8 * 40 * 800 + 1
+        checked.update(steps=0, kernel=0)
+        ascend(self.data(), x0, self.GAMMA["l1"], 1.0, "l1", 0.0, 30)
+        assert builds == [] and checked["kernel"] == checked["steps"] == 30

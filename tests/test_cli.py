@@ -291,6 +291,15 @@ class TestBenchCommands:
         assert code == 1
         assert not out.exists()
 
+    def test_bench_timing_m_above_p_is_usage_error(self, tmp_path, capsys):
+        # At N = 10 the grid has P = 1 sample, too few for 3 components; the
+        # sweep is refused before it fits the size that could take them.
+        out = tmp_path / "timing.csv"
+        code = main(["bench-timing", "--sizes", "50,10", "--m", "3", "--instances", "1",
+                     "--out", str(out)])
+        assert code == 1 and not out.exists()
+        assert "N=10" in capsys.readouterr().err
+
     def test_bench_recognition_writes_csv(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
         out = tmp_path / "rec.csv"

@@ -511,7 +511,7 @@ class TestImplicitDeflation:
         for k, gram_route in ((limit, True), (limit + 1, False)):
             data = single_unit._Deflated(A)
             data.gram_due = 0
-            step = single_unit._Step(data, random_unit(rng, 40), 1)
+            step = single_unit._Step(data, random_unit(rng, 40), 1.0, "l1", 1)
             S = np.zeros(200)
             S[rng.choice(200, k, replace=False)] = 2.0
             matvecs.clear()
@@ -532,7 +532,7 @@ class TestImplicitDeflation:
         A = DataMatrix(rng.standard_normal((40, 200)))
         limit = 40 // single_unit.GRAM_DIVISOR
         data = single_unit._Deflated(A)
-        step = single_unit._Step(data, random_unit(rng, 40), 1)
+        step = single_unit._Step(data, random_unit(rng, 40), 1.0, "l1", 1)
         matvecs = count_calls(monkeypatch, block, "par_matvec_t")
 
         def sparse_correlations(k):
@@ -610,7 +610,7 @@ class TestImplicitDeflation:
         A = DataMatrix(np.diag([3.0, 2.0, 1.0]))
         data = single_unit._Deflated(A)
         data.add(np.array([1.0, 0.0, 0.0]), np.array([np.nextafter(3.0, 3.0 + excess), 0, 0]))
-        step = single_unit._Step(data, np.array([0.0, 1.0, 0.0]), 1)
+        step = single_unit._Step(data, np.array([0.0, 1.0, 0.0]), 0.5, "l1", 1)
         accumulations = count_calls(monkeypatch, block, "par_threshold_accumulate")
         assert take_step(step, np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
         assert data.gram is not None and len(accumulations) == 1
