@@ -34,6 +34,7 @@ from .datasets import (
     GroupedSplit,
     PerClassCount,
     load_dataset,
+    make_splits,
     numbered_lines,
     read_svmlight,
     read_table,
@@ -112,10 +113,12 @@ POSITIVE = _typed(int, lambda v: v >= 1, "an integer >= 1")
 NON_NEGATIVE = _typed(int, lambda v: v >= 0, "an integer >= 0")
 POSITIVES = _typed(int, lambda v: v >= 1, "comma-separated integers >= 1", many=True)
 INTEGERS = _typed(int, lambda v: True, "comma-separated integers", many=True)
-TOL = _typed(float, lambda v: v > 0, "a number > 0")
-GAMMAS = _typed(float, lambda v: v >= 0, "comma-separated numbers >= 0", many=True)
+# float() parses inf too, which no solver setting takes.
+TOL = _typed(float, lambda v: 0 < v < np.inf, "a finite number > 0")
+GAMMAS = _typed(float, lambda v: 0 <= v < np.inf, "comma-separated finite numbers >= 0", many=True)
 GAMMA = _scalar_or_list(GAMMAS)
-MU = _scalar_or_list(_typed(float, lambda v: v > 0, "comma-separated numbers > 0", many=True))
+MU = _scalar_or_list(_typed(float, lambda v: 0 < v < np.inf,
+                            "comma-separated finite numbers > 0", many=True))
 VARIANT = _typed(str, lambda v: v in VARIANTS, f"one of {','.join(VARIANTS)}")
 VARIANT_LIST = _typed(str, lambda v: v in VARIANTS, f"a list of {','.join(VARIANTS)}",
                       many=True)
@@ -201,11 +204,16 @@ def cmd_bench_recognition(args):
     if not args.dataset or not args.out:
         raise UsageError("bench-recognition requires --dataset and --out")
     dataset = load_dataset(args.dataset)
+    split = _split_policy(dataset, args)
+    # Every repetition's split draws the same number of training samples.
+    n_train = make_splits(dataset, split, seed=[args.seed, 0]).train_indices.size
+    if args.knn_k > n_train:
+        raise UsageError(f"--knn-k {args.knn_k} exceeds the {n_train} training samples")
     config = ExperimentConfig(
         variant=args.variant, m=args.m, gamma=args.gamma,
         mu=args.mu, repetitions=args.repetitions, seed=args.seed, out=args.out,
         workers=args.workers, tol=args.tol, max_iter=args.max_iter,
-        knn_k=args.knn_k, split=_split_policy(dataset, args),
+        knn_k=args.knn_k, split=split,
     )
     rows = run_recognition_experiment(config, dataset=dataset)
     print(f"wrote {len(rows)} rows to {config.out}")

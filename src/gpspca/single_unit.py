@@ -18,9 +18,9 @@ G_l = G - C C' and C = A'X (see GRAM_DIVISOR), and leaves the iterate
 unformed until the end of the climb.  When nearly every column is active
 and its thresholding moved on few of them, it takes y = A w from
 K = A A' (block._SampleGram): x is orthogonal to X, so A_l'x = A'x, and
-K needs no deflation.  The sequence builds G once it has taken enough
-sparse steps to pay for it (see _Deflated.gram_ready), and K on its
-first route step (see block.SAMPLE_GRAM_DIVISOR).
+K needs no deflation.  The sequence computes a row of G the first time
+its column is active in a sparse step (see _Deflated.gram_correlations),
+and K on its first route step (see block.SAMPLE_GRAM_DIVISOR).
 """
 
 import time
@@ -44,7 +44,7 @@ from .parallel import par_matvec_t, par_threshold_accumulate  # noqa: F401
 # 226-333 against 198-231 us at p/2.  The crossover lies between p/3 and
 # p/2; p/4 keeps a margin below it.
 GRAM_DIVISOR = 4
-# G = A'A is built, once per sequence, only when it takes at most this
+# A sequence caches rows of G = A'A only when all of G takes at most this
 # many bytes: 8 MB at n = 1000, 32 MB at n = 2000, 512 MB at n = 8000.
 GRAM_MAX_BYTES = 2**25
 
@@ -123,10 +123,10 @@ class _Deflated:
     """The deflated matrix A_l = (I - X X')A, never formed.
 
     Holds A, the orthonormal directions X (p x l), their correlations
-    C = A'X (n x l), the column norms of A_l and, once the sequence has
-    taken enough sparse steps, G = A'A.  A_l'A_l = G - C C', so a step
-    needs only the rows of G at its active columns.  Its sample_gram
-    holds the sequence's K = A A' for dense steps.
+    C = A'X (n x l), the column norms of A_l and the rows of G = A'A that
+    the sequence's sparse steps have needed so far.  A_l'A_l = G - C C',
+    so a step needs only the rows of G at its active columns.  Its
+    sample_gram holds the sequence's K = A A' for dense steps.
     """
 
     def __init__(self, A):
@@ -135,11 +135,11 @@ class _Deflated:
         self.C = np.empty((A.n, 0))
         self.norms = column_norms(A)
         self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
+        # Rows of G, valid where cached is set; both None until the first
+        # sparse step.
         self.gram = None
+        self.cached = None
         self.sample_gram = _SampleGram(A)
-        # Sparse steps left to take on the matrix route before G is built,
-        # see gram_ready.
-        self.gram_due = A.n // 4
 
     def add(self, x, c):
         """Deflate by one more direction x, orthogonal to X, with c = A'x."""
@@ -157,34 +157,22 @@ class _Deflated:
         """Column index of A_l, or the p x k columns for an index array."""
         return self.A.values[:, index] - self.X @ self.C[index].T
 
-    def gram_ready(self):
-        """Whether a sparse step may take the Gram route, building G when
-        it is due; a step that may not counts towards it.
-
-        G = A'A takes p n^2 / 2 multiply-adds (it is symmetric), as many as
-        n / 4 dense matrix steps of 2 p n (A w and A'x), so G is built on
-        the sparse step that follows n // 4 of them on the matrix route,
-        and a short sparse fit never builds it.  The BLAS runs G faster
-        per multiply-add than a step: measured with one thread, G takes
-        7.7 ms at 400x1000 and 23 ms at 200x2000, as long as 45 and 115-140
-        sparse steps save (219-264 us on the matrix route, 37-97 us on the
-        Gram route at k = 5 to p // 4).  Waiting for n // 4 rather than that
-        costs a 50-component recog-sparse sequence (400x1000, about 2400
-        steps) 190 -> 212 ms, and keeps fits of a few dozen steps at the
-        matrix route's cost: 11-15 ms at 200x2000, gamma 4, against 36 ms
-        when G is built on the first sparse step.
-        """
-        if self.gram is None:
-            if self.gram_due > 0:
-                self.gram_due -= 1
-                return False
-            values = self.A.values
-            self.gram = values.T @ values
-        return True
-
     def gram_correlations(self, w, active):
         """A_l'x for x = A_l w / ||A_l w||, from the rows of G at the
-        active columns of w; None when w'A_l'A_l w rounds to 0 or below."""
+        active columns of w; None when w'A_l'A_l w rounds to 0 or below.
+
+        Uncached rows are computed in one product A[:, new]'A, so a
+        sequence pays for the rows its supports visit; all of G, built on
+        the first sparse step, made fits of a few dozen steps 2-3x slower.
+        Which rows are computed when depends on the sequence's steps alone.
+        """
+        if self.gram is None:
+            self.gram = np.empty((self.A.n, self.A.n))
+            self.cached = np.zeros(self.A.n, dtype=bool)
+        new = active[~self.cached[active]]
+        if new.size:
+            self.gram[new] = self.A.values[:, new].T @ self.A.values
+            self.cached[new] = True
         w = w[active]
         v = w @ self.gram[active] - self.C @ (self.C[active].T @ w)
         q = w @ v[active]
@@ -195,12 +183,12 @@ class _Step(_Retraction):
     """A single-unit step on the deflated data, for block.climb.
 
     A sparse step (1 to data.gram_limit active columns) takes the Gram
-    route once data.gram_ready() and leaves the iterate unformed; any
-    other step takes the matrix route of _Retraction with X projected
-    out, which forms it.  A Gram step resets the state of _Retraction's
-    route from K, so the next two matrix steps run the kernel.  Which
-    route a step takes depends on its weights and on the sequence's
-    earlier steps, never on the worker count.
+    route and leaves the iterate unformed; any other step takes the
+    matrix route of _Retraction with X projected out, which forms it.
+    A Gram step resets the state of _Retraction's route from K, so the
+    next two matrix steps run the kernel.  Which route a step takes
+    depends on its weights and on the sequence's earlier steps, never
+    on the worker count.
     """
 
     def __init__(self, data, x, gamma, penalty, workers):
@@ -212,10 +200,10 @@ class _Step(_Retraction):
         self._unformed = None
 
     def _gram_step(self, W):
-        # The Gram route's correlations, or None when the step is not sparse,
-        # G is not due yet or w'A_l'A_l w rounded to 0 or below.
+        # The Gram route's correlations, or None when the step is not sparse
+        # or w'A_l'A_l w rounded to 0 or below.
         data = self.data
-        if not 0 < np.count_nonzero(W) <= data.gram_limit or not data.gram_ready():
+        if not 0 < np.count_nonzero(W) <= data.gram_limit:
             return None
         return data.gram_correlations(W, np.flatnonzero(W))
 
@@ -284,8 +272,8 @@ class ComponentSequence:
     growing a sequence to m and then to m' gives, bitwise, the
     components of one solve at m'.  The deflation is implicit: the
     sequence keeps the directions and correlations of the components so
-    far, not a deflated copy of the data, and G = A'A once its sparse
-    steps have paid for it (see _Deflated.gram_ready).  It also keeps each
+    far, not a deflated copy of the data, and the rows of G = A'A its
+    sparse steps have needed (see _Deflated).  It also keeps each
     component's loading column, objective history and converged flag.
     It grows past config.m only when every gamma_j is the same, because a
     per-component gamma belongs to its m.  Once a component comes back

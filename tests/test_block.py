@@ -332,7 +332,6 @@ class TestThresholdOncePerIterate:
         ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
                                       n_factors=5, support_size=5, seed=3)
         data = single_unit._Deflated(DataMatrix(ds.samples - ds.samples.mean(axis=0)))
-        data.gram_due = 0
         routes = {"gram": 0, "matrix": 0}
         for route, owner, name in (("gram", single_unit._Deflated, "gram_correlations"),
                                    ("matrix", gpspca.block, "par_threshold_accumulate")):
@@ -450,10 +449,7 @@ class TestSampleGramRoute:
             taken.append(len(taken))
             if taken[-1] not in schedule:
                 return None
-            data = step.data
-            if data.gram is None:
-                data.gram = data.A.values.T @ data.A.values
-            return data.gram_correlations(W, np.flatnonzero(W))
+            return step.data.gram_correlations(W, np.flatnonzero(W))
 
         monkeypatch.setattr(single_unit._Step, "_gram_step", gram_step)
         data = single_unit._Deflated(self.data())

@@ -75,8 +75,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags, config",
-        [(["--gamma", ","], None), (["--mu", "0"], None), ([], "tol = -5\n")],
-        ids=["empty-gamma", "zero-mu", "config-negative-tol"],
+        [(["--gamma", ","], None), (["--mu", "0"], None), ([], "tol = -5\n"),
+         (["--gamma", "0.1,inf"], None), (["--mu", "inf"], None), ([], "tol = inf\n")],
+        ids=["empty-gamma", "zero-mu", "config-negative-tol", "infinite-gamma", "infinite-mu",
+             "config-infinite-tol"],
     )
     def test_bad_solver_settings_are_usage_errors(self, tmp_path, capsys, flags, config):
         data = write_labeled_csv(tmp_path / "d.csv")
@@ -97,6 +99,15 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         assert main(["solve", "--input", str(data), *flags, "--out", str(out)]) == 1
         assert "--m" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_knn_k_above_the_training_samples_is_usage_error(self, tmp_path, capsys):
+        # 3 classes x 4 training samples: no 13th neighbour to vote.
+        data = write_labeled_csv(tmp_path / "d.csv")
+        out = tmp_path / "o.csv"
+        code = main(["bench-recognition", "--dataset", str(data), "--split", "per-class:4",
+                     "--knn-k", "13", "--out", str(out)])
+        assert code == 1 and "12 training samples" in capsys.readouterr().err
         assert not out.exists()
 
     def test_success_is_zero(self, tmp_path, capsys):

@@ -479,11 +479,32 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+class RowWrites(np.ndarray):
+    """A row cache that logs the rows each write fills; reads return plain
+    arrays."""
+
+    def __setitem__(self, rows, value):
+        self.log.append(np.asarray(rows).ravel().tolist())
+        super().__setitem__(rows, value)
+
+    def __getitem__(self, rows):
+        return self.view(np.ndarray)[rows]
+
+
+def log_row_writes(data):
+    # Swaps the cache of data, empty or not, for one that logs its writes.
+    if data.gram is None:
+        data.gram = np.empty((data.A.n, data.A.n))
+        data.cached = np.zeros(data.A.n, dtype=bool)
+    data.gram = data.gram.view(RowWrites)
+    data.gram.log = []
+    return data.gram.log
+
+
 class TestImplicitDeflation:
     """Components after the first are solved on (I - XX')A without forming
-    it; sparse steps read their correlations from the rows of G = A'A.
-    Most tests here set gram_due to 0, so G is built on the first sparse
-    step instead of after n // 4 of them."""
+    it; sparse steps read their correlations from the rows of G = A'A,
+    each computed the first time its column is active."""
 
     @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 12.0)])
     def test_gram_route_matches_matrix_route(self, monkeypatch, penalty, gamma):
@@ -491,7 +512,6 @@ class TestImplicitDeflation:
         cfg = SolverConfig(penalty=penalty, gamma=gamma, m=8, max_iter=500)
         gram_steps = count_calls(monkeypatch, single_unit._Deflated, "gram_correlations")
         sequence = ComponentSequence(A, cfg)
-        sequence._data.gram_due = 0
         gram, gram_report = sequence.solve(8)
         assert sequence._data.gram is not None and len(gram_steps) > 20
         monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
@@ -510,7 +530,6 @@ class TestImplicitDeflation:
         matvecs = count_calls(monkeypatch, block, "par_matvec_t")
         for k, gram_route in ((limit, True), (limit + 1, False)):
             data = single_unit._Deflated(A)
-            data.gram_due = 0
             step = single_unit._Step(data, random_unit(rng, 40), 1.0, "l1", 1)
             S = np.zeros(200)
             S[rng.choice(200, k, replace=False)] = 2.0
@@ -524,38 +543,52 @@ class TestImplicitDeflation:
             want = A.values.T @ x
             assert np.linalg.norm(S_new - want) <= 1e-12 * np.linalg.norm(want)
 
-    def test_gram_is_built_after_a_quarter_n_sparse_steps(self, monkeypatch):
-        # Building G costs about n // 4 matrix steps, so the first n // 4
-        # sparse steps take the matrix route and the next one builds G.
-        # A step that is not sparse does not count.
+    def test_sparse_step_computes_only_its_uncached_rows(self, monkeypatch):
         rng = np.random.default_rng(42)
         A = DataMatrix(rng.standard_normal((40, 200)))
-        limit = 40 // single_unit.GRAM_DIVISOR
         data = single_unit._Deflated(A)
         step = single_unit._Step(data, random_unit(rng, 40), 1.0, "l1", 1)
         matvecs = count_calls(monkeypatch, block, "par_matvec_t")
+        first = rng.choice(200, 10, replace=False)
+        second = np.concatenate([first[:6], rng.choice(np.setdiff1d(np.arange(200), first),
+                                                       4, replace=False)])
 
-        def sparse_correlations(k):
+        def sparse_step(support):
             S = np.zeros(200)
-            S[rng.choice(200, k, replace=False)] = 2.0
-            return S
+            S[support] = rng.uniform(2.0, 3.0, support.size)
+            S_new = take_step(step, S, 1.0, "l1")
+            want = A.values.T @ step.iterate()
+            assert np.linalg.norm(S_new - want) <= 1e-12 * np.linalg.norm(want)
 
-        take_step(step, sparse_correlations(limit + 1), 1.0, "l1")
-        assert data.gram_due == 200 // 4
-        for _ in range(200 // 4):
-            take_step(step, sparse_correlations(limit), 1.0, "l1")
-        assert data.gram is None and data.gram_due == 0 and len(matvecs) == 200 // 4 + 1
-        take_step(step, sparse_correlations(limit), 1.0, "l1")
-        assert data.gram is not None and len(matvecs) == 200 // 4 + 1
+        # The first sparse step allocates the cache and fills its rows.
+        sparse_step(first)
+        assert np.array_equal(np.flatnonzero(data.cached), np.sort(first))
+        # The same support again computes no row; one that overlaps it
+        # computes only its new rows, in one product.
+        writes = log_row_writes(data)
+        sparse_step(first)
+        assert writes == []
+        sparse_step(second)
+        assert writes == [sorted(set(second.tolist()) - set(first.tolist()))]
+        assert matvecs == []
+        cached = np.flatnonzero(data.cached)
+        assert np.array_equal(cached, np.union1d(first, second))
+        G = A.values.T @ A.values
+        assert np.max(np.abs(data.gram[cached] - G[cached])) <= 1e-12 * np.max(np.abs(G))
 
-    def test_short_sparse_sequence_never_builds_gram(self):
-        # One component at gamma 3 takes fewer than n // 4 = 50 steps, all
-        # of them sparse: too few to pay for G.
+    def test_grown_sequence_computes_no_row_twice(self):
+        # Restarts, refine trials and later solve() calls share one cache.
         A = sparse_factor_matrix()
-        sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=3.0, m=1))
-        _, report = sequence.solve(1)
-        assert report.iterations < 50
-        assert sequence._data.gram is None and sequence._data.gram_due < 50
+        cfg = SolverConfig(penalty="l1", gamma=3.0, m=8, restarts=2, refine=True)
+        sequence = ComponentSequence(A, cfg)
+        writes = log_row_writes(sequence._data)
+        for m in (2, 5, 8):
+            grown, _ = sequence.solve(m)
+        rows = [i for write in writes for i in write]
+        assert len(writes) > 1 and len(rows) == len(set(rows))
+        assert sorted(rows) == np.flatnonzero(sequence._data.cached).tolist()
+        fresh, _ = ComponentSequence(A, cfg).solve(8)
+        assert np.array_equal(grown.values, fresh.values)
 
     def test_dense_sequence_never_builds_gram(self):
         # desk-like: n = 10 p and nearly every column active.
@@ -564,7 +597,7 @@ class TestImplicitDeflation:
         sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=0.05, m=4))
         loadings, _ = sequence.solve(4)
         assert min(loadings.nnz_per_component()) > 300
-        assert sequence._data.gram is None
+        assert sequence._data.gram is None and sequence._data.cached is None
 
     def test_gram_over_the_byte_cap_is_never_built(self, monkeypatch):
         A = sparse_factor_matrix()
@@ -572,7 +605,6 @@ class TestImplicitDeflation:
         for cap, built in ((8 * 200 * 200 - 1, False), (8 * 200 * 200, True)):
             monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", cap)
             sequence = ComponentSequence(A, cfg)
-            sequence._data.gram_due = 0
             sequence.solve(3)
             assert (sequence._data.gram is not None) == built
 
@@ -585,7 +617,6 @@ class TestImplicitDeflation:
         if not gram:
             monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
         sequence = ComponentSequence(A, cfg)
-        sequence._data.gram_due = 0
         loadings, report = sequence.solve(3)
         assert (sequence._data.gram is not None) == gram
         # The reference deflates explicitly and climbs the deflated copy on
