@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .block import solve_block
+from .block import RankDeficiencyError, solve_block
 from .core import DataMatrix, SolverConfig, _standard_normal_matrix
 from .datasets import (
     FixedSplit,
@@ -262,9 +262,12 @@ def run_timing_experiment(config):
     solve converged (1/0; empty for pca, which has no solver report),
     grouped by cell (variant, gamma, workers) with the cell's median row
     after its instances; the median's converged cell is the share of
-    instances that converged.
-    A size whose peak cannot fit in memory is skipped, before its first
-    instance is drawn, and the sweep continues.
+    instances that converged.  A fit that raises RankDeficiencyError (a
+    gamma that zeroes a block component) is recorded in its row's error
+    column, with iterations and converged left empty, and the median row
+    counts only the instances without one.  A size whose peak cannot fit
+    in memory is skipped, before its first instance is drawn, and the
+    sweep continues.
     """
     m = config.m[0]
     worker_counts = config.timing_workers or (config.workers,)
@@ -291,33 +294,44 @@ def run_timing_experiment(config):
             A = _standard_normal_matrix(np.random.default_rng([config.seed, N, instance]), P, N)
             for (variant, gamma, workers), out in cell_rows:
                 start = time.perf_counter()
-                _, _, report = fit_projection(
-                    A, variant, m, gamma, config.mu, config.tol,
-                    config.max_iter, seed=[config.seed, N, instance],
-                    workers=workers, center=False,
-                )
+                error = ""
+                try:
+                    _, _, report = fit_projection(
+                        A, variant, m, gamma, config.mu, config.tol,
+                        config.max_iter, seed=[config.seed, N, instance],
+                        workers=workers, center=False,
+                    )
+                except RankDeficiencyError as err:
+                    report, error = None, f"{type(err).__name__}: {err}"
                 out.append({
                     "variant": variant, "N": N, "P": P, "gamma": gamma,
                     "workers": workers, "instance": instance,
                     "seconds": time.perf_counter() - start,
-                    "iterations": report.iterations if report else 0,
+                    "iterations": report.iterations if report else (None if error else 0),
                     "converged": int(report.converged) if report else None,
+                    "error": error,
                 })
             # Release this instance before the next one is drawn.
             del A
         for (variant, gamma, workers), out in cell_rows:
             rows.extend(out)
+            done = [r for r in out if not r["error"]]
             rows.append({
                 "variant": variant, "N": N, "P": P, "gamma": gamma,
                 "workers": workers, "instance": "median",
-                "seconds": float(np.median([r["seconds"] for r in out])),
-                "iterations": float(np.median([r["iterations"] for r in out])),
-                "converged": None if variant == "pca" else float(np.mean(
-                    [r["converged"] for r in out])),
+                "seconds": _median(done, "seconds"),
+                "iterations": _median(done, "iterations"),
+                "converged": None if variant == "pca" or not done else float(np.mean(
+                    [r["converged"] for r in done])),
+                "error": "",
             })
     if config.out:
         emit_report(rows, config.out)
     return rows
+
+
+def _median(rows, key):
+    return float(np.median([r[key] for r in rows])) if rows else None
 
 
 def emit_report(rows, path):

@@ -1,16 +1,23 @@
 """Generalized power iteration for all four sparse PCA formulations.
 
-One loop (climb) serves both modes: correlate the iterate with every
-column, threshold the correlations, accumulate the thresholded columns
-into the ascent direction, and retract.  A length-p iterate is a point
-on the unit sphere (single-unit) and retracts by normalization; a p x m
-iterate is a point on the Stiefel manifold (block) and retracts by the
-polar factor of the gradient (_Retraction).  ascend runs the loop with
-that step on a data matrix; single_unit runs it with the same step, the
-earlier directions projected out of the gradient.  A step's products
-have three sources: the kernels on A; for a dense step whose threshold
-moved on few columns, the gradient from K = A A' (_SampleGram); and, in
-single_unit, for a sparse step, the correlations from rows of A'A.
+One loop (climb) and one step (_Retraction) serve every variant:
+correlate the iterate with every column, threshold, accumulate the
+thresholded columns into the gradient, and retract.  A length-p iterate
+(single-unit, the block case with m = 1) is normalized; a p x m iterate
+(block) takes the polar factor of the gradient.  The steps of one block
+fit or single-unit sequence share one _Fit: single_unit's holds the
+earlier directions X of its sequence, which every step projects out.
+
+A step's products have three sources:
+- the kernels on A: the accumulation A W and the correlations A'X;
+- for a sparse step, with 0 < k <= p // GRAM_DIVISOR active rows of W,
+  cached rows of G = A'A: with G_l = G - C C' (C = A'X, empty for a
+  block fit), P = G_l[:, act] W_act, D = diag(2 mu) and the gradient's
+  Gram matrix M = D W_act' P[act] D, the new correlations are
+  mu P D M^{-1/2} (mu P / sqrt(w'P[act]) for a vector), and the iterate
+  is formed once, at the end of the climb;
+- for a dense step whose threshold moved on few rows, the gradient
+  A W = mu K X - A R from K = A A' and the residual R = S - W.
 Loading columns are the same threshold weights of the final
 correlations, normalized, with the per-component weights mu folded in.
 """
@@ -27,6 +34,7 @@ from .core import (
     column_norms,
 )
 from .parallel import (
+    _active_columns,
     par_matvec_t,
     par_threshold_accumulate,
     threshold_residual,
@@ -34,7 +42,23 @@ from .parallel import (
 )
 
 FEASIBILITY_TOL = 1e-8
-# A dense step reads its gradient from K = A A' (see _SampleGram) when
+# A step with 0 < k <= p // GRAM_DIVISOR active rows of W reads k rows of
+# G = A'A (about k*n*m multiply-adds) where the matrix step computes A W
+# and A'X (about p*n*m each).  One thread, per step, rows against matrix
+# step: for a vector, with 0 and 50 earlier directions, at 400x1000,
+# 75-151 against 229-259 us at k = p/4 and 201-321 against 243-329 us at
+# p/2; at 200x2000, 91-143 against 198-262 us at p/4, 186-234 against
+# 245-264 us at p/3 and 226-333 against 198-231 us at p/2.  At m = 5
+# (cached rows, best of 7x50 calls), at 400x1000, 167-171 against
+# 404-433 us at p/4 and 448-506 against 497-743 us at p/2; at 200x2000,
+# 180-299 against 438-442 us at p/4 and 356-437 against 480-555 us at
+# p/2.  The vector crossover lies between p/3 and p/2; p/4 keeps a margin
+# below it for every m.
+GRAM_DIVISOR = 4
+# A fit caches rows of G = A'A only when all of G takes at most this
+# many bytes: 8 MB at n = 1000, 32 MB at n = 2000, 512 MB at n = 8000.
+GRAM_MAX_BYTES = 2**25
+# A dense step reads its gradient from K = A A' (see _Fit) when
 # the rows its residual moved, plus K's p rows, number at most
 # n // ROUTE_DIVISOR: the route then reads that many columns of length p
 # (gathered from A, and all of K) where the kernel reads all n.  One
@@ -181,24 +205,52 @@ def polar_projection(G):
     return U @ Vt
 
 
-class _SampleGram:
-    """K = A A', the p x p Gram matrix of the samples, for the dense-step
-    route of _Retraction.
+class _Fit:
+    """What the steps of one block fit or single-unit sequence share.
 
-    One is shared by the climbs of a block fit or of a single-unit
-    sequence.  Their first p // SAMPLE_GRAM_DIVISOR matrix steps run the
-    kernel and keep no state for the route, so a short fit pays nothing
-    for it.  After those, K is built on the first step that takes the
-    route, so a fit whose steps never could never builds it, and the fit
-    stops keeping the state once as many of its steps could not take the
-    route, so a fit whose steps seldom can stops paying for it.
+    A; the earlier directions X (p x l, orthonormal) and C = A'X (n x l),
+    both empty for a block fit; the rows of G = A'A its sparse steps have
+    needed, each computed the first time its column is active (all of G,
+    built on the first sparse step, made fits of a few dozen steps 2-3x
+    slower); and K = A A' for its dense steps, on the schedule of
+    SAMPLE_GRAM_DIVISOR.  What is computed when depends on the fit's
+    steps alone, never on the worker count.
     """
 
     def __init__(self, A):
         self.A = A
+        self.X = np.empty((A.p, 0))
+        self.C = np.empty((A.n, 0))
+        self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
+        # Rows of G, valid where cached is set; both None until the first
+        # sparse step.
+        self.gram = self.cached = None
         self.limit = A.n // ROUTE_DIVISOR - A.p if 8 * A.p * A.n >= ROUTE_MIN_BYTES else -1
         self.due = self.misses = A.p // SAMPLE_GRAM_DIVISOR
         self.K = None
+
+    def add(self, x, c):
+        """Deflate by one more direction x, orthogonal to X, with c = A'x."""
+        self.X = np.column_stack([self.X, x])
+        self.C = np.column_stack([self.C, c])
+
+    def project(self, v):
+        """v with the directions X projected out."""
+        return v - self.X @ (self.X.T @ v) if self.X.shape[1] else v
+
+    def gram_products(self, W, active):
+        """P = G_l[:, active] W for the weights W of the active rows, with
+        G_l = G - C C'; the uncached rows of G are computed in one product
+        A[:, new]'A."""
+        if self.gram is None:
+            self.gram = np.empty((self.A.n, self.A.n))
+            self.cached = np.zeros(self.A.n, dtype=bool)
+        new = active[~self.cached[active]]
+        if new.size:
+            self.gram[new] = self.A.values[:, new].T @ self.A.values
+            self.cached[new] = True
+        P = (W.T @ self.gram[active]).T
+        return P - self.C @ (self.C[active].T @ W) if self.C.shape[1] else P
 
     def tracking(self):
         """Whether a matrix step keeps the route's state; a step that does
@@ -210,7 +262,7 @@ class _SampleGram:
             return False
         return True
 
-    def matrix(self):
+    def sample_gram(self):
         """K, built on first use."""
         if self.K is None:
             values = self.A.values
@@ -248,54 +300,77 @@ def _gathered_product(values, rows, D):
 
 
 class _Retraction:
-    """The matrix step of the power loop: threshold weights W -> gradient
-    A W, less its projection on the directions that project() removes
-    (none for ascend) -> retraction (normalization for a vector, the polar
-    factor for a block) -> the new correlations S = mu * A'X.
+    """The step of the power loop for all four variants: the weights W of
+    the correlations S = mu * A'X of the iterate X -> the next iterate's
+    correlations, from one of the sources of the module docstring.
 
-    A W has two sources.  The accumulation kernel reads all of A.  A
-    dense step can read it from K = A A' instead: with the residual
-    R = S - W (threshold_residual), A W = mu K X - A R, and R moves
-    between steps only on the rows that are or were inactive, plus the
-    l1 rows whose sign flipped, so A R is updated from the previous step's
-    by one product over those rows of A.  A step takes that route when
-    few rows moved and its fit keeps the route's state (sample_gram); the
-    route depends on the weights' history alone, never on the worker
-    count.
+    A sparse step reads rows of G (_gram_step) and leaves its iterate
+    unformed; iterate() forms it from the weights it kept.  Any other
+    step retracts the gradient 2 mu A W, less the fit's earlier
+    directions, and correlates the new X by the kernel.  Its A W comes
+    from K once the fit keeps that route's state: R = S - W
+    (threshold_residual) moves only on the rows that are or were
+    inactive, plus l1 sign flips, so A R is updated by one product over
+    those rows of A.  A step after a sparse one, and the next, run the
+    kernel.  Which source a step takes never depends on the worker count.
     """
 
-    def __init__(self, A, X, gamma, mu, penalty, workers, project=None, sample_gram=None):
-        self.A, self.mu, self.workers, self.project = A, mu, workers, project
+    def __init__(self, fit, X, gamma, mu, penalty, workers):
+        self.fit, self.A, self.mu, self.workers = fit, fit.A, mu, workers
         self.gamma, self.penalty = gamma, penalty
-        self.sample_gram = _SampleGram(A) if sample_gram is None else sample_gram
-        self.X = X if project is None else project(X)
+        self.X = fit.project(X)
         # S belongs to X.  R is the last step's residual; after a route
         # step AR is its A R, after a kernel step `last` holds its (A W, X),
         # from which A R = mu K X - A W is formed only if this step takes
-        # the route.  Each is None when unknown.
-        self.start = self.S = mu * par_matvec_t(A, self.X, workers)
-        self.R = self.AR = self.last = None
+        # the route.  Each is None when unknown.  unformed holds the
+        # weights that give the iterate after a sparse step.
+        self.start = self.S = mu * par_matvec_t(self.A, self.X, workers)
+        self.R = self.AR = self.last = self.unformed = None
 
     def forget(self):
         """Drop the route's state: X no longer gives the correlations."""
         self.S = self.R = self.AR = self.last = None
 
+    def _gram_step(self, W):
+        # The correlations of a sparse step from the fit's rows of G, or
+        # None for a matrix step: when the step is not sparse, a column of
+        # W is all zero, or M is too near singular for its inverse square
+        # root (M squares the gradient's condition number), so that
+        # polar_projection makes every rank decision.
+        if not self.fit.gram_limit:
+            return None
+        active = _active_columns(W, self.fit.gram_limit)
+        if active is None or not active.size:
+            return None
+        W = W[active]
+        if W.ndim == 2 and not np.any(W, axis=0).all():
+            return None
+        P = self.fit.gram_products(W, active)
+        if W.ndim == 1:
+            q = W @ P[active]
+            return self.mu * (P / np.sqrt(q)) if q > 0 else None
+        d = np.broadcast_to(2.0 * self.mu, W.shape[1:])
+        lam, V = np.linalg.eigh((W.T @ P[active]) * np.outer(d, d))
+        if not lam[0] > np.sqrt(np.finfo(np.float64).eps) * lam[-1]:
+            return None
+        return P @ ((d[:, None] * V / np.sqrt(lam)) @ V.T * self.mu)
+
     def _accumulate(self, W):
         # A W for the weights W of the correlations S of the current X.
         S, R_prev, AR_prev, last = self.S, self.R, self.AR, self.last
         self.forget()
-        gram = self.sample_gram
-        if S is None or not gram.tracking():
+        fit = self.fit
+        if S is None or not fit.tracking():
             return par_threshold_accumulate(self.A, W, self.workers)
         self.R = R = threshold_residual(S, W, self.gamma, self.penalty)
-        rows = None if R_prev is None else _route_rows(W, R, R_prev, gram.limit)
+        rows = None if R_prev is None else _route_rows(W, R, R_prev, fit.limit)
         if rows is None:
             if R_prev is not None:
-                gram.misses -= 1
+                fit.misses -= 1
             AW = par_threshold_accumulate(self.A, W, self.workers)
             self.last = AW, self.X
             return AW
-        K = gram.matrix()
+        K = fit.sample_gram()
         if AR_prev is None:
             AW_last, X_last = last
             AR_prev = self.mu * (K @ X_last) - AW_last
@@ -305,9 +380,7 @@ class _Retraction:
     def retract(self, W):
         """Move X to the retracted gradient for the weights W; False,
         leaving X, when that gradient is zero."""
-        G = (2.0 * self.mu) * self._accumulate(W)
-        if self.project is not None:
-            G = self.project(G)
+        G = self.fit.project((2.0 * self.mu) * self._accumulate(W))
         if G.ndim == 1:
             norm = np.linalg.norm(G)
             if norm == 0.0:
@@ -318,28 +391,30 @@ class _Retraction:
         return True
 
     def __call__(self, W):
+        S = self._gram_step(W)
+        if S is not None:
+            self.forget()
+            self.unformed = W
+            return S
+        self.unformed = None
         if not self.retract(W):
             return None
         self.S = self.mu * par_matvec_t(self.A, self.X, self.workers)
         return self.S
 
     def iterate(self):
+        """The iterate the last correlations belong to."""
+        if self.unformed is not None:
+            self.retract(self.unformed)
+            self.unformed = None
         return self.X
 
 
-def climb(step, gamma, penalty, tol, max_iter):
-    """The generalized power loop, over correlations.
-
-    step.start holds the start correlations S; step(W) maps their
-    threshold weights W, computed once per iterate for both the step and
-    the objective, to the next iterate's correlations, or returns None
-    when the gradient is zero (a fixed point, which counts as converged);
-    step.iterate() is the iterate the last correlations belong to.
-    Stops when the relative objective change drops below tol or after
-    max_iter steps.  A RankDeficiencyError from a step carries the
-    iteration and the history so far.  Returns (X, S, history,
-    converged).
-    """
+def climb(fit, X, gamma, mu, penalty, tol, max_iter, workers):
+    """ascend on the fit's data: each iterate's correlations are
+    thresholded once, for both the step and the objective.  Returns (X, S,
+    history, converged)."""
+    step = _Retraction(fit, X, gamma, mu, penalty, workers)
     S = step.start
     W = threshold_weights(S, gamma, penalty)
     f = _objective(W, gamma, penalty)
@@ -381,8 +456,7 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, workers=1):
     returned X.  An X off the sphere or Stiefel manifold raises ValueError.
     """
     A = as_data_matrix(A)
-    step = _Retraction(A, _check_iterate(X, A.p), gamma, mu, penalty, workers)
-    return climb(step, gamma, penalty, tol, max_iter)
+    return climb(_Fit(A), _check_iterate(X, A.p), gamma, mu, penalty, tol, max_iter, workers)
 
 
 def _init_block(A, config):

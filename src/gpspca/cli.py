@@ -153,6 +153,11 @@ def cmd_solve(args):
         samples = load_dataset(args.input).samples
     else:
         samples = read_table(args.input)
+    # A block fit or PCA has at most min(p, n) components; a sequence's
+    # later ones come back zero instead.
+    if not args.variant.startswith("s") and args.m > min(samples.shape):
+        raise UsageError(f"--m {args.m} exceeds min(samples, features) = {min(samples.shape)} "
+                         f"for {args.variant} on {args.input}")
     loadings, _, report = fit_projection(
         samples, args.variant, args.m, args.gamma, args.mu, args.tol, args.max_iter,
         seed=args.seed, workers=args.workers,

@@ -14,12 +14,8 @@ so kernel output is bitwise identical for any worker count.
 The accumulation runs on the active columns alone (those with a
 nonzero weight) when at most a quarter of them are active, see
 GATHER_DIVISOR; the choice depends on the weights alone, so results
-stay bitwise identical across worker counts.  Sparse single-unit steps
-do not come here: they read cached rows of A'A (see single_unit), and
-call these kernels only for a climb's start correlations, its denser
-steps and its final iterate.  A dense step whose thresholding moved on
-few columns skips the accumulation once its fit has built A A' (see
-block._SampleGram).
+stay bitwise identical across worker counts.  Not every step of the
+power loop comes here; block states where a step's products come from.
 """
 
 import os

@@ -9,44 +9,22 @@ ComponentSequence that a later request for more components extends.
 
 The deflation stays implicit.  Component l is solved on
 A_l = (I - X X')A, where X holds the directions of the components
-before it, but A_l is never formed: a step accumulates y = A w, projects
-X out of it and correlates x = y / ||y|| with A.  A step's products have
-three sources.  A step runs the two kernels on A by default.  When few
-columns are active, it takes its correlations from cached columns of
-G = A'A instead, because A_l'x = G_l w / sqrt(w'G_l w) with
-G_l = G - C C' and C = A'X (see GRAM_DIVISOR), and leaves the iterate
-unformed until the end of the climb.  When nearly every column is active
-and its thresholding moved on few of them, it takes y = A w from
-K = A A' (block._SampleGram): x is orthogonal to X, so A_l'x = A'x, and
-K needs no deflation.  The sequence computes a row of G the first time
-its column is active in a sparse step (see _Deflated.gram_correlations),
-and K on its first route step (see block.SAMPLE_GRAM_DIVISOR).
+before it, but A_l is never formed: a step projects X out of its
+gradient, and a sparse step reads A_l'A_l = G - C C' (C = A'X) from the
+sequence's cached rows of G = A'A (see block, which states where a
+step's products come from).
 """
 
 import time
 
 import numpy as np
 
-from .block import _check_iterate, _loadings, _Retraction, _SampleGram, climb
+from .block import _check_iterate, _Fit, _loadings, climb
 from .core import DataMatrix, RunReport, SparseLoadings, as_data_matrix, column_norms
 from .parallel import threshold_weights
-# Single-unit steps reach the kernels through block._Retraction; perfbench
-# still wraps the kernels by these names here.
+# Single-unit steps reach the kernels through block; perfbench still
+# wraps the kernels by these names here.
 from .parallel import par_matvec_t, par_threshold_accumulate  # noqa: F401
-
-# A step with k active columns takes the Gram route when
-# 0 < k <= p // GRAM_DIVISOR.  It reads k rows of G (about k*n
-# multiply-adds) where the matrix route computes A w and A'x (about p*n
-# each).  One thread, per step, Gram against matrix route, with 0 and 50
-# earlier directions, two runs: at 400x1000, 75-151 against 229-259 us
-# at k = p/4 and 201-321 against 243-329 us at p/2; at 200x2000, 91-143
-# against 198-262 us at p/4, 186-234 against 245-264 us at p/3 and
-# 226-333 against 198-231 us at p/2.  The crossover lies between p/3 and
-# p/2; p/4 keeps a margin below it.
-GRAM_DIVISOR = 4
-# A sequence caches rows of G = A'A only when all of G takes at most this
-# many bytes: 8 MB at n = 1000, 32 MB at n = 2000, 512 MB at n = 8000.
-GRAM_MAX_BYTES = 2**25
 
 
 def _check_unit(x, p):
@@ -119,114 +97,28 @@ def _refine_support(data, best, gamma, config, workers):
     return best
 
 
-class _Deflated:
-    """The deflated matrix A_l = (I - X X')A, never formed.
-
-    Holds A, the orthonormal directions X (p x l), their correlations
-    C = A'X (n x l), the column norms of A_l and the rows of G = A'A that
-    the sequence's sparse steps have needed so far.  A_l'A_l = G - C C',
-    so a step needs only the rows of G at its active columns.  Its
-    sample_gram holds the sequence's K = A A' for dense steps.
-    """
+class _Deflated(_Fit):
+    """The deflated matrix A_l = (I - X X')A, never formed: the _Fit of a
+    sequence, with the column norms of A_l."""
 
     def __init__(self, A):
-        self.A = A
-        self.X = np.empty((A.p, 0))
-        self.C = np.empty((A.n, 0))
+        super().__init__(A)
         self.norms = column_norms(A)
-        self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
-        # Rows of G, valid where cached is set; both None until the first
-        # sparse step.
-        self.gram = None
-        self.cached = None
-        self.sample_gram = _SampleGram(A)
 
     def add(self, x, c):
-        """Deflate by one more direction x, orthogonal to X, with c = A'x."""
-        self.X = np.column_stack([self.X, x])
-        self.C = np.column_stack([self.C, c])
+        super().add(x, c)
         # Column i of A_l loses (x'a_i)^2 = c_i^2 of its squared norm,
         # because x is orthogonal to X.
         self.norms = np.sqrt(np.maximum(self.norms * self.norms - c * c, 0.0))
-
-    def project(self, v):
-        """v with the directions X projected out."""
-        return v - self.X @ (self.X.T @ v)
 
     def columns(self, index):
         """Column index of A_l, or the p x k columns for an index array."""
         return self.A.values[:, index] - self.X @ self.C[index].T
 
-    def gram_correlations(self, w, active):
-        """A_l'x for x = A_l w / ||A_l w||, from the rows of G at the
-        active columns of w; None when w'A_l'A_l w rounds to 0 or below.
-
-        Uncached rows are computed in one product A[:, new]'A, so a
-        sequence pays for the rows its supports visit; all of G, built on
-        the first sparse step, made fits of a few dozen steps 2-3x slower.
-        Which rows are computed when depends on the sequence's steps alone.
-        """
-        if self.gram is None:
-            self.gram = np.empty((self.A.n, self.A.n))
-            self.cached = np.zeros(self.A.n, dtype=bool)
-        new = active[~self.cached[active]]
-        if new.size:
-            self.gram[new] = self.A.values[:, new].T @ self.A.values
-            self.cached[new] = True
-        w = w[active]
-        v = w @ self.gram[active] - self.C @ (self.C[active].T @ w)
-        q = w @ v[active]
-        return v / np.sqrt(q) if q > 0 else None
-
-
-class _Step(_Retraction):
-    """A single-unit step on the deflated data, for block.climb.
-
-    A sparse step (1 to data.gram_limit active columns) takes the Gram
-    route and leaves the iterate unformed; any other step takes the
-    matrix route of _Retraction with X projected out, which forms it.
-    A Gram step resets the state of _Retraction's route from K, so the
-    next two matrix steps run the kernel.  Which route a step takes
-    depends on its weights and on the sequence's earlier steps, never
-    on the worker count.
-    """
-
-    def __init__(self, data, x, gamma, penalty, workers):
-        super().__init__(data.A, x, gamma, 1.0, penalty, workers, data.project,
-                         data.sample_gram)
-        self.data = data
-        # The weights that give the iterate, while the Gram route has left
-        # it unformed.
-        self._unformed = None
-
-    def _gram_step(self, W):
-        # The Gram route's correlations, or None when the step is not sparse
-        # or w'A_l'A_l w rounded to 0 or below.
-        data = self.data
-        if not 0 < np.count_nonzero(W) <= data.gram_limit:
-            return None
-        return data.gram_correlations(W, np.flatnonzero(W))
-
-    def __call__(self, W):
-        S_new = self._gram_step(W)
-        if S_new is not None:
-            self._unformed = W
-            self.forget()
-            return S_new
-        self._unformed = None
-        return super().__call__(W)
-
-    def iterate(self):
-        if self._unformed is not None:
-            self.retract(self._unformed)
-            self._unformed = None
-        return self.X
-
 
 def _climb(data, x0, gamma, config, workers):
     # One single-unit climb on A_l from x0; returns (x, s, history, converged).
-    step = _Step(data, x0, gamma, config.penalty, workers)
-    return climb(step, gamma, config.penalty, config.tol, config.max_iter)
+    return climb(data, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, workers)
 
 
 def _solve_component(data, gamma, config, workers):
@@ -273,7 +165,7 @@ class ComponentSequence:
     components of one solve at m'.  The deflation is implicit: the
     sequence keeps the directions and correlations of the components so
     far, not a deflated copy of the data, and the rows of G = A'A its
-    sparse steps have needed (see _Deflated).  It also keeps each
+    sparse steps have needed (see block._Fit).  It also keeps each
     component's loading column, objective history and converged flag.
     It grows past config.m only when every gamma_j is the same, because a
     per-component gamma belongs to its m.  Once a component comes back

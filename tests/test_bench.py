@@ -10,6 +10,7 @@ from gpspca import (
     DataMatrix,
     ExperimentConfig,
     PerClassCount,
+    RankDeficiencyError,
     emit_report,
     fit_projection,
     knn_classify,
@@ -430,4 +431,39 @@ class TestTimingExperiment:
         path = tmp_path / "timing.csv"
         run_timing_experiment(self.config(out=str(path)))
         header = path.read_text().splitlines()[0]
-        assert header == "variant,N,P,gamma,workers,instance,seconds,iterations,converged"
+        assert header == "variant,N,P,gamma,workers,instance,seconds,iterations,converged,error"
+
+    def test_rank_deficient_fit_recorded_not_fatal(self, tmp_path):
+        # gamma 1e9 zeroes every bl0 component at the first step; the sweep
+        # goes on and writes every row.
+        path = tmp_path / "timing.csv"
+        rows = run_timing_experiment(self.config(
+            timing_sizes=(50,), timing_gammas=(0.01, 1e9), out=str(path)))
+        failed = [r for r in rows if r["error"]]
+        assert {(r["variant"], r["gamma"]) for r in failed} == {("bl0", 1e9)}
+        assert len(failed) == 2 and all(
+            r["error"].startswith("RankDeficiencyError: gradient has numerical rank 0 < 2")
+            and r["iterations"] is None and r["converged"] is None for r in failed)
+        median = [r for r in rows if r["instance"] == "median" and r["gamma"] == 1e9
+                  and r["variant"] == "bl0"]
+        assert median == [{"variant": "bl0", "N": 50, "P": 5, "gamma": 1e9, "workers": 1,
+                           "instance": "median", "seconds": None, "iterations": None,
+                           "converged": None, "error": ""}]
+        assert len(path.read_text().splitlines()) == 1 + len(rows) == 1 + 4 * 3
+
+    def test_median_counts_only_instances_without_error(self, monkeypatch):
+        fit = bench.fit_projection
+
+        def failing_first_instance(A, variant, m, gamma, *args, **kwargs):
+            if variant == "bl0" and kwargs["seed"][2] == 0:
+                raise RankDeficiencyError(1, 2)
+            return fit(A, variant, m, gamma, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "fit_projection", failing_first_instance)
+        rows = run_timing_experiment(self.config(timing_sizes=(50,), timing_instances=3))
+        for gamma in (0.01, 0.05):
+            cell = [r for r in rows if r["variant"] == "bl0" and r["gamma"] == gamma]
+            done = cell[1:3]
+            assert cell[0]["error"] and not any(r["error"] for r in cell[1:])
+            assert cell[3]["iterations"] == np.median([r["iterations"] for r in done])
+            assert cell[3]["converged"] == np.mean([r["converged"] for r in done])

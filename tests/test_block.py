@@ -333,7 +333,7 @@ class TestThresholdOncePerIterate:
                                       n_factors=5, support_size=5, seed=3)
         data = single_unit._Deflated(DataMatrix(ds.samples - ds.samples.mean(axis=0)))
         routes = {"gram": 0, "matrix": 0}
-        for route, owner, name in (("gram", single_unit._Deflated, "gram_correlations"),
+        for route, owner, name in (("gram", gpspca.block._Fit, "gram_products"),
                                    ("matrix", gpspca.block, "par_threshold_accumulate")):
             def counting(*args, _route=route, _original=getattr(owner, name)):
                 routes[_route] += 1
@@ -342,8 +342,7 @@ class TestThresholdOncePerIterate:
             monkeypatch.setattr(owner, name, counting)
         i = int(np.argmax(data.norms))
         x0 = data.columns(i) / data.norms[i]
-        step = single_unit._Step(data, x0, 3.0, "l1", 1)
-        _, _, history, converged = climb(step, 3.0, "l1", 0.0, self.STEPS)
+        _, _, history, converged = climb(data, x0, 3.0, 1.0, "l1", 0.0, self.STEPS, 1)
         assert len(history) == self.STEPS + 1 and not converged
         assert routes["gram"] > 0 and routes["matrix"] > 0
         assert thresholds == {"block": self.STEPS + 1, "parallel": 0}
@@ -389,16 +388,16 @@ class TestSampleGramRoute:
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        # Each _SampleGram that built its K.
+        # Each _Fit that built its K.
         built = []
-        original = gpspca.block._SampleGram.matrix
+        original = gpspca.block._Fit.sample_gram
 
-        def matrix(gram):
-            if gram.K is None:
-                built.append(gram)
-            return original(gram)
+        def sample_gram(fit):
+            if fit.K is None:
+                built.append(fit)
+            return original(fit)
 
-        monkeypatch.setattr(gpspca.block._SampleGram, "matrix", matrix)
+        monkeypatch.setattr(gpspca.block._Fit, "sample_gram", sample_gram)
         return built
 
     @staticmethod
@@ -449,14 +448,16 @@ class TestSampleGramRoute:
             taken.append(len(taken))
             if taken[-1] not in schedule:
                 return None
-            return step.data.gram_correlations(W, np.flatnonzero(W))
+            # Past the gate: every active row counts as sparse.
+            step.fit.gram_limit = len(W)
+            return original(step, W)
 
-        monkeypatch.setattr(single_unit._Step, "_gram_step", gram_step)
+        original = gpspca.block._Retraction._gram_step
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_step", gram_step)
         data = single_unit._Deflated(self.data())
         x0 = data.columns(0) / data.norms[0]
         gamma = self.GAMMA["l1"]
-        _, _, history, _ = climb(single_unit._Step(data, x0, gamma, "l1", 1), gamma, "l1",
-                                 0.0, 30)
+        _, _, history, _ = climb(data, x0, gamma, 1.0, "l1", 0.0, 30, 1)
         assert len(history) == 31
         # 27 matrix steps; the last step is one, so the iterate is formed.
         assert checked["steps"] == 27 and checked["worst"] <= 1e-12
@@ -469,14 +470,13 @@ class TestSampleGramRoute:
         A = self.data()
         X = random_stiefel(np.random.default_rng(52), 40, m)
         gamma = self.GAMMA["l1"] if m == 1 else np.full(m, self.GAMMA["l1"])
-        gram = gpspca.block._SampleGram(A)
-        gram.due = 0
-        step = gpspca.block._Retraction(A, X[:, 0] if m == 1 else X, gamma, 1.0, "l1", 1,
-                                        sample_gram=gram)
+        fit = gpspca.block._Fit(A)
+        fit.due = 0
+        step = gpspca.block._Retraction(fit, X[:, 0] if m == 1 else X, gamma, 1.0, "l1", 1)
         S = step.start
         for _ in range(10):
             S = step(gpspca.parallel.threshold_weights(S, gamma, "l1"))
-        assert gram.K is not None and step.AR is not None
+        assert fit.K is not None and step.AR is not None
         gradients = []
         polar = gpspca.block.polar_projection
         monkeypatch.setattr(gpspca.block, "polar_projection",
@@ -535,3 +535,116 @@ class TestSampleGramRoute:
         checked.update(steps=0, kernel=0)
         ascend(self.data(), x0, self.GAMMA["l1"], 1.0, "l1", 0.0, 30)
         assert builds == [] and checked["kernel"] == checked["steps"] == 30
+
+
+class TestGramRowsRoute:
+    """A sparse block step reads its correlations from cached rows of
+    G = A'A: with P = G[:, act] W_act and D = diag(2 mu), S = mu P D M^{-1/2}
+    for M = D W_act' P[act] D, which must equal mu A' polar(2 mu A W)."""
+
+    @staticmethod
+    def data():
+        # 160 x 400 samples of five sparse factors: at l1 gamma 3 and l0
+        # gamma 9 every block step has at most p // 4 = 40 active rows.
+        ds = synthetic_sparse_factors(n_classes=20, per_class=8, n_features=400, n_factors=5,
+                                      support_size=5, seed=3)
+        return DataMatrix(ds.samples - ds.samples.mean(axis=0))
+
+    @pytest.fixture
+    def routes(self, monkeypatch):
+        # Checks every sparse step against the matrix form, and counts the
+        # steps that took the route and those that did not.
+        log = {"gram": 0, "matrix": 0, "worst": 0.0}
+        original = gpspca.block._Retraction._gram_step
+
+        def gram_step(step, W):
+            S = original(step, W)
+            if S is None:
+                log["matrix"] += 1
+                return None
+            A = step.A.values
+            want = step.mu * (A.T @ polar_projection((2.0 * step.mu) * (A @ W)))
+            log["gram"] += 1
+            log["worst"] = max(log["worst"], np.linalg.norm(S - want) / np.linalg.norm(want))
+            return S
+
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_step", gram_step)
+        return log
+
+    @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 9.0)],
+                             ids=["bl1", "bl0"])
+    @pytest.mark.parametrize("m", [3, 5])
+    def test_every_step_matches_polar_factor(self, routes, penalty, gamma, m):
+        config = SolverConfig(penalty=penalty, m=m, gamma=gamma, mu=np.linspace(0.8, 1.2, m),
+                              max_iter=200, init="random_orthonormal", seed=1)
+        _, report = solve_block(self.data(), config)
+        assert routes["gram"] == report.iterations > 10 and routes["matrix"] == 0
+        assert routes["worst"] <= 1e-12
+
+    def test_nearly_parallel_columns_take_the_matrix_step(self, monkeypatch):
+        # M squares the gradient's condition number: columns a relative
+        # 1e-6 apart leave it near 1e12, far above 1 / sqrt(eps), though its
+        # eigenvalues are still positive.  The guard hands such a step to
+        # the polar factor.
+        A = self.data()
+        rng = np.random.default_rng(60)
+        fit = gpspca.block._Fit(A)
+        step = gpspca.block._Retraction(fit, random_stiefel(rng, A.p, 2), np.full(2, 3.0),
+                                        np.ones(2), "l1", 1)
+        rows = rng.choice(A.n, 10, replace=False)
+        W = np.zeros((A.n, 2))
+        W[rows, 0] = rng.uniform(1.0, 2.0, rows.size)
+        W[rows, 1] = W[rows, 0] * (1.0 + 1e-6 * rng.standard_normal(rows.size))
+        assert step._gram_step(W) is None
+        kernels = []
+        kernel = gpspca.parallel.par_threshold_accumulate
+        monkeypatch.setattr(gpspca.block, "par_threshold_accumulate",
+                            lambda *args: kernels.append(1) or kernel(*args))
+        S = step(W)
+        assert len(kernels) == 1
+        assert np.array_equal(S, np.ones(2) * gpspca.parallel.par_matvec_t(A, step.iterate()))
+        # Independent columns on the same rows take the route.
+        W[rows, 1] = rng.uniform(1.0, 2.0, rows.size)
+        assert step._gram_step(W) is not None
+
+    @pytest.mark.parametrize("iteration", [0, 6])
+    def test_all_zero_column_raises_where_matrix_steps_do(self, monkeypatch, iteration):
+        # From the given iteration on, the third weight column is zeroed:
+        # the route leaves that step to the polar factor, which finds the
+        # gradient rank deficient at the same iteration as a fit whose
+        # steps all run the kernels.
+        original = gpspca.block.threshold_weights
+
+        def thresholds(S, gamma, penalty):
+            W = original(S, gamma, penalty)
+            calls.append(1)
+            if len(calls) > iteration:
+                W[:, 2] = 0.0
+            return W
+
+        monkeypatch.setattr(gpspca.block, "threshold_weights", thresholds)
+        config = SolverConfig(penalty="l1", m=3, gamma=3.0, max_iter=200,
+                              init="random_orthonormal", seed=1)
+        raised = []
+        for cap in (gpspca.block.GRAM_MAX_BYTES, 0):
+            monkeypatch.setattr(gpspca.block, "GRAM_MAX_BYTES", cap)
+            calls = []
+            with pytest.raises(RankDeficiencyError) as err:
+                solve_block(self.data(), config)
+            raised.append((err.value.iteration, err.value.rank, err.value.history))
+        (got_at, got_rank, got), (want_at, want_rank, want) = raised
+        assert got_at == want_at == iteration and got_rank == want_rank == 2
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_workers_bitwise(self, monkeypatch, routes):
+        # Chunks of 32 columns, so two and three workers split every kernel
+        # call; the rows of G are computed without the engine.
+        monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
+        runs = []
+        for workers in (1, 2, 3):
+            config = SolverConfig(penalty="l1", m=5, gamma=3.0, max_iter=200,
+                                  init="random_orthonormal", seed=1)
+            loadings, report = solve_block(self.data(), config, workers)
+            runs.append((loadings.values.tobytes(), report.component_histories))
+        assert routes["gram"] > 20
+        assert runs[0] == runs[1] == runs[2]

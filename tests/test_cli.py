@@ -73,6 +73,17 @@ class TestExitCodes:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("variant", ["bl1", "bl0", "pca"])
+    def test_solve_m_above_min_p_n_is_usage_error(self, tmp_path, capsys, variant):
+        # 24 samples x 6 features carry at most 6 components.
+        data = write_labeled_csv(tmp_path / "d.csv")
+        out = tmp_path / "o.csv"
+        flags = ["solve", "--input", str(data), "--variant", variant, "--gamma", "0",
+                 "--out", str(out)]
+        assert main([*flags, "--m", "7"]) == 1 and not out.exists()
+        assert "--m 7 exceeds min(samples, features) = 6" in capsys.readouterr().err
+        assert main([*flags, "--m", "6"]) == 0 and out.exists()
+
     @pytest.mark.parametrize(
         "flags, config",
         [(["--gamma", ","], None), (["--mu", "0"], None), ([], "tol = -5\n"),

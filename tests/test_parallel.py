@@ -7,9 +7,9 @@ from gpspca import (
     SolverConfig,
     par_matvec_t,
     par_threshold_accumulate,
-    single_unit,
     synthetic_sparse_factors,
 )
+import gpspca.block
 import gpspca.parallel
 from gpspca.block import ascend
 from gpspca.parallel import (
@@ -373,8 +373,8 @@ class TestSparseSequenceWorkers:
         cfg = SolverConfig(penalty="l1", gamma=3.0, m=6, restarts=2, refine=True)
         chunk_of(32, 40)
         gram_steps = []
-        original = single_unit._Deflated.gram_correlations
-        monkeypatch.setattr(single_unit._Deflated, "gram_correlations",
+        original = gpspca.block._Fit.gram_products
+        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
                             lambda *a: gram_steps.append(1) or original(*a))
         runs = []
         for workers in (1, 2, 4):

@@ -510,11 +510,11 @@ class TestImplicitDeflation:
     def test_gram_route_matches_matrix_route(self, monkeypatch, penalty, gamma):
         A = sparse_factor_matrix()
         cfg = SolverConfig(penalty=penalty, gamma=gamma, m=8, max_iter=500)
-        gram_steps = count_calls(monkeypatch, single_unit._Deflated, "gram_correlations")
+        gram_steps = count_calls(monkeypatch, block._Fit, "gram_products")
         sequence = ComponentSequence(A, cfg)
         gram, gram_report = sequence.solve(8)
         assert sequence._data.gram is not None and len(gram_steps) > 20
-        monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
+        monkeypatch.setattr(block, "GRAM_MAX_BYTES", 0)
         gram_steps.clear()
         matrix, matrix_report = solve_multi_sequential(A, cfg)
         assert gram_steps == []
@@ -526,11 +526,11 @@ class TestImplicitDeflation:
     def test_route_switches_at_the_limit(self, monkeypatch):
         rng = np.random.default_rng(40)
         A = DataMatrix(rng.standard_normal((40, 200)))
-        limit = 40 // single_unit.GRAM_DIVISOR
+        limit = 40 // block.GRAM_DIVISOR
         matvecs = count_calls(monkeypatch, block, "par_matvec_t")
         for k, gram_route in ((limit, True), (limit + 1, False)):
             data = single_unit._Deflated(A)
-            step = single_unit._Step(data, random_unit(rng, 40), 1.0, "l1", 1)
+            step = block._Retraction(data, random_unit(rng, 40), 1.0, 1.0, "l1", 1)
             S = np.zeros(200)
             S[rng.choice(200, k, replace=False)] = 2.0
             matvecs.clear()
@@ -547,7 +547,7 @@ class TestImplicitDeflation:
         rng = np.random.default_rng(42)
         A = DataMatrix(rng.standard_normal((40, 200)))
         data = single_unit._Deflated(A)
-        step = single_unit._Step(data, random_unit(rng, 40), 1.0, "l1", 1)
+        step = block._Retraction(data, random_unit(rng, 40), 1.0, 1.0, "l1", 1)
         matvecs = count_calls(monkeypatch, block, "par_matvec_t")
         first = rng.choice(200, 10, replace=False)
         second = np.concatenate([first[:6], rng.choice(np.setdiff1d(np.arange(200), first),
@@ -603,7 +603,7 @@ class TestImplicitDeflation:
         A = sparse_factor_matrix()
         cfg = SolverConfig(penalty="l1", gamma=3.0, m=3)
         for cap, built in ((8 * 200 * 200 - 1, False), (8 * 200 * 200, True)):
-            monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", cap)
+            monkeypatch.setattr(block, "GRAM_MAX_BYTES", cap)
             sequence = ComponentSequence(A, cfg)
             sequence.solve(3)
             assert (sequence._data.gram is not None) == built
@@ -615,13 +615,13 @@ class TestImplicitDeflation:
         cfg = SolverConfig(penalty="l1", gamma=3.0, m=3, restarts=3, refine=True,
                            init=init, seed=5)
         if not gram:
-            monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
+            monkeypatch.setattr(block, "GRAM_MAX_BYTES", 0)
         sequence = ComponentSequence(A, cfg)
         loadings, report = sequence.solve(3)
         assert (sequence._data.gram is not None) == gram
         # The reference deflates explicitly and climbs the deflated copy on
         # the matrix route.
-        monkeypatch.setattr(single_unit, "GRAM_MAX_BYTES", 0)
+        monkeypatch.setattr(block, "GRAM_MAX_BYTES", 0)
         deflated = A
         for j in range(1, 3):
             deflated = deflate(deflated, sequence._data.X[:, j - 1])
@@ -637,11 +637,11 @@ class TestImplicitDeflation:
         # Column 0 lies in the span of the deflated direction e1, so
         # w'G_l w is 0, or below 0 when c = A'e1 is one ulp too large.  The
         # matrix route then finds the projected gradient exactly zero.
-        monkeypatch.setattr(single_unit, "GRAM_DIVISOR", 1)
+        monkeypatch.setattr(block, "GRAM_DIVISOR", 1)
         A = DataMatrix(np.diag([3.0, 2.0, 1.0]))
         data = single_unit._Deflated(A)
         data.add(np.array([1.0, 0.0, 0.0]), np.array([np.nextafter(3.0, 3.0 + excess), 0, 0]))
-        step = single_unit._Step(data, np.array([0.0, 1.0, 0.0]), 0.5, "l1", 1)
+        step = block._Retraction(data, np.array([0.0, 1.0, 0.0]), 0.5, 1.0, "l1", 1)
         accumulations = count_calls(monkeypatch, block, "par_threshold_accumulate")
         assert take_step(step, np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
         assert data.gram is not None and len(accumulations) == 1
