@@ -9,16 +9,13 @@ feature space.
 
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .block import RankDeficiencyError, solve_block
 from .core import DataMatrix, SolverConfig, _standard_normal_matrix
 from .datasets import (
-    FixedSplit,
-    GroupedSplit,
-    PerClassCount,
     knn_classify,
     load_dataset,  # noqa: F401  unused here, but perfbench wraps it by this name
     make_splits,
@@ -267,9 +264,22 @@ def run_timing_experiment(config):
     column, with iterations and converged left empty, and the median row
     counts only the instances without one.  A size whose peak cannot fit
     in memory is skipped, before its first instance is drawn, and the
-    sweep continues.
+    sweep continues.  Settings no sweep can run, such as a size off the
+    grid or two values of m, raise ValueError before the first fit.
     """
+    if len(config.m) != 1:
+        raise ValueError(f"a timing sweep takes one m, got {config.m}")
     m = config.m[0]
+    if config.timing_instances < 1:
+        raise ValueError("timing_instances must be >= 1")
+    for variant in config.timing_variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
+    for N in config.timing_sizes:
+        if N < 10 or N % 10:
+            raise ValueError(f"size {N} violates the P = N/10 grid")
+        if m > N // 10 and any(not v.startswith("s") for v in config.timing_variants):
+            raise ValueError(f"m={m} exceeds P = {N // 10} at size N={N}, for block or pca")
     worker_counts = config.timing_workers or (config.workers,)
     cells = [
         (variant, gamma, workers)
@@ -279,8 +289,6 @@ def run_timing_experiment(config):
     ]
     rows = []
     for N in sorted(config.timing_sizes):
-        if N % 10:
-            raise ValueError(f"size {N} violates the P = N/10 grid")
         P = N // 10
         try:
             check_allocation(P, N)

@@ -17,7 +17,8 @@ A step's products have three sources:
   mu P D M^{-1/2} (mu P / sqrt(w'P[act]) for a vector), and the iterate
   is formed once, at the end of the climb;
 - for a dense step whose threshold moved on few rows, the gradient
-  A W = mu K X - A R from K = A A' and the residual R = S - W.
+  A W = mu K X - A R from K = A A' and the residual R = S - W, with A R
+  updated by parallel._gathered_product over the rows where R moved.
 Loading columns are the same threshold weights of the final
 correlations, normalized, with the per-component weights mu folded in.
 """
@@ -35,6 +36,7 @@ from .core import (
 )
 from .parallel import (
     _active_columns,
+    _gathered_product,
     par_matvec_t,
     par_threshold_accumulate,
     threshold_residual,
@@ -84,31 +86,24 @@ SAMPLE_GRAM_DIVISOR = 8
 # 0.80-1.11 and 0.88-0.95 of the kernel's time at n/8, and 1.07-1.46 at
 # n/4.
 ROUTE_MIN_BYTES = 2**21
-# The moved rows of A are gathered this many bytes at a time.  One
-# gathered copy of them all leaves the cache once it outgrows it, and its
-# product reads it back from memory: at 800x8000, one thread, 1866 rows
-# took 2.8 ms for a vector and 7.7 ms at m = 5 in one copy, 1.8 and
-# 2.2 ms in blocks of 1 MiB.  At 200x2000 the route's rows fit in one.
-GATHER_BYTES = 2**20
 
 
 class RankDeficiencyError(RuntimeError):
     """Gradient lost full column rank, so no polar factor exists.
 
     Usually means a gamma_j annihilated an entire component or m exceeds
-    the data's effective rank.  Carries the numerical rank and, when
-    raised from the solve loop, the iteration index.
+    the data's effective rank.  Carries the numerical rank and, once the
+    solve loop tags it, the iteration index, which the message names.
     """
 
-    def __init__(self, rank, required, iteration=None):
-        self.rank = rank
-        self.required = required
-        self.iteration = iteration
-        where = "" if iteration is None else f" at iteration {iteration}"
-        super().__init__(
-            f"gradient has numerical rank {rank} < {required}{where}; "
-            "reduce gamma or m"
-        )
+    def __init__(self, rank, required):
+        super().__init__(rank, required)
+        self.rank, self.required, self.iteration = rank, required, None
+
+    def __str__(self):
+        where = "" if self.iteration is None else f" at iteration {self.iteration}"
+        return (f"gradient has numerical rank {self.rank} < {self.required}{where}; "
+                "reduce gamma or m")
 
 
 def _check_iterate(X, p):
@@ -280,23 +275,13 @@ def _route_rows(W, R, R_prev, limit):
     if changed.ndim == 2:
         changed = changed @ np.ones(changed.shape[1], bool)
     rows = np.flatnonzero(changed)
-    if rows.size > limit:
-        return None
-    # For a block, a boolean product: about 8 us against 48 us for
-    # W.any(axis=0) on a 2000 x 5 block.
-    live = W.any() if W.ndim == 1 else (np.ones(len(W), bool) @ (W != 0)).all()
-    return rows if live else None
+    return rows if rows.size <= limit and _live(W) else None
 
 
-def _gathered_product(values, rows, D):
-    # values[:, rows] @ D, gathered GATHER_BYTES at a time: one gathered
-    # copy of all the rows leaves the cache once it outgrows it, and its
-    # product then reads it back from memory.
-    width = max(1, GATHER_BYTES // (8 * values.shape[0]))
-    out = values[:, rows[:width]] @ D[:width]
-    for lo in range(width, len(rows), width):
-        out += values[:, rows[lo:lo + width]] @ D[lo:lo + width]
-    return out
+def _live(W):
+    # Whether every column of W has an active entry; for a block, a boolean
+    # product, about 8 us against 48 us for W.any(axis=0) at 2000 x 5.
+    return W.any() if W.ndim == 1 else (np.ones(len(W), bool) @ (W != 0)).all()
 
 
 class _Retraction:
@@ -343,7 +328,7 @@ class _Retraction:
         if active is None or not active.size:
             return None
         W = W[active]
-        if W.ndim == 2 and not np.any(W, axis=0).all():
+        if not _live(W):
             return None
         P = self.fit.gram_products(W, active)
         if W.ndim == 1:

@@ -11,11 +11,11 @@ not set it.  Every chunk's partial result is computed the same way
 whichever worker runs it, and the partials are combined by a pairwise
 tree whose shape depends only on the chunk layout, never on scheduling,
 so kernel output is bitwise identical for any worker count.
-The accumulation runs on the active columns alone (those with a
-nonzero weight) when at most a quarter of them are active, see
-GATHER_DIVISOR; the choice depends on the weights alone, so results
-stay bitwise identical across worker counts.  Not every step of the
-power loop comes here; block states where a step's products come from.
+The accumulation sums weights with at most a quarter of the columns
+active (GATHER_DIVISOR) over those columns alone, on the calling thread
+(_gathered_product, shared by block's dense-step route), so that sum
+never reads the worker count.  Not every step of the power loop comes
+here; block states where a step's products come from.
 """
 
 import os
@@ -43,14 +43,20 @@ GEMM_BUDGET = 2**19
 # A tall matrix still gets chunks of a few dozen columns, not one call
 # per column.
 MIN_CHUNK = 32
-# The accumulation sums over a gathered copy of the active columns when
-# at most n // GATHER_DIVISOR are active.  One thread, finding the active
-# set included, gathered against full (two runs): at 400x1000, vector,
-# 20-22, 30, 39, 64-89 and 227 us at 0.5, 5, 10, 25 and 50% active
-# against 140-150 us; at 200x2000, m=5, 75-80, 75-93, 87-115, 184-223 and
-# 380-425 us against 220-340 us; at 800x8000, vector, 1.8 ms at 25%
-# against 2.3 ms, but 3.9-4.4 ms at 50%.
+# The accumulation sums the active columns alone when at most
+# n // GATHER_DIVISOR are active.  One thread, finding the active set
+# included, one gathered copy (slower than the blocks below) against the
+# full kernel, two runs: at 400x1000, vector, 20-22, 30, 39, 64-89 and
+# 227 us at 0.5, 5, 10, 25 and 50% active against 140-150 us; at
+# 200x2000, m=5, 75-80, 75-93, 87-115, 184-223 and 380-425 us against
+# 220-340 us; at 800x8000, vector, 1.8 ms at 25% against 2.3 ms, but
+# 3.9-4.4 ms at 50%.
 GATHER_DIVISOR = 4
+# Columns are gathered this many bytes at a time: one copy of them all
+# leaves the cache once it outgrows it.  At 800x8000, one thread, 1866
+# columns took 2.8 ms for a vector and 7.7 ms at m = 5 in one copy, 1.8
+# and 2.2 ms in blocks of 1 MiB.
+GATHER_BYTES = 2**20
 
 
 def check_workers(workers):
@@ -153,24 +159,14 @@ def _active_columns(weights, limit):
     return active if active.size <= limit else None
 
 
-def _accumulate_columns(values, weights, workers):
-    # Inactive columns add only zeros, so when at most n // GATHER_DIVISOR
-    # are active the sum runs over a gathered copy of the active ones.  Its
-    # chunk layout comes from (p, k, m), still never from the worker count;
-    # the shorter sum moves results at rounding level only.
-    active = _active_columns(weights, values.shape[1] // GATHER_DIVISOR)
-    if active is not None:
-        if active.size == 0:
-            return np.zeros(values.shape[:1] + weights.shape[1:])
-        values, weights = values[:, active], weights[active]
-    # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs
-    # 25-30% faster at 800x8000, m=5 (and 10-20% slower at 200x2000, m=5,
-    # where the derived chunk still gains more than that end to end).
-    bounds = _chunk_bounds(values.shape[0], values.shape[1], weights)
-    parts = _map_chunks(
-        lambda lo, hi: (weights[lo:hi].T @ values[:, lo:hi].T).T, bounds, workers
-    )
-    return _pairwise_combine(parts)
+def _gathered_product(values, rows, D):
+    """values[:, rows] @ D on the calling thread, gathered GATHER_BYTES at
+    a time; exact zeros for no rows."""
+    width = max(1, GATHER_BYTES // (8 * values.shape[0]))
+    out = values[:, rows[:width]] @ D[:width]
+    for lo in range(width, len(rows), width):
+        out += values[:, rows[lo:lo + width]] @ D[lo:lo + width]
+    return out
 
 
 def threshold_weights(correlations, gamma, penalty):
@@ -216,7 +212,17 @@ def par_threshold_accumulate(A, weights, workers=1):
     check_workers(workers)
     A = as_data_matrix(A)
     w = _check_rows(weights, A.n, "weights")
-    return _accumulate_columns(A.values, w, workers)
+    values = A.values
+    # Inactive columns add only zeros.
+    active = _active_columns(w, A.n // GATHER_DIVISOR)
+    if active is not None:
+        return _gathered_product(values, active, w[active])
+    # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs
+    # 25-30% faster at 800x8000, m=5 (and 10-20% slower at 200x2000, m=5,
+    # where the derived chunk still gains more than that end to end).
+    bounds = _chunk_bounds(A.p, A.n, w)
+    parts = _map_chunks(lambda lo, hi: (w[lo:hi].T @ values[:, lo:hi].T).T, bounds, workers)
+    return _pairwise_combine(parts)
 
 
 MEMINFO = "/proc/meminfo"

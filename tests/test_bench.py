@@ -369,6 +369,38 @@ class TestTimingExperiment:
         with pytest.raises(ValueError):
             run_timing_experiment(self.config(timing_sizes=(55,)))
 
+    @pytest.fixture
+    def fits(self, monkeypatch):
+        # Every fit a sweep runs.
+        seen = []
+        fit = bench.fit_projection
+        monkeypatch.setattr(bench, "fit_projection",
+                            lambda *args, **kwargs: seen.append(args) or fit(*args, **kwargs))
+        return seen
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(m=(2, 7)), "one m"),
+        (dict(timing_instances=0), "timing_instances must be >= 1"),
+        (dict(timing_variants=("sl1", "bogus")), "unknown variant 'bogus'"),
+        (dict(timing_sizes=(50, 55)), "size 55 violates the P = N/10 grid"),
+        (dict(timing_sizes=(50, 0)), "size 0 violates the P = N/10 grid"),
+        (dict(m=(6,), timing_sizes=(50, 100)), "m=6 exceeds P = 5 at size N=50"),
+        (dict(m=(6,), timing_sizes=(50, 100), timing_variants=("sl1", "pca")),
+         "m=6 exceeds P = 5 at size N=50"),
+    ], ids=["two-m", "no-instances", "unknown-variant", "off-grid", "zero-size",
+            "block-m-above-p", "pca-m-above-p"])
+    def test_bad_settings_rejected_before_the_first_fit(self, fits, settings, message):
+        with pytest.raises(ValueError, match=message):
+            run_timing_experiment(self.config(**settings))
+        assert fits == []
+
+    def test_sequence_m_above_p_runs(self, fits):
+        # A sequence's components past P come back zero; only block and
+        # pca fits are bounded by P.
+        rows = run_timing_experiment(self.config(m=(6,), timing_sizes=(50,),
+                                                 timing_variants=("sl1",)))
+        assert len(fits) == 2 * 2 and not any(r["error"] for r in rows)
+
     def test_every_cell_shares_one_instance(self, monkeypatch):
         # Each instance is drawn once and handed, as one DataMatrix, to
         # every variant x gamma x workers cell; rows keep the cell order.
@@ -442,7 +474,8 @@ class TestTimingExperiment:
         failed = [r for r in rows if r["error"]]
         assert {(r["variant"], r["gamma"]) for r in failed} == {("bl0", 1e9)}
         assert len(failed) == 2 and all(
-            r["error"].startswith("RankDeficiencyError: gradient has numerical rank 0 < 2")
+            r["error"] == "RankDeficiencyError: gradient has numerical rank 0 < 2 "
+                          "at iteration 0; reduce gamma or m"
             and r["iterations"] is None and r["converged"] is None for r in failed)
         median = [r for r in rows if r["instance"] == "median" and r["gamma"] == 1e9
                   and r["variant"] == "bl0"]

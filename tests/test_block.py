@@ -425,7 +425,7 @@ class TestSampleGramRoute:
     def test_sequence_with_earlier_directions_matches_kernel(self, checked, builds, penalty,
                                                               monkeypatch):
         # Moved rows gathered three at a time.
-        monkeypatch.setattr(gpspca.block, "GATHER_BYTES", 8 * 40 * 3)
+        monkeypatch.setattr(gpspca.parallel, "GATHER_BYTES", 8 * 40 * 3)
         config = SolverConfig(penalty=penalty, m=3, gamma=self.GAMMA[penalty], tol=1e-300,
                               max_iter=25)
         _, report = solve_multi_sequential(self.data(), config)

@@ -72,6 +72,9 @@ class TestExitCodes:
             "--gamma", "1e9", "--out", str(tmp_path / "o.csv"),
         ])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "solver error: gradient has numerical rank 0 < 2 at iteration 0; "
+            "reduce gamma or m\n")
 
     @pytest.mark.parametrize("variant", ["bl1", "bl0", "pca"])
     def test_solve_m_above_min_p_n_is_usage_error(self, tmp_path, capsys, variant):

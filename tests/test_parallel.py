@@ -390,17 +390,18 @@ class TestSparseSequenceWorkers:
 
 
 @pytest.fixture
-def engine_shapes(monkeypatch):
-    """(p, n) of the matrix each kernel call hands to the chunk engine."""
-    shapes = []
-    real = gpspca.parallel._chunk_bounds
+def gathered_rows(monkeypatch):
+    """Row count of each sum the accumulation kernel hands to
+    _gathered_product, its sparse branch."""
+    counts = []
+    real = gpspca.parallel._gathered_product
 
-    def recording(p, n, iterate):
-        shapes.append((p, n))
-        return real(p, n, iterate)
+    def recording(values, rows, D):
+        counts.append(len(rows))
+        return real(values, rows, D)
 
-    monkeypatch.setattr(gpspca.parallel, "_chunk_bounds", recording)
-    return shapes
+    monkeypatch.setattr(gpspca.parallel, "_gathered_product", recording)
+    return counts
 
 
 def sparse_correlations(rng, n, m, active, spread=False):
@@ -419,11 +420,12 @@ def sparse_correlations(rng, n, m, active, spread=False):
 
 class TestActiveColumns:
     """When at most n // GATHER_DIVISOR columns carry a nonzero weight,
-    the accumulations run on a gathered p x k copy of them."""
+    the accumulation sums them alone in _gathered_product, on the calling
+    thread, without the chunk engine."""
 
     @pytest.mark.parametrize("share", [0.01, 0.10, 0.25])
     @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
-    def test_gathered_sum_matches_dense_product(self, engine_shapes, m, share):
+    def test_gathered_sum_matches_dense_product(self, gathered_rows, chunk_widths, m, share):
         rng = np.random.default_rng(20)
         p, n = 48, 2000
         A = DataMatrix(rng.standard_normal((p, n)))
@@ -438,13 +440,14 @@ class TestActiveColumns:
             z[active] = rng.standard_normal(active.size)
             cases.append((lambda: par_threshold_accumulate(A, z), A.values @ z))
         for call, want in cases:
-            engine_shapes.clear()
+            gathered_rows.clear()
             got = call()
-            assert engine_shapes == [(p, active.size)]
+            assert gathered_rows == [active.size]
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert chunk_widths == []
 
-    def test_bitwise_identical_across_workers(self, engine_shapes, chunk_widths):
+    def test_bitwise_identical_across_workers(self, gathered_rows, chunk_widths):
         rng = np.random.default_rng(21)
         p, n = 800, 8000
         A = DataMatrix(rng.standard_normal((p, n)))
@@ -452,23 +455,21 @@ class TestActiveColumns:
         c = sparse_correlations(rng, n, 1, active)
         C = sparse_correlations(rng, n, 5, active, spread=True)
         z = np.where(np.isin(np.arange(n), active), rng.standard_normal(n), 0.0)
-        # 1600 gathered columns: 3 derived chunks for a vector, 13 for p x 5.
         calls = [
-            (lambda workers: thresholded(A, c, 1.0, "l1", workers), 3),
-            (lambda workers: thresholded(A, C, np.ones(5), "l0", workers), 13),
-            (lambda workers: par_threshold_accumulate(A, z, workers), 3),
+            lambda workers: thresholded(A, c, 1.0, "l1", workers),
+            lambda workers: thresholded(A, C, np.ones(5), "l0", workers),
+            lambda workers: par_threshold_accumulate(A, z, workers),
         ]
-        for call, chunks in calls:
-            engine_shapes.clear()
-            chunk_widths.clear()
+        for call in calls:
+            gathered_rows.clear()
             want = call(1)
             for w in (2, 3):
                 assert np.array_equal(call(w), want)
-            assert engine_shapes == [(p, n // 5)] * 3
-            assert [len(widths) for widths in chunk_widths] == [chunks] * 3
+            assert gathered_rows == [n // 5] * 3
+        assert chunk_widths == []
 
     @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
-    def test_no_active_column_gives_exact_zeros(self, engine_shapes, m):
+    def test_no_active_column_gives_exact_zeros(self, gathered_rows, chunk_widths, m):
         rng = np.random.default_rng(22)
         A = DataMatrix(rng.standard_normal((16, 400)))
         c = sparse_correlations(rng, 400, m, np.array([], dtype=int))
@@ -477,7 +478,8 @@ class TestActiveColumns:
         assert np.array_equal(out, np.zeros(out.shape))
         if m == 1:
             assert np.array_equal(par_threshold_accumulate(A, np.zeros(400)), np.zeros(16))
-        assert engine_shapes == []
+        assert gathered_rows == [0] * (2 if m == 1 else 1)
+        assert chunk_widths == []
 
     def test_zero_gradient_start_is_converged(self):
         rng = np.random.default_rng(23)
@@ -495,20 +497,25 @@ class TestActiveColumns:
         ids=["vector", "block", "block-one-column-per-row"],
     )
     @pytest.mark.parametrize("placement", ["leading", "random"])
-    def test_gathers_at_a_quarter_and_not_above(self, engine_shapes, m, spread, placement):
+    def test_gathers_at_a_quarter_and_not_above(self, gathered_rows, chunk_widths, m, spread,
+                                                placement):
+        # n // 4 active rows go to _gathered_product; one more sends all n
+        # columns through the chunk engine instead.
         rng = np.random.default_rng(24)
         p, n = 8, 1000
         A = DataMatrix(rng.standard_normal((p, n)))
         gamma = np.ones(m) if m > 1 else 1.0
-        for k, handed in ((n // 4, n // 4), (n // 4 + 1, n)):
+        for k, gathered, engine in ((n // 4, [n // 4], []), (n // 4 + 1, [], [n])):
             if placement == "leading":
                 active = np.arange(k)
             else:
                 active = np.sort(rng.choice(n, k, replace=False))
             c = sparse_correlations(rng, n, m, active, spread)
-            engine_shapes.clear()
+            gathered_rows.clear()
+            chunk_widths.clear()
             thresholded(A, c, gamma, "l1")
-            assert engine_shapes == [(p, handed)]
+            assert gathered_rows == gathered
+            assert [sum(widths) for widths in chunk_widths] == engine
 
 
 class TestThresholdWeights:
@@ -525,9 +532,10 @@ class TestThresholdWeights:
 
 class TestWorkerCount:
     @pytest.mark.parametrize("path", ["dense", "gathered", "all_inactive"])
-    def test_zero_workers_rejected_before_any_work(self, chunk_widths, path):
-        # Dense weights reach the chunk engine over every column, sparse
-        # ones over a gathered copy, and all-zero weights never reach it.
+    def test_zero_workers_rejected_before_any_work(self, chunk_widths, gathered_rows, path):
+        # Dense weights reach the chunk engine over every column; sparse
+        # and all-zero ones go to _gathered_product, which never reads the
+        # worker count, yet a count below 1 is still rejected.
         rng = np.random.default_rng(31)
         A = DataMatrix(rng.standard_normal((8, 200)))
         c = {"dense": 0.5 * rng.standard_normal(200), "gathered": np.eye(200)[0],
@@ -545,7 +553,8 @@ class TestWorkerCount:
             call(1)
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 call(0)
-        assert len(chunk_widths) == (0 if path == "all_inactive" else len(calls))
+        assert len(chunk_widths) == (len(calls) if path == "dense" else 0)
+        assert gathered_rows == {"dense": [], "gathered": [1] * 3, "all_inactive": [0] * 3}[path]
 
     def test_measure_scaling_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
