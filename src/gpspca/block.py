@@ -8,7 +8,9 @@ thresholded columns into the gradient, and retract.  A length-p iterate
 fit or single-unit sequence share one _Fit: single_unit's holds the
 earlier directions X of its sequence, which every step projects out.
 
-A step's products have three sources:
+A step scans W once for its active rows (_active_columns): their count
+chooses the source, and the kernel sums those columns alone when at most
+n // GATHER_DIVISOR are active.  A step's products have three sources:
 - the kernels on A: the accumulation A W and the correlations A'X;
 - for a sparse step, with 0 < k <= p // GRAM_DIVISOR active rows of W,
   cached rows of G = A'A: with G_l = G - C C' (C = A'X, empty for a
@@ -35,7 +37,6 @@ from .core import (
     column_norms,
 )
 from .parallel import (
-    _active_columns,
     _gathered_product,
     par_matvec_t,
     par_threshold_accumulate,
@@ -57,6 +58,15 @@ FEASIBILITY_TOL = 1e-8
 # p/2.  The vector crossover lies between p/3 and p/2; p/4 keeps a margin
 # below it for every m.
 GRAM_DIVISOR = 4
+# The accumulation kernel sums the active columns alone when at most
+# n // GATHER_DIVISOR are active.  One thread, finding the active set
+# included, one gathered copy (slower than parallel's GATHER_BYTES blocks)
+# against the full kernel, two runs: at 400x1000, vector, 20-22, 30, 39,
+# 64-89 and 227 us at 0.5, 5, 10, 25 and 50% active against 140-150 us;
+# at 200x2000, m=5, 75-80, 75-93, 87-115, 184-223 and 380-425 us against
+# 220-340 us; at 800x8000, vector, 1.8 ms at 25% against 2.3 ms, but
+# 3.9-4.4 ms at 50%.
+GATHER_DIVISOR = 4
 # A fit caches rows of G = A'A only when all of G takes at most this
 # many bytes: 8 MB at n = 1000, 32 MB at n = 2000, 512 MB at n = 8000.
 GRAM_MAX_BYTES = 2**25
@@ -168,7 +178,8 @@ def ascent_direction(A, X, gamma, penalty, mu=1.0, workers=1):
     """
     A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, workers)
     W = threshold_weights(S, gamma, penalty)
-    return (2.0 * mu) * par_threshold_accumulate(A, W, workers)
+    active = _active_columns(W, A.n // GATHER_DIVISOR)
+    return (2.0 * mu) * par_threshold_accumulate(A, W, workers, active)
 
 
 def recover_pattern(A, X, gamma, penalty, mu=1.0, workers=1):
@@ -265,6 +276,29 @@ class _Fit:
         return self.K
 
 
+def _active_columns(weights, limit):
+    """Indices of the columns with a nonzero weight (nonzero rows of an
+    n x m block), or None when more than limit of them are active."""
+    # Nonzero counts bound the active count from below at a fraction of
+    # the cost of the row reduction.  The first 2 * limit entries of one
+    # column stop a dense call at half a column's count; the whole block,
+    # with more than m * limit nonzeros, stops one that is not quite sparse.
+    lead = weights if weights.ndim == 1 else weights[:, 0]
+    if np.count_nonzero(lead[: 2 * limit]) > limit:
+        return None
+    if np.count_nonzero(weights) > limit * (weights.size // len(weights)):
+        return None
+    # flatnonzero reads a boolean mask faster than the float weights: for
+    # 4 nonzeros in 1000, 2.6-3.1 against 4.3-5.5 us (best of 7 x 2000).
+    mask = weights != 0
+    if mask.ndim == 2:
+        # An OR over the m column masks, as a boolean product: 17 us
+        # against 40 us for np.any(weights, axis=1) on a 2000 x 5 block.
+        mask = mask @ np.ones(mask.shape[1], bool)
+    active = np.flatnonzero(mask)
+    return active if active.size <= limit else None
+
+
 def _route_rows(W, R, R_prev, limit):
     # The rows where the residual moved (in any column of a block), or None
     # when more than limit did or a column of W is all zero: the kernel
@@ -308,7 +342,8 @@ class _Retraction:
         # step AR is its A R, after a kernel step `last` holds its (A W, X),
         # from which A R = mu K X - A W is formed only if this step takes
         # the route.  Each is None when unknown.  unformed holds the
-        # weights that give the iterate after a sparse step.
+        # weights, and the kernel's active rows, that give the iterate
+        # after a sparse step.
         self.start = self.S = mu * par_matvec_t(self.A, self.X, workers)
         self.R = self.AR = self.last = self.unformed = None
 
@@ -316,16 +351,13 @@ class _Retraction:
         """Drop the route's state: X no longer gives the correlations."""
         self.S = self.R = self.AR = self.last = None
 
-    def _gram_step(self, W):
-        # The correlations of a sparse step from the fit's rows of G, or
-        # None for a matrix step: when the step is not sparse, a column of
-        # W is all zero, or M is too near singular for its inverse square
-        # root (M squares the gradient's condition number), so that
-        # polar_projection makes every rank decision.
-        if not self.fit.gram_limit:
-            return None
-        active = _active_columns(W, self.fit.gram_limit)
-        if active is None or not active.size:
+    def _gram_step(self, W, active):
+        # The correlations of a sparse step from the fit's rows of G at the
+        # active rows of W, or None for a matrix step: when the step is not
+        # sparse, a column of W is all zero, or M is too near singular for
+        # its inverse square root (M squares the gradient's condition
+        # number), so that polar_projection makes every rank decision.
+        if active is None or not 0 < active.size <= self.fit.gram_limit:
             return None
         W = W[active]
         if not _live(W):
@@ -340,19 +372,20 @@ class _Retraction:
             return None
         return P @ ((d[:, None] * V / np.sqrt(lam)) @ V.T * self.mu)
 
-    def _accumulate(self, W):
-        # A W for the weights W of the correlations S of the current X.
+    def _accumulate(self, W, active):
+        # A W for the weights W of the correlations S of the current X;
+        # active is the kernel's set of active rows, or None.
         S, R_prev, AR_prev, last = self.S, self.R, self.AR, self.last
         self.forget()
         fit = self.fit
         if S is None or not fit.tracking():
-            return par_threshold_accumulate(self.A, W, self.workers)
+            return par_threshold_accumulate(self.A, W, self.workers, active)
         self.R = R = threshold_residual(S, W, self.gamma, self.penalty)
         rows = None if R_prev is None else _route_rows(W, R, R_prev, fit.limit)
         if rows is None:
             if R_prev is not None:
                 fit.misses -= 1
-            AW = par_threshold_accumulate(self.A, W, self.workers)
+            AW = par_threshold_accumulate(self.A, W, self.workers, active)
             self.last = AW, self.X
             return AW
         K = fit.sample_gram()
@@ -362,10 +395,10 @@ class _Retraction:
         self.AR = AR_prev + _gathered_product(self.A.values, rows, R[rows] - R_prev[rows])
         return self.mu * (K @ self.X) - self.AR
 
-    def retract(self, W):
-        """Move X to the retracted gradient for the weights W; False,
-        leaving X, when that gradient is zero."""
-        G = self.fit.project((2.0 * self.mu) * self._accumulate(W))
+    def retract(self, W, active):
+        """Move X to the retracted gradient for the weights W, summed over
+        the active rows (all n for None); False, leaving X, when it is zero."""
+        G = self.fit.project((2.0 * self.mu) * self._accumulate(W, active))
         if G.ndim == 1:
             norm = np.linalg.norm(G)
             if norm == 0.0:
@@ -376,13 +409,18 @@ class _Retraction:
         return True
 
     def __call__(self, W):
-        S = self._gram_step(W)
+        # The step's one scan of W: the rows source takes at most
+        # gram_limit active rows, the kernel at most n // GATHER_DIVISOR.
+        gather = self.A.n // GATHER_DIVISOR
+        active = _active_columns(W, max(self.fit.gram_limit, gather))
+        S = self._gram_step(W, active)
+        active = None if active is None or active.size > gather else active
         if S is not None:
             self.forget()
-            self.unformed = W
+            self.unformed = W, active
             return S
         self.unformed = None
-        if not self.retract(W):
+        if not self.retract(W, active):
             return None
         self.S = self.mu * par_matvec_t(self.A, self.X, self.workers)
         return self.S
@@ -390,7 +428,7 @@ class _Retraction:
     def iterate(self):
         """The iterate the last correlations belong to."""
         if self.unformed is not None:
-            self.retract(self.unformed)
+            self.retract(*self.unformed)
             self.unformed = None
         return self.X
 

@@ -11,11 +11,11 @@ not set it.  Every chunk's partial result is computed the same way
 whichever worker runs it, and the partials are combined by a pairwise
 tree whose shape depends only on the chunk layout, never on scheduling,
 so kernel output is bitwise identical for any worker count.
-The accumulation sums weights with at most a quarter of the columns
-active (GATHER_DIVISOR) over those columns alone, on the calling thread
-(_gathered_product, shared by block's dense-step route), so that sum
-never reads the worker count.  Not every step of the power loop comes
-here; block states where a step's products come from.
+Given the active columns, the accumulation sums those alone, on the
+calling thread (_gathered_product, shared by block's dense-step route),
+so that sum never reads the worker count.  The caller decides when the
+weights are sparse enough for that; block's step makes the decision
+once per step, and states where a step's products come from.
 """
 
 import os
@@ -43,15 +43,6 @@ GEMM_BUDGET = 2**19
 # A tall matrix still gets chunks of a few dozen columns, not one call
 # per column.
 MIN_CHUNK = 32
-# The accumulation sums the active columns alone when at most
-# n // GATHER_DIVISOR are active.  One thread, finding the active set
-# included, one gathered copy (slower than the blocks below) against the
-# full kernel, two runs: at 400x1000, vector, 20-22, 30, 39, 64-89 and
-# 227 us at 0.5, 5, 10, 25 and 50% active against 140-150 us; at
-# 200x2000, m=5, 75-80, 75-93, 87-115, 184-223 and 380-425 us against
-# 220-340 us; at 800x8000, vector, 1.8 ms at 25% against 2.3 ms, but
-# 3.9-4.4 ms at 50%.
-GATHER_DIVISOR = 4
 # Columns are gathered this many bytes at a time: one copy of them all
 # leaves the cache once it outgrows it.  At 800x8000, one thread, 1866
 # columns took 2.8 ms for a vector and 7.7 ms at m = 5 in one copy, 1.8
@@ -139,26 +130,6 @@ def par_matvec_t(A, x, workers=1):
     return out
 
 
-def _active_columns(weights, limit):
-    """Indices of the columns with a nonzero weight (nonzero rows of an
-    n x m block), or None when more than limit of them are active."""
-    # Nonzero counts bound the active count from below at a fraction of
-    # the cost of the row reduction.  The first 2 * limit entries of one
-    # column stop a dense call at half a column's count; the whole block,
-    # with more than m * limit nonzeros, stops one that is not quite sparse.
-    lead = weights if weights.ndim == 1 else weights[:, 0]
-    if np.count_nonzero(lead[: 2 * limit]) > limit:
-        return None
-    if np.count_nonzero(weights) > limit * (weights.size // len(weights)):
-        return None
-    if weights.ndim == 2:
-        # An OR over the m column masks, as a boolean product: 17 us
-        # against 40 us for np.any(weights, axis=1) on a 2000 x 5 block.
-        weights = (weights != 0) @ np.ones(weights.shape[1], bool)
-    active = np.flatnonzero(weights)
-    return active if active.size <= limit else None
-
-
 def _gathered_product(values, rows, D):
     """values[:, rows] @ D on the calling thread, gathered GATHER_BYTES at
     a time; exact zeros for no rows."""
@@ -201,20 +172,20 @@ def threshold_residual(correlations, weights, gamma, penalty):
     raise ValueError(f"unknown penalty {penalty!r}")
 
 
-def par_threshold_accumulate(A, weights, workers=1):
+def par_threshold_accumulate(A, weights, workers=1, active=None):
     """Weighted column sum sum_i w_i a_i: A w for length-n weights, A W
     for an n x m block.
 
     In the solvers the weights are threshold_weights of the current
     correlations, so the result is the ascent direction up to the
-    scheme's constant factor.
+    scheme's constant factor.  Given active, every row with a nonzero
+    weight, it sums those columns alone on the calling thread (exact
+    zeros for none); otherwise the chunk engine sums all n.
     """
     check_workers(workers)
     A = as_data_matrix(A)
     w = _check_rows(weights, A.n, "weights")
     values = A.values
-    # Inactive columns add only zeros.
-    active = _active_columns(w, A.n // GATHER_DIVISOR)
     if active is not None:
         return _gathered_product(values, active, w[active])
     # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs

@@ -371,8 +371,8 @@ class TestSampleGramRoute:
         original = gpspca.block._Retraction._accumulate
         kernel = gpspca.parallel.par_threshold_accumulate
 
-        def accumulate(step, W):
-            got = original(step, W)
+        def accumulate(step, W, active):
+            got = original(step, W, active)
             want = kernel(step.A, W)
             log["steps"] += 1
             log["worst"] = max(log["worst"], np.linalg.norm(got - want) / np.linalg.norm(want))
@@ -444,13 +444,13 @@ class TestSampleGramRoute:
         schedule = {10, 11, 17}
         taken = []
 
-        def gram_step(step, W):
+        def gram_step(step, W, active):
             taken.append(len(taken))
             if taken[-1] not in schedule:
                 return None
             # Past the gate: every active row counts as sparse.
             step.fit.gram_limit = len(W)
-            return original(step, W)
+            return original(step, W, np.flatnonzero(W))
 
         original = gpspca.block._Retraction._gram_step
         monkeypatch.setattr(gpspca.block._Retraction, "_gram_step", gram_step)
@@ -557,8 +557,8 @@ class TestGramRowsRoute:
         log = {"gram": 0, "matrix": 0, "worst": 0.0}
         original = gpspca.block._Retraction._gram_step
 
-        def gram_step(step, W):
-            S = original(step, W)
+        def gram_step(step, W, active):
+            S = original(step, W, active)
             if S is None:
                 log["matrix"] += 1
                 return None
@@ -595,7 +595,7 @@ class TestGramRowsRoute:
         W = np.zeros((A.n, 2))
         W[rows, 0] = rng.uniform(1.0, 2.0, rows.size)
         W[rows, 1] = W[rows, 0] * (1.0 + 1e-6 * rng.standard_normal(rows.size))
-        assert step._gram_step(W) is None
+        assert step._gram_step(W, np.sort(rows)) is None
         kernels = []
         kernel = gpspca.parallel.par_threshold_accumulate
         monkeypatch.setattr(gpspca.block, "par_threshold_accumulate",
@@ -605,7 +605,7 @@ class TestGramRowsRoute:
         assert np.array_equal(S, np.ones(2) * gpspca.parallel.par_matvec_t(A, step.iterate()))
         # Independent columns on the same rows take the route.
         W[rows, 1] = rng.uniform(1.0, 2.0, rows.size)
-        assert step._gram_step(W) is not None
+        assert step._gram_step(W, np.sort(rows)) is not None
 
     @pytest.mark.parametrize("iteration", [0, 6])
     def test_all_zero_column_raises_where_matrix_steps_do(self, monkeypatch, iteration):
@@ -648,3 +648,75 @@ class TestGramRowsRoute:
             runs.append((loadings.values.tobytes(), report.component_histories))
         assert routes["gram"] > 20
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestOneScanPerStep:
+    """A step scans its weights once for their active rows
+    (block._active_columns), at the larger of the rows source's limit,
+    p // GRAM_DIVISOR, and the kernel's, n // GATHER_DIVISOR; the rows
+    source and the accumulation kernel both take their set from it."""
+
+    @staticmethod
+    def sparse_data(n_classes, per_class, n_features):
+        ds = synthetic_sparse_factors(n_classes=n_classes, per_class=per_class,
+                                      n_features=n_features, n_factors=5, support_size=10,
+                                      seed=3)
+        return DataMatrix(ds.samples - ds.samples.mean(axis=0))
+
+    @pytest.mark.parametrize("case", ["dense-block", "sparse-sequence", "sparse-block"])
+    def test_each_step_scans_once(self, monkeypatch, case):
+        assert not hasattr(gpspca.parallel, "_active_columns")
+        steps, scans = [], []
+        call, scan = gpspca.block._Retraction.__call__, gpspca.block._active_columns
+        monkeypatch.setattr(gpspca.block._Retraction, "__call__",
+                            lambda step, W: steps.append(1) or call(step, W))
+        monkeypatch.setattr(gpspca.block, "_active_columns",
+                            lambda W, limit: scans.append(1) or scan(W, limit))
+        if case == "dense-block":
+            # Past its first 25 steps the fit may take the route from A A'.
+            A = DataMatrix(np.random.default_rng(70).standard_normal((200, 2000)))
+            config = SolverConfig(penalty="l1", m=3, gamma=0.01, tol=1e-300, max_iter=40,
+                                  init="random_orthonormal", seed=1)
+            solve_block(A, config)
+        elif case == "sparse-sequence":
+            config = SolverConfig(penalty="l1", m=5, gamma=3.0, max_iter=200)
+            solve_multi_sequential(self.sparse_data(20, 20, 1000), config)
+        else:
+            config = SolverConfig(penalty="l0", m=5, gamma=9.0, max_iter=200,
+                                  init="random_orthonormal", seed=1)
+            solve_block(self.sparse_data(20, 8, 400), config)
+        assert len(steps) > 20 and len(scans) == len(steps)
+
+    def test_tall_matrix_rows_source_above_the_kernel_limit(self, monkeypatch):
+        # 300 x 120: a step takes the rows of A'A with up to p // 4 = 75
+        # active rows, while the kernel sums the active columns alone only
+        # up to n // 4 = 30.  Steps between the two read rows of A'A; the
+        # iterate formed at the end of the climb from such weights sums all
+        # n columns in the chunk engine.
+        A = self.sparse_data(30, 10, 120)
+        n, p = A.n, A.p
+        gram, kernel, gathered = [], [], []
+        original = gpspca.block._Retraction._gram_step
+        accumulate, gather = gpspca.block.par_threshold_accumulate, gpspca.parallel._gathered_product
+
+        def gram_step(step, W, active):
+            S = original(step, W, active)
+            gram.append((None if active is None else active.size, S is not None))
+            return S
+
+        def counting(A, W, workers, active):
+            kernel.append(active)
+            return accumulate(A, W, workers, active)
+
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_step", gram_step)
+        monkeypatch.setattr(gpspca.block, "par_threshold_accumulate", counting)
+        monkeypatch.setattr(gpspca.parallel, "_gathered_product",
+                            lambda *args: gathered.append(1) or gather(*args))
+        config = SolverConfig(penalty="l1", m=3, gamma=3.0, max_iter=200,
+                              init="random_orthonormal", seed=1)
+        _, report = solve_block(A, config)
+        between = [taken for k, taken in gram if k is not None and n // 4 < k <= p // 4]
+        assert len(between) > 10 and all(between)
+        assert len(gram) == report.iterations and all(taken for _, taken in gram)
+        assert gram[-1][0] > n // 4
+        assert kernel == [None] and gathered == []

@@ -54,10 +54,17 @@ def layout(n, chunk):
     return [min(chunk, n - lo) for lo in range(0, n, chunk)]
 
 
+def step_rows(W):
+    """The active rows a step hands the kernel for the weights W: those
+    block._active_columns finds, when at most n // GATHER_DIVISOR."""
+    return gpspca.block._active_columns(W, len(W) // gpspca.block.GATHER_DIVISOR)
+
+
 def thresholded(A, c, gamma, penalty, workers=1):
-    """One matrix step's accumulation: the threshold weights of c, then
-    the kernel."""
-    return par_threshold_accumulate(A, threshold_weights(c, gamma, penalty), workers)
+    """One matrix step's accumulation: the threshold weights of c, the
+    step's scan for their active rows, then the kernel."""
+    W = threshold_weights(c, gamma, penalty)
+    return par_threshold_accumulate(A, W, workers, step_rows(W))
 
 
 def reference_accumulate(values, weights, chunk):
@@ -419,9 +426,10 @@ def sparse_correlations(rng, n, m, active, spread=False):
 
 
 class TestActiveColumns:
-    """When at most n // GATHER_DIVISOR columns carry a nonzero weight,
-    the accumulation sums them alone in _gathered_product, on the calling
-    thread, without the chunk engine."""
+    """When at most n // GATHER_DIVISOR columns carry a nonzero weight, a
+    step hands them to the accumulation, which sums them alone in
+    _gathered_product, on the calling thread, without the chunk engine;
+    given no set, the kernel reads every column whatever the weights."""
 
     @pytest.mark.parametrize("share", [0.01, 0.10, 0.25])
     @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
@@ -438,7 +446,7 @@ class TestActiveColumns:
         if m == 1:
             z = np.zeros(n)
             z[active] = rng.standard_normal(active.size)
-            cases.append((lambda: par_threshold_accumulate(A, z), A.values @ z))
+            cases.append((lambda: par_threshold_accumulate(A, z, 1, step_rows(z)), A.values @ z))
         for call, want in cases:
             gathered_rows.clear()
             got = call()
@@ -446,6 +454,11 @@ class TestActiveColumns:
             assert got.shape == want.shape
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
         assert chunk_widths == []
+        # Without the set, the same sparse weights go through the engine.
+        W = threshold_weights(c, 1.0, "l1")
+        got = par_threshold_accumulate(A, W)
+        assert np.linalg.norm(got - cases[0][1]) <= 1e-12 * np.linalg.norm(cases[0][1])
+        assert [sum(widths) for widths in chunk_widths] == [n]
 
     def test_bitwise_identical_across_workers(self, gathered_rows, chunk_widths):
         rng = np.random.default_rng(21)
@@ -458,7 +471,7 @@ class TestActiveColumns:
         calls = [
             lambda workers: thresholded(A, c, 1.0, "l1", workers),
             lambda workers: thresholded(A, C, np.ones(5), "l0", workers),
-            lambda workers: par_threshold_accumulate(A, z, workers),
+            lambda workers: par_threshold_accumulate(A, z, workers, step_rows(z)),
         ]
         for call in calls:
             gathered_rows.clear()
@@ -477,7 +490,8 @@ class TestActiveColumns:
         assert out.shape == ((16,) if m == 1 else (16, m))
         assert np.array_equal(out, np.zeros(out.shape))
         if m == 1:
-            assert np.array_equal(par_threshold_accumulate(A, np.zeros(400)), np.zeros(16))
+            z = np.zeros(400)
+            assert np.array_equal(par_threshold_accumulate(A, z, 1, step_rows(z)), np.zeros(16))
         assert gathered_rows == [0] * (2 if m == 1 else 1)
         assert chunk_widths == []
 
@@ -499,21 +513,26 @@ class TestActiveColumns:
     @pytest.mark.parametrize("placement", ["leading", "random"])
     def test_gathers_at_a_quarter_and_not_above(self, gathered_rows, chunk_widths, m, spread,
                                                 placement):
-        # n // 4 active rows go to _gathered_product; one more sends all n
-        # columns through the chunk engine instead.
+        # A step (not sparse enough for the rows of A'A: p // 4 = 2 here)
+        # hands n // 4 active rows to _gathered_product; with one more,
+        # its accumulation sums all n columns in the chunk engine instead.
+        # The new iterate's correlations then run the engine either way.
         rng = np.random.default_rng(24)
         p, n = 8, 1000
         A = DataMatrix(rng.standard_normal((p, n)))
         gamma = np.ones(m) if m > 1 else 1.0
-        for k, gathered, engine in ((n // 4, [n // 4], []), (n // 4 + 1, [], [n])):
+        X = np.linalg.qr(rng.standard_normal((p, m)))[0]
+        for k, gathered, engine in ((n // 4, [n // 4], [n]), (n // 4 + 1, [], [n, n])):
             if placement == "leading":
                 active = np.arange(k)
             else:
                 active = np.sort(rng.choice(n, k, replace=False))
             c = sparse_correlations(rng, n, m, active, spread)
+            step = gpspca.block._Retraction(gpspca.block._Fit(A), X[:, 0] if m == 1 else X,
+                                            gamma, 1.0, "l1", 1)
             gathered_rows.clear()
             chunk_widths.clear()
-            thresholded(A, c, gamma, "l1")
+            assert step(threshold_weights(c, gamma, "l1")) is not None
             assert gathered_rows == gathered
             assert [sum(widths) for widths in chunk_widths] == engine
 
@@ -534,14 +553,15 @@ class TestWorkerCount:
     @pytest.mark.parametrize("path", ["dense", "gathered", "all_inactive"])
     def test_zero_workers_rejected_before_any_work(self, chunk_widths, gathered_rows, path):
         # Dense weights reach the chunk engine over every column; sparse
-        # and all-zero ones go to _gathered_product, which never reads the
-        # worker count, yet a count below 1 is still rejected.
+        # and all-zero ones, given their active rows, go to
+        # _gathered_product, which never reads the worker count, yet a
+        # count below 1 is still rejected.
         rng = np.random.default_rng(31)
         A = DataMatrix(rng.standard_normal((8, 200)))
         c = {"dense": 0.5 * rng.standard_normal(200), "gathered": np.eye(200)[0],
              "all_inactive": np.zeros(200)}[path]
         calls = [
-            lambda workers: par_threshold_accumulate(A, c, workers),
+            lambda workers: par_threshold_accumulate(A, c, workers, step_rows(c)),
             lambda workers: thresholded(A, c, 0.1, "l1", workers),
             lambda workers: thresholded(A, np.outer(c, [1.0, 2.0]),
                                         np.array([0.1, 0.1]), "l0", workers),
