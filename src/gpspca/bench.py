@@ -83,9 +83,11 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     center=True builds the centered matrix straight into a DataMatrix's
     column-major storage, so the solver makes no copy of it.  reuse, a
     dict shared by fits of the same training rows and settings that
-    differ only in m, keeps work a later fit can extend or slice (the PCA
-    factorization, the sl1/sl0 component sequence); the results are
-    bitwise those of a fresh fit.
+    differ only in m, keeps work a later fit can extend or slice: the PCA
+    factorization, the sl1/sl0 component sequence, and the centered
+    matrix and its (read-only) mean, which every sparse fit after the
+    first takes as they are, so the training rows are centered once.  The
+    results are bitwise those of a fresh fit.
     """
     if isinstance(train_samples, DataMatrix):
         samples = train_samples.values
@@ -101,7 +103,9 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         return model.components, model.mean, None
     if variant not in SPCA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    if center:
+    if reuse is not None and "centered" in reuse:
+        centered, mean = reuse["centered"]
+    elif center:
         mean = samples.mean(axis=0)
         centered = np.empty(samples.shape, order="F")
         np.subtract(samples, mean, out=centered)
@@ -109,6 +113,9 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     else:
         mean = np.zeros(samples.shape[1])
         centered = train_samples
+    if reuse is not None:
+        mean.flags.writeable = False
+        reuse["centered"] = centered, mean
     penalty = "l1" if variant.endswith("1") else "l0"
     if variant.startswith("s"):
         config = SolverConfig(
@@ -149,8 +156,10 @@ def run_recognition_experiment(config, dataset):
 
     Returns the CSV rows (one per repetition and m, mean rows appended)
     and writes them to config.out when set.  The fits of one repetition
-    share a reuse state (see fit_projection), so a row's fit_seconds is
-    the fit time spent in its repetition so far, its own fit included.
+    share a reuse state (see fit_projection): the training rows are
+    centered once, into one matrix and mean that every sparse fit of the
+    repetition reads, so a row's fit_seconds is the fit time spent in its
+    repetition so far, its own fit included.
     converged is 1 when every component of a sparse fit converged, 0
     otherwise, and empty for pca.  Solver failures are recorded in the
     row's error column, not raised.

@@ -17,7 +17,10 @@ n // GATHER_DIVISOR are active.  A step's products have three sources:
   block fit), P = G_l[:, act] W_act, D = diag(2 mu) and the gradient's
   Gram matrix M = D W_act' P[act] D, the new correlations are
   mu P D M^{-1/2} (mu P / sqrt(w'P[act]) for a vector), and the iterate
-  is formed once, at the end of the climb;
+  is formed once, at the end of the climb; a climb keeps the k x n block
+  G_l[act] from the first step that repeats the last step's active rows
+  until they change, so a steady step's P is one product with it (C is
+  fixed for a climb, and no block outlives its climb);
 - for a dense step whose threshold moved on few rows, the gradient
   A W = mu K X - A R from K = A A' and the residual R = S - W, with A R
   updated by parallel._gathered_product over the rows where R moved.
@@ -244,10 +247,8 @@ class _Fit:
         """v with the directions X projected out."""
         return v - self.X @ (self.X.T @ v) if self.X.shape[1] else v
 
-    def gram_products(self, W, active):
-        """P = G_l[:, active] W for the weights W of the active rows, with
-        G_l = G - C C'; the uncached rows of G are computed in one product
-        A[:, new]'A."""
+    def _gram_rows(self, active):
+        # G[active], the uncached rows computed in one product A[:, new]'A.
         if self.gram is None:
             self.gram = np.empty((self.A.n, self.A.n))
             self.cached = np.zeros(self.A.n, dtype=bool)
@@ -255,7 +256,23 @@ class _Fit:
         if new.size:
             self.gram[new] = self.A.values[:, new].T @ self.A.values
             self.cached[new] = True
-        P = (W.T @ self.gram[active]).T
+        return self.gram[active]
+
+    def deflated_rows(self, active):
+        """G_l[active] = G[active] - C[active] C', a k x n block."""
+        rows = self._gram_rows(active)
+        if self.C.shape[1]:
+            rows -= self.C[active] @ self.C.T
+        return rows
+
+    def gram_products(self, W, active, rows=None):
+        """P = G_l[:, active] W for the weights W of the active rows, with
+        G_l = G - C C'.  rows, when given, is G_l[active] (deflated_rows),
+        and P is one product with it; otherwise P reads G[active] and
+        subtracts C (C[active]' W)."""
+        if rows is not None:
+            return (W.T @ rows).T
+        P = (W.T @ self._gram_rows(active)).T
         return P - self.C @ (self.C[active].T @ W) if self.C.shape[1] else P
 
     def tracking(self):
@@ -324,7 +341,12 @@ class _Retraction:
     correlations, from one of the sources of the module docstring.
 
     A sparse step reads rows of G (_gram_step) and leaves its iterate
-    unformed; iterate() forms it from the weights it kept.  Any other
+    unformed; iterate() forms it from the weights it kept.  While
+    consecutive sparse steps have the same active rows, the step keeps
+    G_l at those rows (_kept_rows), formed on the first repeat, so each
+    later one takes P in one product in place of gathering G[act] and
+    subtracting C (C[act]' W); a change of rows or any other step drops
+    it, and a new climb starts without one.  Any other
     step retracts the gradient 2 mu A W, less the fit's earlier
     directions, and correlates the new X by the kernel.  Its A W comes
     from K once the fit keeps that route's state: R = S - W
@@ -346,6 +368,9 @@ class _Retraction:
         # after a sparse step.
         self.start = self.S = mu * par_matvec_t(self.A, self.X, workers)
         self.R = self.AR = self.last = self.unformed = None
+        # (active rows of the last step, G_l at those rows or None) while
+        # the climb's steps read rows of G; None after any other step.
+        self.kept = None
 
     def forget(self):
         """Drop the route's state: X no longer gives the correlations."""
@@ -362,7 +387,7 @@ class _Retraction:
         W = W[active]
         if not _live(W):
             return None
-        P = self.fit.gram_products(W, active)
+        P = self.fit.gram_products(W, active, self._kept_rows(active))
         if W.ndim == 1:
             q = W @ P[active]
             return self.mu * (P / np.sqrt(q)) if q > 0 else None
@@ -371,6 +396,19 @@ class _Retraction:
         if not lam[0] > np.sqrt(np.finfo(np.float64).eps) * lam[-1]:
             return None
         return P @ ((d[:, None] * V / np.sqrt(lam)) @ V.T * self.mu)
+
+    def _kept_rows(self, active):
+        # G_l[active] when the last step read the same rows, formed on the
+        # first repeat and kept while they hold; None on a step whose rows
+        # changed.  The fit's C is fixed for the climb, so the block stays
+        # valid for as long as the climb keeps it.
+        kept = self.kept
+        if kept is None or kept[0].size != active.size or (kept[0] != active).any():
+            self.kept = active, None
+            return None
+        if kept[1] is None:
+            self.kept = active, self.fit.deflated_rows(active)
+        return self.kept[1]
 
     def _accumulate(self, W, active):
         # A W for the weights W of the correlations S of the current X;
@@ -419,7 +457,7 @@ class _Retraction:
             self.forget()
             self.unformed = W, active
             return S
-        self.unformed = None
+        self.unformed = self.kept = None
         if not self.retract(W, active):
             return None
         self.S = self.mu * par_matvec_t(self.A, self.X, self.workers)

@@ -39,9 +39,9 @@ def _initial_iterates(data, config):
 
     max_norm_column walks the deflated columns in decreasing norm order;
     asking for more starts than there are columns tops up with seeded
-    random directions.
+    random directions.  The generator is built only for that top-up: a
+    recognition repetition makes over a hundred calls that never draw.
     """
-    rng = np.random.default_rng(config.seed)
     out = []
     if config.init == "max_norm_column":
         for i in np.argsort(-data.norms, kind="stable")[: config.restarts]:
@@ -49,9 +49,11 @@ def _initial_iterates(data, config):
             norm = np.linalg.norm(column)
             if norm > 0:
                 out.append(column / norm)
-    for _ in range(config.restarts - len(out)):
-        x = rng.standard_normal(data.A.p)
-        out.append(x / np.linalg.norm(x))
+    if len(out) < config.restarts:
+        rng = np.random.default_rng(config.seed)
+        for _ in range(config.restarts - len(out)):
+            x = rng.standard_normal(data.A.p)
+            out.append(x / np.linalg.norm(x))
     return out
 
 

@@ -217,7 +217,7 @@ class TestSweepReuse:
         return loadings, report, accuracy
 
     @pytest.mark.parametrize("ms", [(2, 5, 10), (5, 2, 5, 10)], ids=["sorted", "unsorted"])
-    @pytest.mark.parametrize("variant", ["sl1", "sl0", "pca"])
+    @pytest.mark.parametrize("variant", ["sl1", "sl0", "bl1", "bl0", "pca"])
     def test_rows_bitwise_equal_to_fresh_fits(self, monkeypatch, variant, ms):
         ds, config, rows, calls = self.sweep(monkeypatch, variant, ms)
         assert len(rows) == len(calls) == 2 * len(ms)
@@ -248,6 +248,31 @@ class TestSweepReuse:
             want, want_report, _ = self.fresh(ds, config, row["repetition"], row["m"])
             assert np.array_equal(loadings, want)
             assert report.iterations == want_report.iterations
+
+    @pytest.mark.parametrize("variant", ["sl1", "sl0", "bl1", "bl0"])
+    def test_each_repetition_centers_once(self, monkeypatch, variant):
+        # Every sparse fit of a repetition hands the solver one centered
+        # DataMatrix and returns one mean; only the first fit centers.
+        solved, centered = [], []
+        for name in ("solve_multi_sequential", "solve_block"):
+            original = getattr(bench, name)
+            monkeypatch.setattr(bench, name, lambda A, *a, _original=original, **k:
+                                solved.append(A) or _original(A, *a, **k))
+        own = DataMatrix._own.__func__
+        monkeypatch.setattr(DataMatrix, "_own", classmethod(
+            lambda cls, arr: centered.append(1) or own(cls, arr)))
+        ms = (2, 5, 3)
+        _, _, rows, calls = self.sweep(monkeypatch, variant, ms)
+        assert not any(r["error"] for r in rows)
+        assert len(centered) == 2 and len(solved) == len(calls) == 2 * len(ms)
+        for rep in (0, 1):
+            matrices = solved[rep * len(ms):(rep + 1) * len(ms)]
+            means = [mean for _, mean, _ in calls[rep * len(ms):(rep + 1) * len(ms)]]
+            assert isinstance(matrices[0], DataMatrix)
+            assert all(A is matrices[0] for A in matrices)
+            assert all(mean is means[0] for mean in means)
+            assert not means[0].flags.writeable
+        assert solved[0] is not solved[len(ms)]
 
     def test_pca_m_above_rank_records_its_own_error(self, monkeypatch):
         # 35 training rows x 30 features: at most 30 components.

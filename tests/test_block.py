@@ -720,3 +720,156 @@ class TestOneScanPerStep:
         assert len(gram) == report.iterations and all(taken for _, taken in gram)
         assert gram[-1][0] > n // 4
         assert kernel == [None] and gathered == []
+
+
+class TestKeptDeflatedRows:
+    """A climb whose sparse steps repeat the last step's active rows keeps
+    G_l[act] = G[act] - C[act] C' (C = A'X for the earlier directions X of
+    a sequence): formed on the first repeat, dropped when the rows change,
+    never carried into another climb."""
+
+    @staticmethod
+    def recog_data():
+        # Recognition-shaped: 400 training rows x 1000 features.
+        ds = synthetic_sparse_factors(n_classes=20, per_class=20, n_features=1000,
+                                      n_factors=10, support_size=10, seed=1000)
+        return DataMatrix(ds.samples - ds.samples.mean(axis=0))
+
+    @staticmethod
+    def unkept(monkeypatch):
+        # Every rows step reads G[act] and subtracts C (C[act]' W), as if
+        # no block were kept.
+        original = gpspca.block._Fit.gram_products
+        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
+                            lambda fit, W, active, rows=None: original(fit, W, active))
+
+    def test_steady_steps_match_unkept_products(self, monkeypatch):
+        log = {"kept": 0, "unkept": 0, "worst": 0.0}
+        original = gpspca.block._Fit.gram_products
+
+        def gram_products(fit, W, active, rows=None):
+            P = original(fit, W, active, rows)
+            if rows is None:
+                log["unkept"] += 1
+                return P
+            want = original(fit, W, active)
+            log["kept"] += 1
+            log["worst"] = max(log["worst"], np.linalg.norm(P - want) / np.linalg.norm(want))
+            return P
+
+        monkeypatch.setattr(gpspca.block._Fit, "gram_products", gram_products)
+        # The later, sparser components of this sequence hold their rows.
+        config = SolverConfig(penalty="l1", m=20, gamma=3.0, max_iter=200)
+        solve_multi_sequential(self.recog_data(), config)
+        assert log["kept"] > 2 * log["unkept"] > 0
+        assert log["worst"] <= 1e-12
+
+    def test_formed_on_a_repeat_and_dropped_on_a_change(self, monkeypatch):
+        rng = np.random.default_rng(80)
+        A = DataMatrix(rng.standard_normal((40, 200)))
+        fit = single_unit._Deflated(A)
+        x = random_stiefel(rng, 40, 1)[:, 0]
+        fit.add(x, A.values.T @ x)
+        formed, passed = [], []
+        deflated, products = gpspca.block._Fit.deflated_rows, gpspca.block._Fit.gram_products
+        monkeypatch.setattr(gpspca.block._Fit, "deflated_rows",
+                            lambda fit, active: formed.append(active.tolist())
+                            or deflated(fit, active))
+        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
+                            lambda fit, W, active, rows=None: passed.append(rows)
+                            or products(fit, W, active, rows))
+        step = gpspca.block._Retraction(fit, random_stiefel(rng, 40, 1)[:, 0], 1.0, 1.0, "l1", 1)
+        first, second = np.arange(3, 9), np.arange(20, 26)
+
+        def weights(support):
+            W = np.zeros(200)
+            W[support] = rng.uniform(1.0, 2.0, support.size)
+            return W
+
+        for support in (first, first, first, second, second):
+            assert step(weights(support)) is not None
+        assert formed == [first.tolist(), second.tolist()]
+        one, two, three, four, five = passed
+        assert one is None and four is None
+        assert two is three and five is not None and five is not two
+        G_l = A.values.T @ A.values - np.outer(fit.C[:, 0], fit.C[:, 0])
+        assert np.allclose(five, G_l[second], rtol=0, atol=1e-12 * np.abs(G_l).max())
+        # A step that does not read rows of G drops the block.
+        assert step(weights(np.arange(200))) is not None
+        assert step.kept is None
+        step(weights(second))
+        assert passed[-1] is None and formed == [first.tolist(), second.tolist()]
+
+    def test_no_climb_starts_with_a_kept_block(self, monkeypatch):
+        # Restarts and support refinement climb several times per
+        # component; each climb's first rows step reads G afresh, and every
+        # block a step reads is G_l at its rows for the fit's current C.
+        firsts, read, worst = {}, [], [0.0]
+        original = gpspca.block._Retraction._kept_rows
+
+        def kept_rows(step, active):
+            rows = original(step, active)
+            firsts.setdefault(id(step), (step, rows is None))
+            if rows is not None:
+                read.append(1)
+                fit = step.fit
+                values = fit.A.values
+                want = values[:, active].T @ values - fit.C[active] @ fit.C.T
+                worst[0] = max(worst[0], np.abs(rows - want).max() / np.abs(want).max())
+            return rows
+
+        monkeypatch.setattr(gpspca.block._Retraction, "_kept_rows", kept_rows)
+        ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
+                                      n_factors=5, support_size=5, seed=3)
+        A = DataMatrix(ds.samples - ds.samples.mean(axis=0))
+        config = SolverConfig(penalty="l1", m=6, gamma=3.0, restarts=2, refine=True)
+        solve_multi_sequential(A, config)
+        assert len(firsts) > 12 and len(read) > 20
+        assert all(fresh for _, fresh in firsts.values())
+        assert worst[0] <= 1e-12
+
+    def test_workers_bitwise(self, monkeypatch):
+        # Chunks of 32 columns, so two and three workers split every kernel
+        # call; kept blocks are formed and read without the engine.
+        monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
+        kept = []
+        original = gpspca.block._Fit.gram_products
+        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
+                            lambda fit, W, active, rows=None: kept.append(rows is not None)
+                            or original(fit, W, active, rows))
+        A = self.recog_data()
+        runs = []
+        for workers in (1, 2, 3):
+            kept.clear()
+            config = SolverConfig(penalty="l1", m=20, gamma=3.0, max_iter=200)
+            loadings, report = solve_multi_sequential(A, config, workers)
+            runs.append((loadings.values.tobytes(), report.component_histories))
+            assert sum(kept) > 300
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 9.0)])
+    def test_recog_sequence_matches_unkept_run(self, monkeypatch, penalty, gamma):
+        A = self.recog_data()
+        config = SolverConfig(penalty=penalty, m=20, gamma=gamma, max_iter=200)
+        kept, kept_report = solve_multi_sequential(A, config)
+        self.unkept(monkeypatch)
+        want, want_report = solve_multi_sequential(A, config)
+        assert [len(h) for h in kept_report.component_histories] == \
+            [len(h) for h in want_report.component_histories]
+        assert kept.nnz_per_component() == want.nnz_per_component()
+        assert np.array_equal(kept.values != 0, want.values != 0)
+        for got, expected in zip(kept_report.component_histories,
+                                 want_report.component_histories):
+            assert abs(got[-1] - expected[-1]) <= 1e-12 * abs(expected[-1])
+
+    def test_block_fit_bitwise_with_unkept_run(self, monkeypatch):
+        # A block fit has no earlier directions (C is empty): the kept block
+        # is G[act] itself, read by the same product.
+        config = SolverConfig(penalty="l1", m=5, gamma=3.0, max_iter=200,
+                              init="random_orthonormal", seed=1)
+        A = self.recog_data()
+        kept, kept_report = solve_block(A, config)
+        self.unkept(monkeypatch)
+        want, want_report = solve_block(A, config)
+        assert np.array_equal(kept.values, want.values)
+        assert kept_report.component_histories == want_report.component_histories

@@ -315,6 +315,26 @@ class TestSolveSingleUnit:
             assert abs(f_a - f_b) <= 1e-10
             assert np.allclose(z_a, z_b, atol=1e-9) or np.allclose(z_a, -z_b, atol=1e-9)
 
+    @pytest.mark.parametrize("init, restarts, draws", [
+        ("max_norm_column", 1, 0), ("max_norm_column", 4, 0), ("max_norm_column", 6, 2),
+        ("random_orthonormal", 2, 2)])
+    def test_generator_built_only_to_top_up(self, monkeypatch, init, restarts, draws):
+        # Four nonzero columns: max_norm_column tops up past four starts.
+        rng = np.random.default_rng(21)
+        data = single_unit._Deflated(DataMatrix(rng.standard_normal((5, 4))))
+        config = SolverConfig(init=init, restarts=restarts, seed=[3, 1])
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda *args: built.append(args) or real(*args))
+        starts = single_unit._initial_iterates(data, config)
+        assert built == ([(config.seed,)] if draws else [])
+        assert len(starts) == restarts
+        want = real(config.seed)
+        for x in starts[restarts - draws:]:
+            v = want.standard_normal(5)
+            assert np.array_equal(x, v / np.linalg.norm(v))
+
     def test_fixed_point_stationarity(self):
         # The stopping rule watches the objective, which is quadratically
         # flat at a maximum, so the iterate residual scales like sqrt(tol).
