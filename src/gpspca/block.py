@@ -13,14 +13,12 @@ chooses the source, and the kernel sums those columns alone when at most
 n // GATHER_DIVISOR are active.  A step's products have three sources:
 - the kernels on A: the accumulation A W and the correlations A'X;
 - for a sparse step, with 0 < k <= p // GRAM_DIVISOR active rows of W,
-  cached rows of G = A'A: with G_l = G - C C' (C = A'X, empty for a
-  block fit), P = G_l[:, act] W_act, D = diag(2 mu) and the gradient's
-  Gram matrix M = D W_act' P[act] D, the new correlations are
+  the fit's cached rows of G_l = G - C C' (G = A'A, C = A'X, empty for a
+  block fit): with P = G_l[:, act] W_act, D = diag(2 mu) and the
+  gradient's Gram matrix M = D W_act' P[act] D, the new correlations are
   mu P D M^{-1/2} (mu P / sqrt(w'P[act]) for a vector), and the iterate
-  is formed once, at the end of the climb; a climb keeps the k x n block
-  G_l[act] from the first step that repeats the last step's active rows
-  until they change, so a steady step's P is one product with it (C is
-  fixed for a climb, and no block outlives its climb);
+  is formed once, at the end of the climb; while a climb's active rows
+  repeat, its steps reuse the last step's block G_l[act];
 - for a dense step whose threshold moved on few rows, the gradient
   A W = mu K X - A R from K = A A' and the residual R = S - W, with A R
   updated by parallel._gathered_product over the rows where R moved.
@@ -218,12 +216,10 @@ class _Fit:
     """What the steps of one block fit or single-unit sequence share.
 
     A; the earlier directions X (p x l, orthonormal) and C = A'X (n x l),
-    both empty for a block fit; the rows of G = A'A its sparse steps have
-    needed, each computed the first time its column is active (all of G,
-    built on the first sparse step, made fits of a few dozen steps 2-3x
-    slower); and K = A A' for its dense steps, on the schedule of
-    SAMPLE_GRAM_DIVISOR.  What is computed when depends on the fit's
-    steps alone, never on the worker count.
+    both empty for a block fit; the rows of G_l = G - C C' (G = A'A) its
+    sparse steps have needed (gram_rows); and K = A A' for its dense
+    steps, on the schedule of SAMPLE_GRAM_DIVISOR.  What is computed when
+    depends on the fit's steps alone, never on the worker count.
     """
 
     def __init__(self, A):
@@ -231,9 +227,9 @@ class _Fit:
         self.X = np.empty((A.p, 0))
         self.C = np.empty((A.n, 0))
         self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
-        # Rows of G, valid where cached is set; both None until the first
-        # sparse step.
-        self.gram = self.cached = None
+        # Rows of G_l, and the number of columns of C each has taken (-1:
+        # not computed); both None until the first sparse step.
+        self.gram = self.level = None
         self.limit = A.n // ROUTE_DIVISOR - A.p if 8 * A.p * A.n >= ROUTE_MIN_BYTES else -1
         self.due = self.misses = A.p // SAMPLE_GRAM_DIVISOR
         self.K = None
@@ -247,33 +243,30 @@ class _Fit:
         """v with the directions X projected out."""
         return v - self.X @ (self.X.T @ v) if self.X.shape[1] else v
 
-    def _gram_rows(self, active):
-        # G[active], the uncached rows computed in one product A[:, new]'A.
+    def gram_rows(self, active):
+        """G_l[active], a k x n copy.  Rows never computed take one product
+        A[:, new]'A (all of G, built on the first sparse step, made fits of
+        a few dozen steps 2-3x slower); then each row takes, in the cache,
+        the columns of C it has not taken, so it takes each one once."""
         if self.gram is None:
             self.gram = np.empty((self.A.n, self.A.n))
-            self.cached = np.zeros(self.A.n, dtype=bool)
-        new = active[~self.cached[active]]
+            self.level = np.full(self.A.n, -1)
+        level = self.level[active]
+        new = active[level < 0]
         if new.size:
             self.gram[new] = self.A.values[:, new].T @ self.A.values
-            self.cached[new] = True
+            level[level < 0] = 0
+        l = self.C.shape[1]
+        for lev in np.unique(level[level < l]):
+            rows = active[level == lev]
+            self.gram[rows] -= self.C[rows, lev:] @ self.C[:, lev:].T
+        self.level[active] = l
         return self.gram[active]
 
-    def deflated_rows(self, active):
-        """G_l[active] = G[active] - C[active] C', a k x n block."""
-        rows = self._gram_rows(active)
-        if self.C.shape[1]:
-            rows -= self.C[active] @ self.C.T
-        return rows
-
-    def gram_products(self, W, active, rows=None):
-        """P = G_l[:, active] W for the weights W of the active rows, with
-        G_l = G - C C'.  rows, when given, is G_l[active] (deflated_rows),
-        and P is one product with it; otherwise P reads G[active] and
-        subtracts C (C[active]' W)."""
-        if rows is not None:
-            return (W.T @ rows).T
-        P = (W.T @ self._gram_rows(active)).T
-        return P - self.C @ (self.C[active].T @ W) if self.C.shape[1] else P
+    def gram_products(self, W, rows):
+        """P = G_l[:, act] W for the weights W of the active rows act, with
+        rows = G_l[act]."""
+        return (W.T @ rows).T
 
     def tracking(self):
         """Whether a matrix step keeps the route's state; a step that does
@@ -340,16 +333,13 @@ class _Retraction:
     the correlations S = mu * A'X of the iterate X -> the next iterate's
     correlations, from one of the sources of the module docstring.
 
-    A sparse step reads rows of G (_gram_step) and leaves its iterate
+    A sparse step reads rows of G_l (_gram_step) and leaves its iterate
     unformed; iterate() forms it from the weights it kept.  While
-    consecutive sparse steps have the same active rows, the step keeps
-    G_l at those rows (_kept_rows), formed on the first repeat, so each
-    later one takes P in one product in place of gathering G[act] and
-    subtracting C (C[act]' W); a change of rows or any other step drops
-    it, and a new climb starts without one.  Any other
-    step retracts the gradient 2 mu A W, less the fit's earlier
-    directions, and correlates the new X by the kernel.  Its A W comes
-    from K once the fit keeps that route's state: R = S - W
+    consecutive sparse steps have the same active rows, each reuses the
+    last one's block G_l[act] (_gram_rows); a new climb starts without
+    one.  Any other step retracts the gradient 2 mu A W, less the fit's
+    earlier directions, and correlates the new X by the kernel.  Its A W
+    comes from K once the fit keeps that route's state: R = S - W
     (threshold_residual) moves only on the rows that are or were
     inactive, plus l1 sign flips, so A R is updated by one product over
     those rows of A.  A step after a sparse one, and the next, run the
@@ -368,8 +358,8 @@ class _Retraction:
         # after a sparse step.
         self.start = self.S = mu * par_matvec_t(self.A, self.X, workers)
         self.R = self.AR = self.last = self.unformed = None
-        # (active rows of the last step, G_l at those rows or None) while
-        # the climb's steps read rows of G; None after any other step.
+        # (active rows of the last step, G_l at those rows) while the
+        # climb's steps read rows of G_l; None after any other step.
         self.kept = None
 
     def forget(self):
@@ -377,7 +367,7 @@ class _Retraction:
         self.S = self.R = self.AR = self.last = None
 
     def _gram_step(self, W, active):
-        # The correlations of a sparse step from the fit's rows of G at the
+        # The correlations of a sparse step from the fit's rows of G_l at the
         # active rows of W, or None for a matrix step: when the step is not
         # sparse, a column of W is all zero, or M is too near singular for
         # its inverse square root (M squares the gradient's condition
@@ -387,7 +377,7 @@ class _Retraction:
         W = W[active]
         if not _live(W):
             return None
-        P = self.fit.gram_products(W, active, self._kept_rows(active))
+        P = self.fit.gram_products(W, self._gram_rows(active))
         if W.ndim == 1:
             q = W @ P[active]
             return self.mu * (P / np.sqrt(q)) if q > 0 else None
@@ -397,18 +387,13 @@ class _Retraction:
             return None
         return P @ ((d[:, None] * V / np.sqrt(lam)) @ V.T * self.mu)
 
-    def _kept_rows(self, active):
-        # G_l[active] when the last step read the same rows, formed on the
-        # first repeat and kept while they hold; None on a step whose rows
-        # changed.  The fit's C is fixed for the climb, so the block stays
-        # valid for as long as the climb keeps it.
+    def _gram_rows(self, active):
+        # G_l[active]: the last step's block while the climb's active rows
+        # repeat (C is fixed for a climb), otherwise a copy from the fit.
         kept = self.kept
         if kept is None or kept[0].size != active.size or (kept[0] != active).any():
-            self.kept = active, None
-            return None
-        if kept[1] is None:
-            self.kept = active, self.fit.deflated_rows(active)
-        return self.kept[1]
+            self.kept = kept = active, self.fit.gram_rows(active)
+        return kept[1]
 
     def _accumulate(self, W, active):
         # A W for the weights W of the correlations S of the current X;

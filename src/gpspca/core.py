@@ -207,6 +207,11 @@ class RunReport:
     with a ComponentSequence) still reports all m components' traces,
     nnz counts and converged flag, but iterations and wall_time count
     only the components that call added and the seconds it ran.
+
+    converged is True when every climb stopped because the relative
+    objective change fell below tol, or because its gradient or its
+    component vanished.  It does not bound the distance to the limit,
+    and a climb stopped at max_iter reads False.
     """
 
     objective_history: list = field(default_factory=list)

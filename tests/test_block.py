@@ -723,10 +723,10 @@ class TestOneScanPerStep:
 
 
 class TestKeptDeflatedRows:
-    """A climb whose sparse steps repeat the last step's active rows keeps
-    G_l[act] = G[act] - C[act] C' (C = A'X for the earlier directions X of
-    a sequence): formed on the first repeat, dropped when the rows change,
-    never carried into another climb."""
+    """A sparse step reads G_l[act] = G[act] - C[act] C' (C = A'X for the
+    earlier directions X of a sequence) from the fit's one cache of
+    deflated rows: a climb gathers the block when its active rows change,
+    reuses it while they repeat, and never carries it into another climb."""
 
     @staticmethod
     def recog_data():
@@ -736,48 +736,64 @@ class TestKeptDeflatedRows:
         return DataMatrix(ds.samples - ds.samples.mean(axis=0))
 
     @staticmethod
-    def unkept(monkeypatch):
-        # Every rows step reads G[act] and subtracts C (C[act]' W), as if
-        # no block were kept.
-        original = gpspca.block._Fit.gram_products
-        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
-                            lambda fit, W, active, rows=None: original(fit, W, active))
+    def fresh_rows(fit, active):
+        # G_l[active] computed from A.
+        values = fit.A.values
+        return values[:, active].T @ values - fit.C[active] @ fit.C.T
+
+    @classmethod
+    def unkept(cls, monkeypatch):
+        # Every rows step computes its block from A, as if there were
+        # neither a cache nor a kept block; returns the list of such steps.
+        steps = []
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows",
+                            lambda step, active: steps.append(1)
+                            or cls.fresh_rows(step.fit, active))
+        return steps
+
+    @classmethod
+    def checked_blocks(cls, monkeypatch):
+        # Checks every block a rows step reads against the one computed from
+        # A, and logs whether the step reused the last step's block and
+        # whether its climb had a block before it.
+        log = {"reused": 0, "gathered": 0, "worst": 0.0, "firsts": {}}
+        original = gpspca.block._Retraction._gram_rows
+
+        def gram_rows(step, active):
+            kept = step.kept
+            rows = original(step, active)
+            log["firsts"].setdefault(id(step), (step, kept is None))
+            log["reused" if kept is not None and step.kept is kept else "gathered"] += 1
+            want = cls.fresh_rows(step.fit, active)
+            log["worst"] = max(log["worst"], np.abs(rows - want).max() / np.abs(want).max())
+            return rows
+
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows", gram_rows)
+        return log
 
     def test_steady_steps_match_unkept_products(self, monkeypatch):
-        log = {"kept": 0, "unkept": 0, "worst": 0.0}
-        original = gpspca.block._Fit.gram_products
-
-        def gram_products(fit, W, active, rows=None):
-            P = original(fit, W, active, rows)
-            if rows is None:
-                log["unkept"] += 1
-                return P
-            want = original(fit, W, active)
-            log["kept"] += 1
-            log["worst"] = max(log["worst"], np.linalg.norm(P - want) / np.linalg.norm(want))
-            return P
-
-        monkeypatch.setattr(gpspca.block._Fit, "gram_products", gram_products)
-        # The later, sparser components of this sequence hold their rows.
+        # The later, sparser components of this sequence hold their rows:
+        # most steps reuse the last block, and every block read, reused or
+        # gathered from the cache, is G_l at its rows.
+        log = self.checked_blocks(monkeypatch)
         config = SolverConfig(penalty="l1", m=20, gamma=3.0, max_iter=200)
         solve_multi_sequential(self.recog_data(), config)
-        assert log["kept"] > 2 * log["unkept"] > 0
+        assert log["reused"] > 2 * log["gathered"] > 0
         assert log["worst"] <= 1e-12
 
-    def test_formed_on_a_repeat_and_dropped_on_a_change(self, monkeypatch):
+    def test_gathered_on_a_change_and_reused_on_a_repeat(self, monkeypatch):
         rng = np.random.default_rng(80)
         A = DataMatrix(rng.standard_normal((40, 200)))
         fit = single_unit._Deflated(A)
-        x = random_stiefel(rng, 40, 1)[:, 0]
+        x, y = random_stiefel(rng, 40, 2).T
         fit.add(x, A.values.T @ x)
-        formed, passed = [], []
-        deflated, products = gpspca.block._Fit.deflated_rows, gpspca.block._Fit.gram_products
-        monkeypatch.setattr(gpspca.block._Fit, "deflated_rows",
-                            lambda fit, active: formed.append(active.tolist())
-                            or deflated(fit, active))
+        gathered, passed = [], []
+        rows, products = gpspca.block._Fit.gram_rows, gpspca.block._Fit.gram_products
+        monkeypatch.setattr(gpspca.block._Fit, "gram_rows",
+                            lambda fit, active: gathered.append(active.tolist())
+                            or rows(fit, active))
         monkeypatch.setattr(gpspca.block._Fit, "gram_products",
-                            lambda fit, W, active, rows=None: passed.append(rows)
-                            or products(fit, W, active, rows))
+                            lambda fit, W, block: passed.append(block) or products(fit, W, block))
         step = gpspca.block._Retraction(fit, random_stiefel(rng, 40, 1)[:, 0], 1.0, 1.0, "l1", 1)
         first, second = np.arange(3, 9), np.arange(20, 26)
 
@@ -788,63 +804,58 @@ class TestKeptDeflatedRows:
 
         for support in (first, first, first, second, second):
             assert step(weights(support)) is not None
-        assert formed == [first.tolist(), second.tolist()]
+        assert gathered == [first.tolist(), second.tolist()]
         one, two, three, four, five = passed
-        assert one is None and four is None
-        assert two is three and five is not None and five is not two
-        G_l = A.values.T @ A.values - np.outer(fit.C[:, 0], fit.C[:, 0])
-        assert np.allclose(five, G_l[second], rtol=0, atol=1e-12 * np.abs(G_l).max())
-        # A step that does not read rows of G drops the block.
+        assert two is one and three is one and five is four and four is not one
+        tol = 1e-12 * np.abs(self.fresh_rows(fit, np.arange(200))).max()
+        assert np.allclose(one, self.fresh_rows(fit, first), rtol=0, atol=tol)
+        assert np.allclose(four, self.fresh_rows(fit, second), rtol=0, atol=tol)
+        # A step that does not read rows of G_l drops the block; the next
+        # rows step gathers it again.
         assert step(weights(np.arange(200))) is not None
         assert step.kept is None
         step(weights(second))
-        assert passed[-1] is None and formed == [first.tolist(), second.tolist()]
+        assert gathered[-1] == second.tolist() and passed[-1] is not four
+        # The block is a copy: the cache's rows taking a later direction
+        # leave it as it was.
+        block = passed[-1].copy()
+        fit.add(y, A.values.T @ y)
+        assert np.allclose(fit.gram_rows(second), self.fresh_rows(fit, second), rtol=0, atol=tol)
+        assert np.array_equal(passed[-1], block)
 
     def test_no_climb_starts_with_a_kept_block(self, monkeypatch):
         # Restarts and support refinement climb several times per
-        # component; each climb's first rows step reads G afresh, and every
+        # component, and the sequence grows over three solve() calls: each
+        # climb's first rows step gathers its block from the fit, and every
         # block a step reads is G_l at its rows for the fit's current C.
-        firsts, read, worst = {}, [], [0.0]
-        original = gpspca.block._Retraction._kept_rows
-
-        def kept_rows(step, active):
-            rows = original(step, active)
-            firsts.setdefault(id(step), (step, rows is None))
-            if rows is not None:
-                read.append(1)
-                fit = step.fit
-                values = fit.A.values
-                want = values[:, active].T @ values - fit.C[active] @ fit.C.T
-                worst[0] = max(worst[0], np.abs(rows - want).max() / np.abs(want).max())
-            return rows
-
-        monkeypatch.setattr(gpspca.block._Retraction, "_kept_rows", kept_rows)
+        log = self.checked_blocks(monkeypatch)
         ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
                                       n_factors=5, support_size=5, seed=3)
         A = DataMatrix(ds.samples - ds.samples.mean(axis=0))
-        config = SolverConfig(penalty="l1", m=6, gamma=3.0, restarts=2, refine=True)
-        solve_multi_sequential(A, config)
-        assert len(firsts) > 12 and len(read) > 20
-        assert all(fresh for _, fresh in firsts.values())
-        assert worst[0] <= 1e-12
+        config = SolverConfig(penalty="l1", m=8, gamma=3.0, restarts=2, refine=True)
+        sequence = single_unit.ComponentSequence(A, config)
+        for m in (2, 5, 8):
+            sequence.solve(m)
+        assert len(log["firsts"]) > 12 and log["reused"] + log["gathered"] > 20
+        assert all(fresh for _, fresh in log["firsts"].values())
+        assert log["worst"] <= 1e-12
 
     def test_workers_bitwise(self, monkeypatch):
         # Chunks of 32 columns, so two and three workers split every kernel
-        # call; kept blocks are formed and read without the engine.
+        # call; rows of G_l are computed and read without the engine.
         monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
-        kept = []
+        steps = []
         original = gpspca.block._Fit.gram_products
         monkeypatch.setattr(gpspca.block._Fit, "gram_products",
-                            lambda fit, W, active, rows=None: kept.append(rows is not None)
-                            or original(fit, W, active, rows))
+                            lambda fit, W, rows: steps.append(1) or original(fit, W, rows))
         A = self.recog_data()
         runs = []
         for workers in (1, 2, 3):
-            kept.clear()
+            steps.clear()
             config = SolverConfig(penalty="l1", m=20, gamma=3.0, max_iter=200)
             loadings, report = solve_multi_sequential(A, config, workers)
             runs.append((loadings.values.tobytes(), report.component_histories))
-            assert sum(kept) > 300
+            assert len(steps) > 300
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 9.0)])
@@ -852,8 +863,9 @@ class TestKeptDeflatedRows:
         A = self.recog_data()
         config = SolverConfig(penalty=penalty, m=20, gamma=gamma, max_iter=200)
         kept, kept_report = solve_multi_sequential(A, config)
-        self.unkept(monkeypatch)
+        fresh = self.unkept(monkeypatch)
         want, want_report = solve_multi_sequential(A, config)
+        assert len(fresh) > 300
         assert [len(h) for h in kept_report.component_histories] == \
             [len(h) for h in want_report.component_histories]
         assert kept.nnz_per_component() == want.nnz_per_component()
@@ -863,13 +875,23 @@ class TestKeptDeflatedRows:
             assert abs(got[-1] - expected[-1]) <= 1e-12 * abs(expected[-1])
 
     def test_block_fit_bitwise_with_unkept_run(self, monkeypatch):
-        # A block fit has no earlier directions (C is empty): the kept block
-        # is G[act] itself, read by the same product.
+        # A block fit has no earlier directions (C is empty): its cached
+        # rows are rows of G, never downdated, so a run whose every rows
+        # step gathers from the cache is bitwise the same.  A run that
+        # computes every block from A agrees to rounding.
         config = SolverConfig(penalty="l1", m=5, gamma=3.0, max_iter=200,
                               init="random_orthonormal", seed=1)
         A = self.recog_data()
         kept, kept_report = solve_block(A, config)
-        self.unkept(monkeypatch)
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows",
+                            lambda step, active: step.fit.gram_rows(active))
+        gathered, gathered_report = solve_block(A, config)
+        assert np.array_equal(kept.values, gathered.values)
+        assert kept_report.component_histories == gathered_report.component_histories
+        fresh = self.unkept(monkeypatch)
         want, want_report = solve_block(A, config)
-        assert np.array_equal(kept.values, want.values)
-        assert kept_report.component_histories == want_report.component_histories
+        assert len(fresh) > 0
+        assert kept.nnz_per_component() == want.nnz_per_component()
+        assert len(kept_report.objective_history) == len(want_report.objective_history)
+        assert np.allclose(kept_report.objective_history, want_report.objective_history,
+                           rtol=1e-12, atol=0)

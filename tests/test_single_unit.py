@@ -515,7 +515,7 @@ def log_row_writes(data):
     # Swaps the cache of data, empty or not, for one that logs its writes.
     if data.gram is None:
         data.gram = np.empty((data.A.n, data.A.n))
-        data.cached = np.zeros(data.A.n, dtype=bool)
+        data.level = np.full(data.A.n, -1)
     data.gram = data.gram.view(RowWrites)
     data.gram.log = []
     return data.gram.log
@@ -573,7 +573,7 @@ class TestImplicitDeflation:
         second = np.concatenate([first[:6], rng.choice(np.setdiff1d(np.arange(200), first),
                                                        4, replace=False)])
 
-        def sparse_step(support):
+        def sparse_step(step, support):
             S = np.zeros(200)
             S[support] = rng.uniform(2.0, 3.0, support.size)
             S_new = take_step(step, S, 1.0, "l1")
@@ -581,32 +581,77 @@ class TestImplicitDeflation:
             assert np.linalg.norm(S_new - want) <= 1e-12 * np.linalg.norm(want)
 
         # The first sparse step allocates the cache and fills its rows.
-        sparse_step(first)
-        assert np.array_equal(np.flatnonzero(data.cached), np.sort(first))
+        sparse_step(step, first)
+        assert np.array_equal(np.flatnonzero(data.level >= 0), np.sort(first))
         # The same support again computes no row; one that overlaps it
         # computes only its new rows, in one product.
         writes = log_row_writes(data)
-        sparse_step(first)
+        sparse_step(step, first)
         assert writes == []
-        sparse_step(second)
+        sparse_step(step, second)
         assert writes == [sorted(set(second.tolist()) - set(first.tolist()))]
         assert matvecs == []
-        cached = np.flatnonzero(data.cached)
+        cached = np.flatnonzero(data.level >= 0)
         assert np.array_equal(cached, np.union1d(first, second))
+        assert np.all(data.level[cached] == 0)
         G = A.values.T @ A.values
         assert np.max(np.abs(data.gram[cached] - G[cached])) <= 1e-12 * np.max(np.abs(G))
+        # After a deflation, a new climb's rows take the new direction in
+        # the cache, in one write and with no product from A.
+        x = step.iterate()
+        data.add(x, A.values.T @ x)
+        step = block._Retraction(data, random_unit(rng, 40), 1.0, 1.0, "l1", 1)
+        writes.clear()
+        matvecs.clear()
+        sparse_step(step, second)
+        assert writes == [np.sort(second).tolist()] and matvecs == []
+        assert np.all(data.level[second] == 1)
+        assert np.all(data.level[np.setdiff1d(first, second)] == 0)
+        G_l = G - data.C @ data.C.T
+        assert np.max(np.abs(data.gram[second] - G_l[second])) <= 1e-12 * np.max(np.abs(G))
 
-    def test_grown_sequence_computes_no_row_twice(self):
-        # Restarts, refine trials and later solve() calls share one cache.
+    def test_grown_sequence_computes_no_row_twice(self, monkeypatch):
+        # Restarts, refine trials and later solve() calls share one cache:
+        # each row is computed from A once, and takes each direction of C
+        # once, however many climbs read it.
         A = sparse_factor_matrix()
         cfg = SolverConfig(penalty="l1", gamma=3.0, m=8, restarts=2, refine=True)
         sequence = ComponentSequence(A, cfg)
-        writes = log_row_writes(sequence._data)
+        data = sequence._data
+        writes = log_row_writes(data)
+        computed, taken = [], np.zeros(data.A.n, dtype=int)
+        original = block._Fit.gram_rows
+
+        def gram_rows(fit, active):
+            before, l = fit.level[active].copy(), fit.C.shape[1]
+            writes.clear()
+            rows = original(fit, active)
+            done = np.maximum(before, 0)
+            new, stale = active[before < 0], active[done < l]
+            # One write computes the new rows; each stale row is written
+            # once more, with the directions it had not taken.
+            if new.size:
+                assert writes[0] == new.tolist()
+                computed.extend(writes.pop(0))
+            assert sorted(i for write in writes for i in write) == sorted(stale.tolist())
+            taken[stale] += l - done[done < l]
+            assert np.all(fit.level[active] == l)
+            return rows
+
+        monkeypatch.setattr(block._Fit, "gram_rows", gram_rows)
         for m in (2, 5, 8):
             grown, _ = sequence.solve(m)
-        rows = [i for write in writes for i in write]
-        assert len(writes) > 1 and len(rows) == len(set(rows))
-        assert sorted(rows) == np.flatnonzero(sequence._data.cached).tolist()
+        assert len(computed) > 20 and len(computed) == len(set(computed))
+        assert sorted(computed) == np.flatnonzero(data.level >= 0).tolist()
+        assert data.C.shape[1] == 8 and np.any(taken[computed] > 0)
+        assert np.array_equal(taken[computed], data.level[computed])
+        # The cached rows are G_l at each row's level: a direction taken
+        # twice, or not at all, would leave them an order of magnitude off.
+        G = A.T @ A
+        for i in computed:
+            C = data.C[:, : data.level[i]]
+            assert np.max(np.abs(data.gram[i] - (G[i] - C[i] @ C.T))) <= 1e-12 * np.max(np.abs(G))
+        monkeypatch.undo()
         fresh, _ = ComponentSequence(A, cfg).solve(8)
         assert np.array_equal(grown.values, fresh.values)
 
@@ -617,7 +662,7 @@ class TestImplicitDeflation:
         sequence = ComponentSequence(A, SolverConfig(penalty="l1", gamma=0.05, m=4))
         loadings, _ = sequence.solve(4)
         assert min(loadings.nnz_per_component()) > 300
-        assert sequence._data.gram is None and sequence._data.cached is None
+        assert sequence._data.gram is None and sequence._data.level is None
 
     def test_gram_over_the_byte_cap_is_never_built(self, monkeypatch):
         A = sparse_factor_matrix()
