@@ -8,9 +8,13 @@ thresholded columns into the gradient, and retract.  A length-p iterate
 fit or single-unit sequence share one _Fit: single_unit's holds the
 earlier directions X of its sequence, which every step projects out.
 
-A step scans W once for its active rows (_active_columns): their count
-chooses the source, and the kernel sums those columns alone when at most
-n // GATHER_DIVISOR are active.  A step's products have three sources:
+The climb thresholds each iterate's correlations once
+(_Retraction.weights): when few rows are active it keeps their indices
+and weights alone, found for a vector without a full-length pass unless
+a count over a prefix leaves the step possibly sparse.  The step takes
+(active rows, weights), and the kernel sums those columns alone when at
+most n // GATHER_DIVISOR are active.  A step's products have three
+sources:
 - the kernels on A: the accumulation A W and the correlations A'X;
 - for a sparse step, with 0 < k <= p // GRAM_DIVISOR active rows of W,
   the fit's cached rows of G_l = G - C C' (G = A'A, C = A'X, empty for a
@@ -18,7 +22,11 @@ n // GATHER_DIVISOR are active.  A step's products have three sources:
   gradient's Gram matrix M = D W_act' P[act] D, the new correlations are
   mu P D M^{-1/2} (mu P / sqrt(w'P[act]) for a vector), and the iterate
   is formed once, at the end of the climb; while a climb's active rows
-  repeat, its steps reuse the last step's block G_l[act];
+  repeat, its steps reuse the last step's block G_l[act].  A sequence
+  computes its rows a step at a time until it has computed
+  n // GRAM_BULK_DIVISOR of them, then all of G in one product, and a
+  component that starts from a deflated column whose row is cached reads
+  its first correlations from that row;
 - for a dense step whose threshold moved on few rows, the gradient
   A W = mu K X - A R from K = A A' and the residual R = S - W, with A R
   updated by parallel._gathered_product over the rows where R moved.
@@ -71,6 +79,18 @@ GATHER_DIVISOR = 4
 # A fit caches rows of G = A'A only when all of G takes at most this
 # many bytes: 8 MB at n = 1000, 32 MB at n = 2000, 512 MB at n = 8000.
 GRAM_MAX_BYTES = 2**25
+# A sequence computes rows of G a step at a time, A[:, new]'A, each such
+# product streaming all of A, until it has computed n // GRAM_BULK_DIVISOR
+# rows; its next step with a new row computes all of G in one product.
+# One thread, best of 7: at 400x1000, 1, 4 and 16 rows took 193, 461 and
+# 634 us and all of G 10.9 ms, what 57 single rows cost; at 200x2000,
+# 179, 452, 554 us and 31.2 ms.  A recognition sequence (400x1000, sl1
+# gamma 3, m = 50) computes about 300 rows a step at a time without the
+# switch and 65 with it; interleaved in one process, four such sequences
+# took 0.73 of the time with the switch (sl0 gamma 9: 0.59).  Sequences
+# of a few dozen steps stay below it: 200x2000 sl1 gamma 3 and 4 at
+# m = 5 never reached 125 rows.
+GRAM_BULK_DIVISOR = 16
 # A dense step reads its gradient from K = A A' (see _Fit) when
 # the rows its residual moved, plus K's p rows, number at most
 # n // ROUTE_DIVISOR: the route then reads that many columns of length p
@@ -144,9 +164,10 @@ def _scaled_correlations(A, X, gamma, mu, workers):
 
 def _objective(W, gamma, penalty):
     # W holds the threshold weights (parallel.threshold_weights) of the
-    # scaled correlations mu_j a_i'x_j; gamma broadcasts over its columns.
-    # An l1 weight is +-[|s| - gamma]_+ and an l0 weight is s or 0, so both
-    # sums equal those over the correlations term for term.
+    # scaled correlations mu_j a_i'x_j, all n rows or the active ones
+    # alone; gamma broadcasts over its columns.  An l1 weight is
+    # +-[|s| - gamma]_+ and an l0 weight is s or 0, so both sums equal
+    # those over the correlations term for term.
     if penalty == "l1":
         return float(np.vdot(W, W))
     return float(np.sum(np.maximum(W * W - gamma, 0.0)))
@@ -180,6 +201,8 @@ def ascent_direction(A, X, gamma, penalty, mu=1.0, workers=1):
     A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, workers)
     W = threshold_weights(S, gamma, penalty)
     active = _active_columns(W, A.n // GATHER_DIVISOR)
+    if active is not None:
+        W = W[active]
     return (2.0 * mu) * par_threshold_accumulate(A, W, workers, active)
 
 
@@ -217,19 +240,25 @@ class _Fit:
 
     A; the earlier directions X (p x l, orthonormal) and C = A'X (n x l),
     both empty for a block fit; the rows of G_l = G - C C' (G = A'A) its
-    sparse steps have needed (gram_rows); and K = A A' for its dense
-    steps, on the schedule of SAMPLE_GRAM_DIVISOR.  What is computed when
-    depends on the fit's steps alone, never on the worker count.
+    sparse steps have needed (gram_rows), all of G once a sequence has
+    computed n // GRAM_BULK_DIVISOR rows one step at a time (a block fit
+    keeps computing them a step at a time: its fits are short); and
+    K = A A' for its dense steps, on the schedule of SAMPLE_GRAM_DIVISOR.
+    What is computed when depends on the fit's steps alone, never on the
+    worker count.
     """
 
-    def __init__(self, A):
+    def __init__(self, A, sequence=False):
         self.A = A
         self.X = np.empty((A.p, 0))
         self.C = np.empty((A.n, 0))
         self.gram_limit = A.p // GRAM_DIVISOR if 8 * A.n * A.n <= GRAM_MAX_BYTES else 0
         # Rows of G_l, and the number of columns of C each has taken (-1:
-        # not computed); both None until the first sparse step.
+        # not computed); both None until the first sparse step.  All of G
+        # is computed at the first new row after bulk_after rows (n: never,
+        # as a row still to compute leaves fewer).
         self.gram = self.level = None
+        self.bulk_after = A.n // GRAM_BULK_DIVISOR if sequence else A.n
         self.limit = A.n // ROUTE_DIVISOR - A.p if 8 * A.p * A.n >= ROUTE_MIN_BYTES else -1
         self.due = self.misses = A.p // SAMPLE_GRAM_DIVISOR
         self.K = None
@@ -245,16 +274,32 @@ class _Fit:
 
     def gram_rows(self, active):
         """G_l[active], a k x n copy.  Rows never computed take one product
-        A[:, new]'A (all of G, built on the first sparse step, made fits of
-        a few dozen steps 2-3x slower); then each row takes, in the cache,
-        the columns of C it has not taken, so it takes each one once."""
+        A[:, new]'A until bulk_after rows were computed that way; then all
+        of G takes one, into the cache, which keeps the rows it had.  (All
+        of G on a sequence's first sparse step made fits of a few dozen
+        steps 2-3x slower; after bulk_after rows it costs about what they
+        did, so about twice the better choice at most.)  Then each row
+        takes, in the cache, the columns of C it has not taken, so it
+        takes each one once."""
+        values = self.A.values
         if self.gram is None:
             self.gram = np.empty((self.A.n, self.A.n))
             self.level = np.full(self.A.n, -1)
         level = self.level[active]
         new = active[level < 0]
-        if new.size:
-            self.gram[new] = self.A.values[:, new].T @ self.A.values
+        if new.size and np.count_nonzero(self.level >= 0) >= self.bulk_after:
+            # Into the cache, not a second n x n array: with one, a
+            # recognition sweep (400x1000, sl1 m = 2..50, then pca) peaked
+            # at 103 MiB of RSS against 93 MiB, by how the allocator reuses
+            # freed memory, not by what it holds.
+            cached = np.flatnonzero(self.level >= 0)
+            kept = self.gram[cached]
+            np.matmul(values.T, values, out=self.gram)
+            self.gram[cached] = kept
+            self.level[self.level < 0] = 0
+            level = self.level[active]
+        elif new.size:
+            self.gram[new] = values[:, new].T @ values
             level[level < 0] = 0
         l = self.C.shape[1]
         for lev in np.unique(level[level < l]):
@@ -262,6 +307,15 @@ class _Fit:
             self.gram[rows] -= self.C[rows, lev:] @ self.C[:, lev:].T
         self.level[active] = l
         return self.gram[active]
+
+    def correlations(self, x, workers, column=None):
+        """A'x; read from row i of G_l when x is column i of A_l over its
+        norm, column = (i, norm), and that row was computed: A'x =
+        A_l'a_l,i / norm = G_l[i] / norm."""
+        if column is not None and self.level is not None and self.level[column[0]] >= 0:
+            i, norm = column
+            return self.gram_rows(np.array([i]))[0] / norm
+        return par_matvec_t(self.A, x, workers)
 
     def gram_products(self, W, rows):
         """P = G_l[:, act] W for the weights W of the active rows act, with
@@ -328,61 +382,105 @@ def _live(W):
     return W.any() if W.ndim == 1 else (np.ones(len(W), bool) @ (W != 0)).all()
 
 
+def _scattered(n, active, w):
+    # All n weights from those of the active rows.
+    W = np.zeros((n,) + w.shape[1:])
+    W[active] = w
+    return W
+
+
+def _passes(S, gamma, penalty):
+    # Where the threshold weight of S is nonzero: |s| > gamma (l1), s^2 >
+    # gamma (l0), as in parallel.threshold_weights.
+    if penalty == "l1":
+        return np.abs(S) > gamma
+    if penalty == "l0":
+        return S * S > gamma
+    raise ValueError(f"unknown penalty {penalty!r}")
+
+
 class _Retraction:
-    """The step of the power loop for all four variants: the weights W of
+    """The step of the power loop for all four variants: the weights of
     the correlations S = mu * A'X of the iterate X -> the next iterate's
     correlations, from one of the sources of the module docstring.
 
-    A sparse step reads rows of G_l (_gram_step) and leaves its iterate
-    unformed; iterate() forms it from the weights it kept.  While
-    consecutive sparse steps have the same active rows, each reuses the
-    last one's block G_l[act] (_gram_rows); a new climb starts without
-    one.  Any other step retracts the gradient 2 mu A W, less the fit's
-    earlier directions, and correlates the new X by the kernel.  Its A W
-    comes from K once the fit keeps that route's state: R = S - W
-    (threshold_residual) moves only on the rows that are or were
-    inactive, plus l1 sign flips, so A R is updated by one product over
-    those rows of A.  A step after a sparse one, and the next, run the
-    kernel.  Which source a step takes never depends on the worker count.
+    weights(S) finds the active rows once per iterate and hands the step
+    (active, w): the weights of those rows, or active None and all n
+    weights when the step is not sparse.  A sparse step reads rows of G_l
+    (_gram_step) and leaves its iterate unformed; iterate() forms it from
+    the weights it kept.  While consecutive sparse steps have the same
+    active rows, each reuses the last one's block G_l[act] (_gram_rows); a
+    new climb starts without one.  Any other step retracts the gradient
+    2 mu A W, less the fit's earlier directions, and correlates the new X
+    by the kernel.  Its A W comes from K once the fit keeps that route's
+    state: R = S - W (threshold_residual) moves only on the rows that are
+    or were inactive, plus l1 sign flips, so A R is updated by one product
+    over those rows of A.  A step after a sparse one, and the next, run
+    the kernel.  Which source a step takes never depends on the worker
+    count.
     """
 
-    def __init__(self, fit, X, gamma, mu, penalty, workers):
+    def __init__(self, fit, X, gamma, mu, penalty, workers, column=None):
         self.fit, self.A, self.mu, self.workers = fit, fit.A, mu, workers
         self.gamma, self.penalty = gamma, penalty
+        # A step is sparse when at most this many rows are active: the rows
+        # source takes up to gram_limit, the kernel sums up to gather alone.
+        self.gather = self.A.n // GATHER_DIVISOR
+        self.sparse_limit = max(fit.gram_limit, self.gather)
         self.X = fit.project(X)
         # S belongs to X.  R is the last step's residual; after a route
         # step AR is its A R, after a kernel step `last` holds its (A W, X),
         # from which A R = mu K X - A W is formed only if this step takes
         # the route.  Each is None when unknown.  unformed holds the
-        # weights, and the kernel's active rows, that give the iterate
-        # after a sparse step.
-        self.start = self.S = mu * par_matvec_t(self.A, self.X, workers)
+        # (active, w) that give the iterate after a sparse step.
+        self.start = self.S = mu * fit.correlations(self.X, workers, column)
         self.R = self.AR = self.last = self.unformed = None
         # (active rows of the last step, G_l at those rows) while the
         # climb's steps read rows of G_l; None after any other step.
         self.kept = None
 
+    def weights(self, S):
+        """(active, w) for the correlations S: the active rows and their
+        threshold weights when at most sparse_limit rows are active, else
+        (None, all n weights)."""
+        limit, gamma, penalty = self.sparse_limit, self.gamma, self.penalty
+        if S.ndim == 2:
+            W = threshold_weights(S, gamma, penalty)
+            active = _active_columns(W, limit)
+            return (None, W) if active is None else (active, W[active])
+        # The first 2 * limit correlations rule out a dense vector, at half
+        # its count, before any pass over all n.
+        if np.count_nonzero(_passes(S[: 2 * limit], gamma, penalty)) <= limit:
+            active = _passes(S, gamma, penalty).nonzero()[0]
+            if active.size <= limit:
+                s = S[active]
+                # On active rows, bitwise sign(s) * (|s| - gamma).
+                return active, (s - gamma * np.sign(s) if penalty == "l1" else s)
+        return None, threshold_weights(S, gamma, penalty)
+
     def forget(self):
         """Drop the route's state: X no longer gives the correlations."""
         self.S = self.R = self.AR = self.last = None
 
-    def _gram_step(self, W, active):
+    def _gram_step(self, active, w):
         # The correlations of a sparse step from the fit's rows of G_l at the
-        # active rows of W, or None for a matrix step: when the step is not
+        # active rows, or None for a matrix step: when the step is not
         # sparse, a column of W is all zero, or M is too near singular for
         # its inverse square root (M squares the gradient's condition
         # number), so that polar_projection makes every rank decision.
-        if active is None or not 0 < active.size <= self.fit.gram_limit:
+        if active is None or not 0 < active.size <= self.fit.gram_limit or not _live(w):
             return None
-        W = W[active]
-        if not _live(W):
-            return None
-        P = self.fit.gram_products(W, self._gram_rows(active))
-        if W.ndim == 1:
-            q = W @ P[active]
-            return self.mu * (P / np.sqrt(q)) if q > 0 else None
-        d = np.broadcast_to(2.0 * self.mu, W.shape[1:])
-        lam, V = np.linalg.eigh((W.T @ P[active]) * np.outer(d, d))
+        P = self.fit.gram_products(w, self._gram_rows(active))
+        if w.ndim == 1:
+            q = w @ P[active]
+            if not q > 0:
+                return None
+            # In place, P's own buffer: bitwise mu * (P / sqrt(q)).
+            P /= np.sqrt(q)
+            P *= self.mu
+            return P
+        d = np.broadcast_to(2.0 * self.mu, w.shape[1:])
+        lam, V = np.linalg.eigh((w.T @ P[active]) * np.outer(d, d))
         if not lam[0] > np.sqrt(np.finfo(np.float64).eps) * lam[-1]:
             return None
         return P @ ((d[:, None] * V / np.sqrt(lam)) @ V.T * self.mu)
@@ -395,20 +493,24 @@ class _Retraction:
             self.kept = kept = active, self.fit.gram_rows(active)
         return kept[1]
 
-    def _accumulate(self, W, active):
-        # A W for the weights W of the correlations S of the current X;
-        # active is the kernel's set of active rows, or None.
+    def _accumulate(self, active, w):
+        # A W for the weights (active, w) of the correlations S of the
+        # current X; the kernel sums the active columns alone when at most
+        # gather are active.
+        if active is not None and active.size > self.gather:
+            active, w = None, _scattered(self.A.n, active, w)
         S, R_prev, AR_prev, last = self.S, self.R, self.AR, self.last
         self.forget()
         fit = self.fit
         if S is None or not fit.tracking():
-            return par_threshold_accumulate(self.A, W, self.workers, active)
+            return par_threshold_accumulate(self.A, w, self.workers, active)
+        W = w if active is None else _scattered(self.A.n, active, w)
         self.R = R = threshold_residual(S, W, self.gamma, self.penalty)
         rows = None if R_prev is None else _route_rows(W, R, R_prev, fit.limit)
         if rows is None:
             if R_prev is not None:
                 fit.misses -= 1
-            AW = par_threshold_accumulate(self.A, W, self.workers, active)
+            AW = par_threshold_accumulate(self.A, w, self.workers, active)
             self.last = AW, self.X
             return AW
         K = fit.sample_gram()
@@ -418,10 +520,10 @@ class _Retraction:
         self.AR = AR_prev + _gathered_product(self.A.values, rows, R[rows] - R_prev[rows])
         return self.mu * (K @ self.X) - self.AR
 
-    def retract(self, W, active):
-        """Move X to the retracted gradient for the weights W, summed over
-        the active rows (all n for None); False, leaving X, when it is zero."""
-        G = self.fit.project((2.0 * self.mu) * self._accumulate(W, active))
+    def retract(self, active, w):
+        """Move X to the retracted gradient for the weights (active, w);
+        False, leaving X, when it is zero."""
+        G = self.fit.project((2.0 * self.mu) * self._accumulate(active, w))
         if G.ndim == 1:
             norm = np.linalg.norm(G)
             if norm == 0.0:
@@ -431,19 +533,17 @@ class _Retraction:
             self.X = polar_projection(G)
         return True
 
-    def __call__(self, W):
-        # The step's one scan of W: the rows source takes at most
-        # gram_limit active rows, the kernel at most n // GATHER_DIVISOR.
-        gather = self.A.n // GATHER_DIVISOR
-        active = _active_columns(W, max(self.fit.gram_limit, gather))
-        S = self._gram_step(W, active)
-        active = None if active is None or active.size > gather else active
+    def __call__(self, active, w):
+        """The next iterate's correlations for the weights (active, w) of
+        the current ones (see weights); None, leaving X, at a zero
+        gradient."""
+        S = self._gram_step(active, w)
         if S is not None:
             self.forget()
-            self.unformed = W, active
+            self.unformed = active, w
             return S
         self.unformed = self.kept = None
-        if not self.retract(W, active):
+        if not self.retract(active, w):
             return None
         self.S = self.mu * par_matvec_t(self.A, self.X, self.workers)
         return self.S
@@ -456,19 +556,20 @@ class _Retraction:
         return self.X
 
 
-def climb(fit, X, gamma, mu, penalty, tol, max_iter, workers):
+def climb(fit, X, gamma, mu, penalty, tol, max_iter, workers, column=None):
     """ascend on the fit's data: each iterate's correlations are
-    thresholded once, for both the step and the objective.  Returns (X, S,
-    history, converged)."""
-    step = _Retraction(fit, X, gamma, mu, penalty, workers)
+    thresholded once, for both the step and the objective.  column =
+    (i, norm) says X is column i of the fit's (deflated) data over its
+    norm (see _Fit.correlations).  Returns (X, S, history, converged)."""
+    step = _Retraction(fit, X, gamma, mu, penalty, workers, column)
     S = step.start
-    W = threshold_weights(S, gamma, penalty)
-    f = _objective(W, gamma, penalty)
+    active, w = step.weights(S)
+    f = _objective(w, gamma, penalty)
     history = [f]
     converged = False
     for iteration in range(max_iter):
         try:
-            S_new = step(W)
+            S_new = step(active, w)
         except RankDeficiencyError as err:
             err.iteration = iteration
             err.history = history
@@ -477,8 +578,8 @@ def climb(fit, X, gamma, mu, penalty, tol, max_iter, workers):
             converged = True
             break
         S = S_new
-        W = threshold_weights(S, gamma, penalty)
-        f_new = _objective(W, gamma, penalty)
+        active, w = step.weights(S)
+        f_new = _objective(w, gamma, penalty)
         history.append(f_new)
         if abs(f_new - f) < tol * max(abs(f), 1e-30):
             converged = True

@@ -11,11 +11,12 @@ not set it.  Every chunk's partial result is computed the same way
 whichever worker runs it, and the partials are combined by a pairwise
 tree whose shape depends only on the chunk layout, never on scheduling,
 so kernel output is bitwise identical for any worker count.
-Given the active columns, the accumulation sums those alone, on the
-calling thread (_gathered_product, shared by block's dense-step route),
-so that sum never reads the worker count.  The caller decides when the
-weights are sparse enough for that; block's step makes the decision
-once per step, and states where a step's products come from.
+Given the active columns and their weights alone, the accumulation sums
+those columns on the calling thread (_gathered_product, shared by
+block's dense-step route), so that sum never reads the worker count.
+The caller decides when the weights are sparse enough for that; block's
+step makes the decision once per iterate, and states where a step's
+products come from.
 """
 
 import os
@@ -179,15 +180,16 @@ def par_threshold_accumulate(A, weights, workers=1, active=None):
     In the solvers the weights are threshold_weights of the current
     correlations, so the result is the ascent direction up to the
     scheme's constant factor.  Given active, every row with a nonzero
-    weight, it sums those columns alone on the calling thread (exact
-    zeros for none); otherwise the chunk engine sums all n.
+    weight, weights holds those rows' weights alone, in active's order,
+    and it sums those columns alone on the calling thread (exact zeros
+    for none); otherwise the chunk engine sums all n.
     """
     check_workers(workers)
     A = as_data_matrix(A)
-    w = _check_rows(weights, A.n, "weights")
     values = A.values
     if active is not None:
-        return _gathered_product(values, active, w[active])
+        return _gathered_product(values, active, _check_rows(weights, len(active), "weights"))
+    w = _check_rows(weights, A.n, "weights")
     # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs
     # 25-30% faster at 800x8000, m=5 (and 10-20% slower at 200x2000, m=5,
     # where the derived chunk still gains more than that end to end).

@@ -35,7 +35,9 @@ def _check_unit(x, p):
 
 
 def _initial_iterates(data, config):
-    """Start directions per the init strategy; config.restarts of them.
+    """Start directions per the init strategy; config.restarts of them,
+    each as (x, column): column = (i, norm) when x is column i of A_l over
+    its norm (see block._Fit.correlations), else None.
 
     max_norm_column walks the deflated columns in decreasing norm order;
     asking for more starts than there are columns tops up with seeded
@@ -48,12 +50,12 @@ def _initial_iterates(data, config):
             column = data.columns(i)
             norm = np.linalg.norm(column)
             if norm > 0:
-                out.append(column / norm)
+                out.append((column / norm, (i, norm)))
     if len(out) < config.restarts:
         rng = np.random.default_rng(config.seed)
         for _ in range(config.restarts - len(out)):
             x = rng.standard_normal(data.A.p)
-            out.append(x / np.linalg.norm(x))
+            out.append((x / np.linalg.norm(x), None))
     return out
 
 
@@ -104,7 +106,7 @@ class _Deflated(_Fit):
     sequence, with the column norms of A_l."""
 
     def __init__(self, A):
-        super().__init__(A)
+        super().__init__(A, sequence=True)
         self.norms = column_norms(A)
 
     def add(self, x, c):
@@ -118,9 +120,10 @@ class _Deflated(_Fit):
         return self.A.values[:, index] - self.X @ self.C[index].T
 
 
-def _climb(data, x0, gamma, config, workers):
+def _climb(data, x0, gamma, config, workers, column=None):
     # One single-unit climb on A_l from x0; returns (x, s, history, converged).
-    return climb(data, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, workers)
+    return climb(data, x0, gamma, 1.0, config.penalty, config.tol, config.max_iter, workers,
+                 column)
 
 
 def _solve_component(data, gamma, config, workers):
@@ -130,8 +133,8 @@ def _solve_component(data, gamma, config, workers):
     if not threshold_weights(np.max(data.norms), gamma, config.penalty):
         return np.zeros(data.A.n), [0.0], True, None, None
     best = None
-    for x0 in _initial_iterates(data, config):
-        trial = _climb(data, x0, gamma, config, workers)
+    for x0, column in _initial_iterates(data, config):
+        trial = _climb(data, x0, gamma, config, workers, column)
         if best is None or trial[2][-1] > best[2][-1]:
             best = trial
     if config.refine:

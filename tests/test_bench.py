@@ -237,6 +237,25 @@ class TestSweepReuse:
             assert report.converged == want_report.converged
             assert row["converged"] == int(want_report.converged)
 
+    @pytest.mark.parametrize("variant", ["sl1", "pca"])
+    def test_embedded_rows_centered_once_per_repetition(self, monkeypatch, variant):
+        # Each repetition subtracts the training mean from its rows once;
+        # every m embeds them bitwise as project does.
+        centerings, embeddings = [], []
+        center, classify = bench._centered_rows, bench.knn_classify
+        monkeypatch.setattr(bench, "_centered_rows",
+                            lambda *args: centerings.append(1) or center(*args))
+        monkeypatch.setattr(bench, "knn_classify", lambda train, labels, test, *args, **kw:
+                            embeddings.append((train, test)) or classify(train, labels, test,
+                                                                         *args, **kw))
+        ds, config, rows, calls = self.sweep(monkeypatch, variant, (2, 5, 3))
+        assert len(centerings) == config.repetitions == 2
+        assert len(embeddings) == len(calls) == len(rows) == 6
+        for row, (loadings, mean, _), (train_emb, test_emb) in zip(rows, calls, embeddings):
+            split = make_splits(ds, config.split, seed=[config.seed, row["repetition"]])
+            assert np.array_equal(train_emb, project(split.train()[0], loadings, mean))
+            assert np.array_equal(test_emb, project(split.test()[0], loadings, mean))
+
     def test_block_variant_solves_every_row(self, monkeypatch):
         solves = []
         original = bench.solve_block

@@ -18,6 +18,7 @@ from gpspca import (
 )
 from gpspca import single_unit
 from gpspca.block import climb
+from gpspca.parallel import threshold_weights
 
 
 # ------------------------------------------------------------------ oracles
@@ -55,6 +56,15 @@ def ambient_central_difference(A, X, gamma, mu, penalty, step=1e-5):
 def random_stiefel(rng, p, m):
     Q, R = np.linalg.qr(rng.standard_normal((p, m)))
     return Q * np.sign(np.diagonal(R))
+
+
+def dense_weights(n, active, w):
+    """All n weights of a step's (active, w); active None means w has them."""
+    if active is None:
+        return w
+    W = np.zeros((n,) + w.shape[1:])
+    W[active] = w
+    return W
 
 
 def block_near_kink(A, X, gamma, mu, penalty, window=1e-4):
@@ -297,21 +307,35 @@ class TestSolveBlock:
 
 
 class TestThresholdOncePerIterate:
-    """A climb thresholds each iterate's correlations once, for both the
-    objective and the step; the accumulation kernel takes those weights
-    and thresholds nothing itself."""
+    """A climb thresholds each iterate's correlations once
+    (_Retraction.weights), for both the objective and the step, in at most
+    one full-length threshold_weights call; the accumulation kernel takes
+    those weights and thresholds nothing itself."""
 
     STEPS = 6
 
     @pytest.fixture
     def thresholds(self, monkeypatch):
-        calls = {"block": 0, "parallel": 0}
-        for name, module in (("block", gpspca.block), ("parallel", gpspca.parallel)):
-            def counting(*args, _name=name, _original=module.threshold_weights):
-                calls[_name] += 1
-                return _original(*args)
+        # The threshold_weights calls of each weights() call, and those of
+        # the kernels.
+        calls = {"weights": [], "parallel": 0}
+        threshold, weights = gpspca.block.threshold_weights, gpspca.block._Retraction.weights
 
-            monkeypatch.setattr(module, "threshold_weights", counting)
+        def counting(*args):
+            calls["weights"][-1] += 1
+            return threshold(*args)
+
+        def parallel(*args, _original=gpspca.parallel.threshold_weights):
+            calls["parallel"] += 1
+            return _original(*args)
+
+        def weighing(step, S):
+            calls["weights"].append(0)
+            return weights(step, S)
+
+        monkeypatch.setattr(gpspca.block, "threshold_weights", counting)
+        monkeypatch.setattr(gpspca.parallel, "threshold_weights", parallel)
+        monkeypatch.setattr(gpspca.block._Retraction, "weights", weighing)
         return calls
 
     @pytest.mark.parametrize("m", [1, 3], ids=["vector", "block"])
@@ -323,12 +347,13 @@ class TestThresholdOncePerIterate:
         # tol 0: every one of the steps runs.
         _, _, history, converged = ascend(A, X, gamma, 1.0, "l1", 0.0, self.STEPS)
         assert len(history) == self.STEPS + 1 and not converged
-        assert thresholds == {"block": self.STEPS + 1, "parallel": 0}
+        assert thresholds == {"weights": [1] * (self.STEPS + 1), "parallel": 0}
 
     def test_gram_route(self, thresholds, monkeypatch):
         # Sparse single-unit steps on 40 x 200 data: at gamma 3 most have
         # at most p // 4 = 10 active columns and read rows of A'A; the
         # climb's last iterate is then formed from the weights it kept.
+        # A sparse vector's weights take no full-length threshold.
         ds = synthetic_sparse_factors(n_classes=8, per_class=5, n_features=200,
                                       n_factors=5, support_size=5, seed=3)
         data = single_unit._Deflated(DataMatrix(ds.samples - ds.samples.mean(axis=0)))
@@ -345,7 +370,9 @@ class TestThresholdOncePerIterate:
         _, _, history, converged = climb(data, x0, 3.0, 1.0, "l1", 0.0, self.STEPS, 1)
         assert len(history) == self.STEPS + 1 and not converged
         assert routes["gram"] > 0 and routes["matrix"] > 0
-        assert thresholds == {"block": self.STEPS + 1, "parallel": 0}
+        assert len(thresholds["weights"]) == self.STEPS + 1
+        assert thresholds["weights"].count(0) >= routes["gram"]
+        assert max(thresholds["weights"]) <= 1 and thresholds["parallel"] == 0
 
 
 class TestSampleGramRoute:
@@ -371,9 +398,9 @@ class TestSampleGramRoute:
         original = gpspca.block._Retraction._accumulate
         kernel = gpspca.parallel.par_threshold_accumulate
 
-        def accumulate(step, W, active):
-            got = original(step, W, active)
-            want = kernel(step.A, W)
+        def accumulate(step, active, w):
+            got = original(step, active, w)
+            want = kernel(step.A, dense_weights(step.A.n, active, w))
             log["steps"] += 1
             log["worst"] = max(log["worst"], np.linalg.norm(got - want) / np.linalg.norm(want))
             return got
@@ -444,13 +471,15 @@ class TestSampleGramRoute:
         schedule = {10, 11, 17}
         taken = []
 
-        def gram_step(step, W, active):
+        def gram_step(step, active, w):
             taken.append(len(taken))
             if taken[-1] not in schedule:
                 return None
             # Past the gate: every active row counts as sparse.
+            W = dense_weights(step.A.n, active, w)
             step.fit.gram_limit = len(W)
-            return original(step, W, np.flatnonzero(W))
+            active = np.flatnonzero(W)
+            return original(step, active, W[active])
 
         original = gpspca.block._Retraction._gram_step
         monkeypatch.setattr(gpspca.block._Retraction, "_gram_step", gram_step)
@@ -475,19 +504,20 @@ class TestSampleGramRoute:
         step = gpspca.block._Retraction(fit, X[:, 0] if m == 1 else X, gamma, 1.0, "l1", 1)
         S = step.start
         for _ in range(10):
-            S = step(gpspca.parallel.threshold_weights(S, gamma, "l1"))
+            S = step(*step.weights(S))
         assert fit.K is not None and step.AR is not None
         gradients = []
         polar = gpspca.block.polar_projection
         monkeypatch.setattr(gpspca.block, "polar_projection",
                             lambda G: gradients.append(G) or polar(G))
-        W = gpspca.parallel.threshold_weights(S, gamma, "l1")
+        active, W = step.weights(S)
+        assert active is None
         if m == 1:
-            assert step(np.zeros_like(W)) is None
+            assert step(None, np.zeros_like(W)) is None
         else:
             W[:, 1] = 0.0
             with pytest.raises(RankDeficiencyError):
-                step(W)
+                step(None, W)
             assert np.all(gradients[0][:, 1] == 0.0)
 
     def test_workers_bitwise(self, monkeypatch):
@@ -557,12 +587,13 @@ class TestGramRowsRoute:
         log = {"gram": 0, "matrix": 0, "worst": 0.0}
         original = gpspca.block._Retraction._gram_step
 
-        def gram_step(step, W, active):
-            S = original(step, W, active)
+        def gram_step(step, active, w):
+            S = original(step, active, w)
             if S is None:
                 log["matrix"] += 1
                 return None
             A = step.A.values
+            W = dense_weights(step.A.n, active, w)
             want = step.mu * (A.T @ polar_projection((2.0 * step.mu) * (A @ W)))
             log["gram"] += 1
             log["worst"] = max(log["worst"], np.linalg.norm(S - want) / np.linalg.norm(want))
@@ -591,21 +622,21 @@ class TestGramRowsRoute:
         fit = gpspca.block._Fit(A)
         step = gpspca.block._Retraction(fit, random_stiefel(rng, A.p, 2), np.full(2, 3.0),
                                         np.ones(2), "l1", 1)
-        rows = rng.choice(A.n, 10, replace=False)
-        W = np.zeros((A.n, 2))
-        W[rows, 0] = rng.uniform(1.0, 2.0, rows.size)
-        W[rows, 1] = W[rows, 0] * (1.0 + 1e-6 * rng.standard_normal(rows.size))
-        assert step._gram_step(W, np.sort(rows)) is None
+        rows = np.sort(rng.choice(A.n, 10, replace=False))
+        w = np.empty((rows.size, 2))
+        w[:, 0] = rng.uniform(1.0, 2.0, rows.size)
+        w[:, 1] = w[:, 0] * (1.0 + 1e-6 * rng.standard_normal(rows.size))
+        assert step._gram_step(rows, w) is None
         kernels = []
         kernel = gpspca.parallel.par_threshold_accumulate
         monkeypatch.setattr(gpspca.block, "par_threshold_accumulate",
                             lambda *args: kernels.append(1) or kernel(*args))
-        S = step(W)
+        S = step(rows, w)
         assert len(kernels) == 1
         assert np.array_equal(S, np.ones(2) * gpspca.parallel.par_matvec_t(A, step.iterate()))
         # Independent columns on the same rows take the route.
-        W[rows, 1] = rng.uniform(1.0, 2.0, rows.size)
-        assert step._gram_step(W, np.sort(rows)) is not None
+        w[:, 1] = rng.uniform(1.0, 2.0, rows.size)
+        assert step._gram_step(rows, w) is not None
 
     @pytest.mark.parametrize("iteration", [0, 6])
     def test_all_zero_column_raises_where_matrix_steps_do(self, monkeypatch, iteration):
@@ -651,10 +682,11 @@ class TestGramRowsRoute:
 
 
 class TestOneScanPerStep:
-    """A step scans its weights once for their active rows
-    (block._active_columns), at the larger of the rows source's limit,
-    p // GRAM_DIVISOR, and the kernel's, n // GATHER_DIVISOR; the rows
-    source and the accumulation kernel both take their set from it."""
+    """Each iterate's active rows are found once, by _Retraction.weights:
+    for a block by one _active_columns scan, for a vector without one, at
+    the larger of the rows source's limit, p // GRAM_DIVISOR, and the
+    kernel's, n // GATHER_DIVISOR.  The step, the rows source and the
+    accumulation kernel all take that set and scan nothing themselves."""
 
     @staticmethod
     def sparse_data(n_classes, per_class, n_features):
@@ -666,12 +698,35 @@ class TestOneScanPerStep:
     @pytest.mark.parametrize("case", ["dense-block", "sparse-sequence", "sparse-block"])
     def test_each_step_scans_once(self, monkeypatch, case):
         assert not hasattr(gpspca.parallel, "_active_columns")
-        steps, scans = [], []
-        call, scan = gpspca.block._Retraction.__call__, gpspca.block._active_columns
-        monkeypatch.setattr(gpspca.block._Retraction, "__call__",
-                            lambda step, W: steps.append(1) or call(step, W))
-        monkeypatch.setattr(gpspca.block, "_active_columns",
-                            lambda W, limit: scans.append(1) or scan(W, limit))
+        log = {"climbs": 0, "steps": 0, "moved": 0, "weights": 0, "scans": 0, "in_step": 0}
+        Step = gpspca.block._Retraction
+        init, call, weights = Step.__init__, Step.__call__, Step.weights
+        scan = gpspca.block._active_columns
+
+        def counting_init(step, *args):
+            log["climbs"] += 1
+            init(step, *args)
+
+        def counting_call(step, active, w):
+            scans = log["scans"]
+            S = call(step, active, w)
+            log["steps"] += 1
+            log["moved"] += S is not None
+            log["in_step"] += log["scans"] - scans
+            return S
+
+        def counting_weights(step, S):
+            log["weights"] += 1
+            return weights(step, S)
+
+        def counting_scan(W, limit):
+            log["scans"] += 1
+            return scan(W, limit)
+
+        monkeypatch.setattr(Step, "__init__", counting_init)
+        monkeypatch.setattr(Step, "__call__", counting_call)
+        monkeypatch.setattr(Step, "weights", counting_weights)
+        monkeypatch.setattr(gpspca.block, "_active_columns", counting_scan)
         if case == "dense-block":
             # Past its first 25 steps the fit may take the route from A A'.
             A = DataMatrix(np.random.default_rng(70).standard_normal((200, 2000)))
@@ -685,7 +740,11 @@ class TestOneScanPerStep:
             config = SolverConfig(penalty="l0", m=5, gamma=9.0, max_iter=200,
                                   init="random_orthonormal", seed=1)
             solve_block(self.sparse_data(20, 8, 400), config)
-        assert len(steps) > 20 and len(scans) == len(steps)
+        # One weights() per iterate: each climb's start and each step that
+        # moved the iterate.
+        assert log["steps"] > 20 and log["weights"] == log["climbs"] + log["moved"]
+        assert log["in_step"] == 0
+        assert log["scans"] == (0 if case == "sparse-sequence" else log["weights"])
 
     def test_tall_matrix_rows_source_above_the_kernel_limit(self, monkeypatch):
         # 300 x 120: a step takes the rows of A'A with up to p // 4 = 75
@@ -699,8 +758,8 @@ class TestOneScanPerStep:
         original = gpspca.block._Retraction._gram_step
         accumulate, gather = gpspca.block.par_threshold_accumulate, gpspca.parallel._gathered_product
 
-        def gram_step(step, W, active):
-            S = original(step, W, active)
+        def gram_step(step, active, w):
+            S = original(step, active, w)
             gram.append((None if active is None else active.size, S is not None))
             return S
 
@@ -798,12 +857,10 @@ class TestKeptDeflatedRows:
         first, second = np.arange(3, 9), np.arange(20, 26)
 
         def weights(support):
-            W = np.zeros(200)
-            W[support] = rng.uniform(1.0, 2.0, support.size)
-            return W
+            return support, rng.uniform(1.0, 2.0, support.size)
 
         for support in (first, first, first, second, second):
-            assert step(weights(support)) is not None
+            assert step(*weights(support)) is not None
         assert gathered == [first.tolist(), second.tolist()]
         one, two, three, four, five = passed
         assert two is one and three is one and five is four and four is not one
@@ -812,9 +869,9 @@ class TestKeptDeflatedRows:
         assert np.allclose(four, self.fresh_rows(fit, second), rtol=0, atol=tol)
         # A step that does not read rows of G_l drops the block; the next
         # rows step gathers it again.
-        assert step(weights(np.arange(200))) is not None
+        assert step(None, rng.uniform(1.0, 2.0, 200)) is not None
         assert step.kept is None
-        step(weights(second))
+        step(*weights(second))
         assert gathered[-1] == second.tolist() and passed[-1] is not four
         # The block is a copy: the cache's rows taking a later direction
         # leave it as it was.
@@ -895,3 +952,110 @@ class TestKeptDeflatedRows:
         assert len(kept_report.objective_history) == len(want_report.objective_history)
         assert np.allclose(kept_report.objective_history, want_report.objective_history,
                            rtol=1e-12, atol=0)
+
+
+class TestSparseWeights:
+    """A vector step's weights (_Retraction.weights): when at most
+    sparse_limit rows are active, their indices and weights, found without
+    a full-length threshold; otherwise all n weights.  Either way they are
+    threshold_weights' bitwise, and the objective over them matches the
+    one over all n rows."""
+
+    @pytest.mark.parametrize("penalty, gamma", [("l1", 2.0), ("l0", 4.0)])
+    @pytest.mark.parametrize("placement", ["leading", "random"])
+    def test_matches_threshold_weights(self, penalty, gamma, placement):
+        rng = np.random.default_rng(90)
+        n = 400
+        A = DataMatrix(rng.standard_normal((40, n)))
+        step = gpspca.block._Retraction(gpspca.block._Fit(A), random_stiefel(rng, 40, 1)[:, 0],
+                                        gamma, 1.0, penalty, 1)
+        limit = step.sparse_limit
+        assert limit == n // gpspca.block.GATHER_DIVISOR
+        # |s| at the threshold (gamma for l1, sqrt(gamma) for l0) is inactive.
+        edge = gamma if penalty == "l1" else np.sqrt(gamma)
+        for k in (0, 1, 10, limit, limit + 1, 300):
+            for _ in range(5):
+                S = rng.uniform(-0.99, 0.99, n) * edge
+                S[rng.choice(n, 20, replace=False)] = rng.choice([-1.0, 1.0], 20) * edge
+                rows = np.arange(k) if placement == "leading" else rng.choice(n, k, replace=False)
+                S[rows] = rng.choice([-1.0, 1.0], k) * rng.uniform(1.001, 3.0, k) * edge
+                W = threshold_weights(S, gamma, penalty)
+                active, w = step.weights(S)
+                if k <= limit:
+                    assert np.array_equal(active, np.sort(rows))
+                    assert np.array_equal(active, np.flatnonzero(W))
+                    assert np.array_equal(w, W[active])
+                else:
+                    assert active is None and np.array_equal(w, W)
+                f = gpspca.block._objective(w, gamma, penalty)
+                f_all = gpspca.block._objective(W, gamma, penalty)
+                assert abs(f - f_all) <= 1e-15 * f_all
+
+    def test_block_weights_are_the_active_rows_of_threshold_weights(self):
+        rng = np.random.default_rng(91)
+        A = DataMatrix(rng.standard_normal((40, 400)))
+        gamma = np.array([1.0, 2.0, 3.0])
+        step = gpspca.block._Retraction(gpspca.block._Fit(A), random_stiefel(rng, 40, 3),
+                                        gamma, np.ones(3), "l1", 1)
+        S = rng.uniform(-0.9, 0.9, (400, 3))
+        rows = rng.choice(400, 30, replace=False)
+        S[rows, rows % 3] = 4.0
+        W = threshold_weights(S, gamma, "l1")
+        active, w = step.weights(S)
+        assert np.array_equal(active, np.sort(rows)) and np.array_equal(w, W[active])
+        S[:, 0] = 4.0
+        active, w = step.weights(S)
+        assert active is None and np.array_equal(w, threshold_weights(S, gamma, "l1"))
+
+
+class TestAllOfG:
+    """A sequence computes rows of G = A'A a step at a time until it has
+    computed n // GRAM_BULK_DIVISOR of them, then all of G in one product;
+    a block fit computes its rows a step at a time however many it needs."""
+
+    @staticmethod
+    def bulk_builds(monkeypatch, fits=None):
+        # One entry per gram_rows call that filled the fit's cache with all
+        # of G: it computed more rows than the step's new ones.
+        builds = []
+        original = gpspca.block._Fit.gram_rows
+
+        def gram_rows(fit, active):
+            computed = 0 if fit.level is None else np.count_nonzero(fit.level >= 0)
+            new = active.size if fit.level is None else np.count_nonzero(fit.level[active] < 0)
+            rows = original(fit, active)
+            if fits is not None and fit not in fits:
+                fits.append(fit)
+            if np.count_nonzero(fit.level >= 0) > computed + new:
+                builds.append(fit)
+            return rows
+
+        monkeypatch.setattr(gpspca.block._Fit, "gram_rows", gram_rows)
+        return builds
+
+    def test_block_fit_never_computes_all_of_g(self, monkeypatch):
+        fits = []
+        builds = self.bulk_builds(monkeypatch, fits)
+        for penalty, gamma in (("l1", 3.0), ("l0", 9.0)):
+            config = SolverConfig(penalty=penalty, m=5, gamma=gamma, max_iter=200,
+                                  init="random_orthonormal", seed=1)
+            solve_block(TestGramRowsRoute.data(), config)
+        assert len(fits) == 2 and builds == []
+        n = fits[0].A.n
+        assert all(np.count_nonzero(fit.level >= 0) > n // gpspca.block.GRAM_BULK_DIVISOR
+                   for fit in fits)
+
+    def test_recog_sequence_past_the_bulk_point_bitwise_across_workers(self, monkeypatch):
+        # Chunks of 32 columns, so two and three workers split every kernel
+        # call; rows of G_l, singly or all at once, are computed without
+        # the engine.
+        monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
+        builds = self.bulk_builds(monkeypatch)
+        A = TestKeptDeflatedRows.recog_data()
+        runs = []
+        for workers in (1, 2, 3):
+            config = SolverConfig(penalty="l1", m=50, gamma=3.0, max_iter=200)
+            loadings, report = solve_multi_sequential(A, config, workers)
+            runs.append((loadings.values.tobytes(), report.component_histories))
+            assert len(builds) == workers
+        assert runs[0] == runs[1] == runs[2]

@@ -54,17 +54,18 @@ def layout(n, chunk):
     return [min(chunk, n - lo) for lo in range(0, n, chunk)]
 
 
-def step_rows(W):
-    """The active rows a step hands the kernel for the weights W: those
-    block._active_columns finds, when at most n // GATHER_DIVISOR."""
-    return gpspca.block._active_columns(W, len(W) // gpspca.block.GATHER_DIVISOR)
+def accumulated(A, W, workers=1):
+    """The kernel as a step calls it for the weights W: given the active
+    rows block._active_columns finds, when at most n // GATHER_DIVISOR,
+    and the weights of those rows alone; otherwise given all n."""
+    rows = gpspca.block._active_columns(W, len(W) // gpspca.block.GATHER_DIVISOR)
+    return par_threshold_accumulate(A, W if rows is None else W[rows], workers, rows)
 
 
 def thresholded(A, c, gamma, penalty, workers=1):
     """One matrix step's accumulation: the threshold weights of c, the
     step's scan for their active rows, then the kernel."""
-    W = threshold_weights(c, gamma, penalty)
-    return par_threshold_accumulate(A, W, workers, step_rows(W))
+    return accumulated(A, threshold_weights(c, gamma, penalty), workers)
 
 
 def reference_accumulate(values, weights, chunk):
@@ -446,7 +447,7 @@ class TestActiveColumns:
         if m == 1:
             z = np.zeros(n)
             z[active] = rng.standard_normal(active.size)
-            cases.append((lambda: par_threshold_accumulate(A, z, 1, step_rows(z)), A.values @ z))
+            cases.append((lambda: accumulated(A, z), A.values @ z))
         for call, want in cases:
             gathered_rows.clear()
             got = call()
@@ -471,7 +472,7 @@ class TestActiveColumns:
         calls = [
             lambda workers: thresholded(A, c, 1.0, "l1", workers),
             lambda workers: thresholded(A, C, np.ones(5), "l0", workers),
-            lambda workers: par_threshold_accumulate(A, z, workers, step_rows(z)),
+            lambda workers: accumulated(A, z, workers),
         ]
         for call in calls:
             gathered_rows.clear()
@@ -491,7 +492,7 @@ class TestActiveColumns:
         assert np.array_equal(out, np.zeros(out.shape))
         if m == 1:
             z = np.zeros(400)
-            assert np.array_equal(par_threshold_accumulate(A, z, 1, step_rows(z)), np.zeros(16))
+            assert np.array_equal(accumulated(A, z), np.zeros(16))
         assert gathered_rows == [0] * (2 if m == 1 else 1)
         assert chunk_widths == []
 
@@ -532,7 +533,7 @@ class TestActiveColumns:
                                             gamma, 1.0, "l1", 1)
             gathered_rows.clear()
             chunk_widths.clear()
-            assert step(threshold_weights(c, gamma, "l1")) is not None
+            assert step(*step.weights(c)) is not None
             assert gathered_rows == gathered
             assert [sum(widths) for widths in chunk_widths] == engine
 
@@ -561,7 +562,7 @@ class TestWorkerCount:
         c = {"dense": 0.5 * rng.standard_normal(200), "gathered": np.eye(200)[0],
              "all_inactive": np.zeros(200)}[path]
         calls = [
-            lambda workers: par_threshold_accumulate(A, c, workers, step_rows(c)),
+            lambda workers: accumulated(A, c, workers),
             lambda workers: thresholded(A, c, 0.1, "l1", workers),
             lambda workers: thresholded(A, np.outer(c, [1.0, 2.0]),
                                         np.array([0.1, 0.1]), "l0", workers),

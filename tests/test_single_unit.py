@@ -330,10 +330,13 @@ class TestSolveSingleUnit:
         starts = single_unit._initial_iterates(data, config)
         assert built == ([(config.seed,)] if draws else [])
         assert len(starts) == restarts
+        # A column start names its column and norm; a random one neither.
+        for x, (i, norm) in starts[: restarts - draws]:
+            assert np.array_equal(x, data.columns(i) / norm)
         want = real(config.seed)
-        for x in starts[restarts - draws:]:
+        for x, column in starts[restarts - draws:]:
             v = want.standard_normal(5)
-            assert np.array_equal(x, v / np.linalg.norm(v))
+            assert np.array_equal(x, v / np.linalg.norm(v)) and column is None
 
     def test_fixed_point_stationarity(self):
         # The stopping rule watches the objective, which is quadratically
@@ -487,9 +490,9 @@ def sparse_factor_matrix():
     return ds.samples - ds.samples.mean(axis=0)
 
 
-def take_step(step, S, gamma, penalty):
+def take_step(step, S):
     # One step as block.climb takes it, with the weights of S.
-    return step(threshold_weights(S, gamma, penalty))
+    return step(*step.weights(S))
 
 
 def count_calls(monkeypatch, owner, name):
@@ -524,7 +527,8 @@ def log_row_writes(data):
 class TestImplicitDeflation:
     """Components after the first are solved on (I - XX')A without forming
     it; sparse steps read their correlations from the rows of G = A'A,
-    each computed the first time its column is active."""
+    each computed the first time its column is active, a step at a time
+    until n // GRAM_BULK_DIVISOR were, then all of G at once."""
 
     @pytest.mark.parametrize("penalty, gamma", [("l1", 3.0), ("l0", 12.0)])
     def test_gram_route_matches_matrix_route(self, monkeypatch, penalty, gamma):
@@ -554,7 +558,7 @@ class TestImplicitDeflation:
             S = np.zeros(200)
             S[rng.choice(200, k, replace=False)] = 2.0
             matvecs.clear()
-            S_new = take_step(step, S, 1.0, "l1")
+            S_new = take_step(step, S)
             # A Gram step reads G and calls no kernel; a matrix step
             # correlates its iterate with A.
             assert (data.gram is not None) == gram_route
@@ -576,7 +580,7 @@ class TestImplicitDeflation:
         def sparse_step(step, support):
             S = np.zeros(200)
             S[support] = rng.uniform(2.0, 3.0, support.size)
-            S_new = take_step(step, S, 1.0, "l1")
+            S_new = take_step(step, S)
             want = A.values.T @ step.iterate()
             assert np.linalg.norm(S_new - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -611,49 +615,93 @@ class TestImplicitDeflation:
         assert np.max(np.abs(data.gram[second] - G_l[second])) <= 1e-12 * np.max(np.abs(G))
 
     def test_grown_sequence_computes_no_row_twice(self, monkeypatch):
-        # Restarts, refine trials and later solve() calls share one cache:
-        # each row is computed from A once, and takes each direction of C
-        # once, however many climbs read it.
+        # Restarts, refine trials and later solve() calls share one cache.
+        # It computes rows a step at a time, A[:, new]'A, until
+        # n // GRAM_BULK_DIVISOR = 12 of them were computed; the next step
+        # with a new row computes all of G in one product and keeps the
+        # rows already cached, with the directions they have taken.  Each
+        # row comes from A once and takes each direction of C once, and
+        # every block a step reads is G_l at its rows, across the switch.
         A = sparse_factor_matrix()
         cfg = SolverConfig(penalty="l1", gamma=3.0, m=8, restarts=2, refine=True)
         sequence = ComponentSequence(A, cfg)
         data = sequence._data
+        bulk_after = data.A.n // block.GRAM_BULK_DIVISOR
         writes = log_row_writes(data)
-        computed, taken = [], np.zeros(data.A.n, dtype=int)
+        singly, bulk, reads = [], [], []
+        G = A.T @ A
+        scale = np.max(np.abs(G))
         original = block._Fit.gram_rows
 
         def gram_rows(fit, active):
-            before, l = fit.level[active].copy(), fit.C.shape[1]
+            before = fit.level.copy()
+            computed = np.count_nonzero(before >= 0)
+            kept = np.setdiff1d(np.flatnonzero(before >= 0), active)
+            kept_rows = np.array(fit.gram[kept])
             writes.clear()
             rows = original(fit, active)
-            done = np.maximum(before, 0)
-            new, stale = active[before < 0], active[done < l]
-            # One write computes the new rows; each stale row is written
-            # once more, with the directions it had not taken.
-            if new.size:
-                assert writes[0] == new.tolist()
-                computed.extend(writes.pop(0))
-            assert sorted(i for write in writes for i in write) == sorted(stale.tolist())
-            taken[stale] += l - done[done < l]
-            assert np.all(fit.level[active] == l)
+            new = active[before[active] < 0]
+            if computed + new.size < np.count_nonzero(fit.level >= 0):
+                # All of G, once, when a step meets a new row after
+                # bulk_after rows; the cached rows it did not read are kept
+                # as they were.
+                assert new.size and computed >= bulk_after and not bulk
+                bulk.append(computed)
+                assert np.array_equal(fit.gram[kept], kept_rows)
+                assert np.array_equal(fit.level[kept], before[kept])
+                assert np.all(fit.level >= 0)
+            elif new.size:
+                # Below the bulk point, one product for the new rows.
+                assert computed < bulk_after and writes[0] == new.tolist()
+                singly.extend(new.tolist())
+            C = fit.C
+            assert np.all(fit.level[active] == C.shape[1])
+            assert np.max(np.abs(rows - (G[active] - C[active] @ C.T))) <= 1e-12 * scale
+            # Every cached row is G_l at its own level: a direction taken
+            # twice, or not at all, would leave it an order of magnitude off.
+            for lev in np.unique(fit.level[fit.level >= 0]):
+                at = np.flatnonzero(fit.level == lev)
+                want = G[at] - C[at, :lev] @ C[:, :lev].T
+                assert np.max(np.abs(fit.gram[at] - want)) <= 1e-12 * scale
+            reads.append(bool(bulk))
             return rows
 
         monkeypatch.setattr(block._Fit, "gram_rows", gram_rows)
         for m in (2, 5, 8):
             grown, _ = sequence.solve(m)
-        assert len(computed) > 20 and len(computed) == len(set(computed))
-        assert sorted(computed) == np.flatnonzero(data.level >= 0).tolist()
-        assert data.C.shape[1] == 8 and np.any(taken[computed] > 0)
-        assert np.array_equal(taken[computed], data.level[computed])
-        # The cached rows are G_l at each row's level: a direction taken
-        # twice, or not at all, would leave them an order of magnitude off.
-        G = A.T @ A
-        for i in computed:
-            C = data.C[:, : data.level[i]]
-            assert np.max(np.abs(data.gram[i] - (G[i] - C[i] @ C.T))) <= 1e-12 * np.max(np.abs(G))
+        assert len(singly) == len(set(singly)) >= bulk_after and bulk == [len(singly)]
+        assert reads.count(False) > 5 and reads.count(True) > 5
+        assert data.C.shape[1] == 8
         monkeypatch.undo()
         fresh, _ = ComponentSequence(A, cfg).solve(8)
         assert np.array_equal(grown.values, fresh.values)
+
+    def test_start_reads_its_cached_row(self, monkeypatch):
+        # x0 = a_l,i / ||a_l,i|| gives A_l'x0 = G_l[i] / ||a_l,i||: a climb
+        # from a column whose row is cached reads its start there, with no
+        # kernel call, and brings the row up to date first; from any other
+        # column, or from no column, it correlates by the kernel.
+        rng = np.random.default_rng(44)
+        A = DataMatrix(sparse_factor_matrix())
+        data = single_unit._Deflated(A)
+        x, y = np.linalg.qr(rng.standard_normal((A.p, 2)))[0].T
+        data.add(x, A.values.T @ x)
+        data.gram_rows(np.array([3, 7]))
+        data.add(y, A.values.T @ y)
+        assert np.array_equal(data.level[[3, 7, 11]], [1, 1, -1])
+        deflated = A.values - data.X @ data.C.T
+        matvecs = count_calls(monkeypatch, block, "par_matvec_t")
+        for i, cached in ((3, True), (11, False)):
+            column = data.columns(i)
+            norm = np.linalg.norm(column)
+            x0 = column / norm
+            want = deflated.T @ x0
+            for start, kernel in (((i, norm), not cached), (None, True)):
+                matvecs.clear()
+                step = block._Retraction(data, x0, 3.0, 1.0, "l1", 1, start)
+                assert np.linalg.norm(step.start - want) <= 1e-12 * np.linalg.norm(want)
+                assert len(matvecs) == kernel
+        assert data.level[3] == 2 and data.level[11] == -1
 
     def test_dense_sequence_never_builds_gram(self):
         # desk-like: n = 10 p and nearly every column active.
@@ -708,5 +756,5 @@ class TestImplicitDeflation:
         data.add(np.array([1.0, 0.0, 0.0]), np.array([np.nextafter(3.0, 3.0 + excess), 0, 0]))
         step = block._Retraction(data, np.array([0.0, 1.0, 0.0]), 0.5, 1.0, "l1", 1)
         accumulations = count_calls(monkeypatch, block, "par_threshold_accumulate")
-        assert take_step(step, np.array([3.0, 0.0, 0.0]), 0.5, "l1") is None
+        assert take_step(step, np.array([3.0, 0.0, 0.0])) is None
         assert data.gram is not None and len(accumulations) == 1
