@@ -8,7 +8,6 @@ benchmark harness with a CLI.
 from .block import (
     RankDeficiencyError,
     ascend,
-    ascent_direction,
     objective,
     polar_projection,
     recover_pattern,

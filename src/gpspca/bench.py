@@ -118,11 +118,12 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         mean.flags.writeable = False
         reuse["centered"] = centered, mean
     penalty = "l1" if variant.endswith("1") else "l0"
-    if variant.startswith("s"):
-        config = SolverConfig(
-            penalty=penalty, m=m, gamma=gamma, mu=mu,
-            tol=tol, max_iter=max_iter, seed=seed,
-        )
+    sequential = variant.startswith("s")
+    config = SolverConfig(
+        penalty=penalty, m=m, gamma=gamma, mu=mu, tol=tol, max_iter=max_iter,
+        init="max_norm_column" if sequential else "random_orthonormal", seed=seed,
+    )
+    if sequential:
         # Sequential component j depends on gamma_j, not on m, so with one
         # gamma (and mu) for every component a larger m extends the last
         # fit's components exactly.  A per-component gamma or mu is tied
@@ -135,10 +136,6 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
             sequence = reuse["sequence"]
         loadings, report = solve_multi_sequential(centered, config, workers, sequence=sequence)
     else:
-        config = SolverConfig(
-            penalty=penalty, m=m, gamma=gamma, mu=mu,
-            tol=tol, max_iter=max_iter, init="random_orthonormal", seed=seed,
-        )
         loadings, report = solve_block(centered, config, workers)
     return loadings.values, mean, report
 

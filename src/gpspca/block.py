@@ -9,11 +9,12 @@ fit or single-unit sequence share one _Fit: single_unit's holds the
 earlier directions X of its sequence, which every step projects out.
 
 The climb thresholds each iterate's correlations once
-(_Retraction.weights): when few rows are active it keeps their indices
-and weights alone, found for a vector without a full-length pass unless
-a count over a prefix leaves the step possibly sparse.  The step takes
-(active rows, weights), and the kernel sums those columns alone when at
-most n // GATHER_DIVISOR are active.  A step's products have three
+(_Retraction.weights), the same way for every m: a count over a prefix
+of the lead column rules out a dense step, else one pass over all n
+finds the rows active in any column, and when few are, only those rows
+are thresholded and kept, with their indices.  The step takes (active
+rows, weights), and the kernel sums those columns alone when at most
+n // GATHER_DIVISOR are active.  A step's products have three
 sources:
 - the kernels on A: the accumulation A W and the correlations A'X;
 - for a sparse step, with 0 < k <= p // GRAM_DIVISOR active rows of W,
@@ -151,7 +152,7 @@ def _check_iterate(X, p):
 
 
 def _scaled_correlations(A, X, gamma, mu, workers):
-    # Checked inputs and S = mu * A'X: scalar gamma and mu for a vector
+    # Checked gamma and S = mu * A'X: scalar gamma and mu for a vector
     # iterate, one (gamma_j, mu_j) per column of a block.
     A = as_data_matrix(A)
     X = _check_iterate(X, A.p)
@@ -159,7 +160,7 @@ def _scaled_correlations(A, X, gamma, mu, workers):
     gamma, mu = _as_length_m(gamma, m, "gamma"), _as_length_m(mu, m, "mu")
     if X.ndim == 1:
         gamma, mu = gamma[0], mu[0]
-    return A, gamma, mu, mu * par_matvec_t(A, X, workers)
+    return gamma, mu * par_matvec_t(A, X, workers)
 
 
 def _objective(W, gamma, penalty):
@@ -188,22 +189,8 @@ def objective(A, X, gamma, penalty, mu=1.0, workers=1):
     l0: sum_j sum_i [(mu_j a_i'x_j)^2 - gamma_j]_+.
     gamma and mu are scalars or one entry per column of X.
     """
-    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, workers)
+    gamma, S = _scaled_correlations(A, X, gamma, mu, workers)
     return _objective(threshold_weights(S, gamma, penalty), gamma, penalty)
-
-
-def ascent_direction(A, X, gamma, penalty, mu=1.0, workers=1):
-    """Ambient gradient of the objective: column j is
-    2 mu_j sum_i w(mu_j a_i'x_j, gamma_j) a_i with w = threshold_weights.
-
-    Zero exactly when no column is active.
-    """
-    A, gamma, mu, S = _scaled_correlations(A, X, gamma, mu, workers)
-    W = threshold_weights(S, gamma, penalty)
-    active = _active_columns(W, A.n // GATHER_DIVISOR)
-    if active is not None:
-        W = W[active]
-    return (2.0 * mu) * par_threshold_accumulate(A, W, workers, active)
 
 
 def recover_pattern(A, X, gamma, penalty, mu=1.0, workers=1):
@@ -214,7 +201,7 @@ def recover_pattern(A, X, gamma, penalty, mu=1.0, workers=1):
     (mu a_i'x)^2 > gamma.  Each column is renormalized to unit norm; an
     all-inactive column is returned as zero.
     """
-    _, gamma, _, S = _scaled_correlations(A, X, gamma, mu, workers)
+    gamma, S = _scaled_correlations(A, X, gamma, mu, workers)
     return _loadings(S, gamma, penalty)
 
 
@@ -340,29 +327,6 @@ class _Fit:
         return self.K
 
 
-def _active_columns(weights, limit):
-    """Indices of the columns with a nonzero weight (nonzero rows of an
-    n x m block), or None when more than limit of them are active."""
-    # Nonzero counts bound the active count from below at a fraction of
-    # the cost of the row reduction.  The first 2 * limit entries of one
-    # column stop a dense call at half a column's count; the whole block,
-    # with more than m * limit nonzeros, stops one that is not quite sparse.
-    lead = weights if weights.ndim == 1 else weights[:, 0]
-    if np.count_nonzero(lead[: 2 * limit]) > limit:
-        return None
-    if np.count_nonzero(weights) > limit * (weights.size // len(weights)):
-        return None
-    # flatnonzero reads a boolean mask faster than the float weights: for
-    # 4 nonzeros in 1000, 2.6-3.1 against 4.3-5.5 us (best of 7 x 2000).
-    mask = weights != 0
-    if mask.ndim == 2:
-        # An OR over the m column masks, as a boolean product: 17 us
-        # against 40 us for np.any(weights, axis=1) on a 2000 x 5 block.
-        mask = mask @ np.ones(mask.shape[1], bool)
-    active = np.flatnonzero(mask)
-    return active if active.size <= limit else None
-
-
 def _route_rows(W, R, R_prev, limit):
     # The rows where the residual moved (in any column of a block), or None
     # when more than limit did or a column of W is all zero: the kernel
@@ -444,16 +408,22 @@ class _Retraction:
         threshold weights when at most sparse_limit rows are active, else
         (None, all n weights)."""
         limit, gamma, penalty = self.sparse_limit, self.gamma, self.penalty
-        if S.ndim == 2:
-            W = threshold_weights(S, gamma, penalty)
-            active = _active_columns(W, limit)
-            return (None, W) if active is None else (active, W[active])
-        # The first 2 * limit correlations rule out a dense vector, at half
-        # its count, before any pass over all n.
-        if np.count_nonzero(_passes(S[: 2 * limit], gamma, penalty)) <= limit:
-            active = _passes(S, gamma, penalty).nonzero()[0]
+        vector = S.ndim == 1
+        # The lead column's first 2 * limit correlations rule out a dense
+        # step, at half a column's count, before any pass over all n.
+        head = S[: 2 * limit] if vector else S[: 2 * limit, 0]
+        g = gamma if vector else np.ravel(gamma)[0]
+        if np.count_nonzero(_passes(head, g, penalty)) <= limit:
+            mask = _passes(S, gamma, penalty)
+            if not vector:
+                # An OR over the m column masks, as a boolean product: 17 us
+                # against 40 us for np.any(mask, axis=1) on a 2000 x 5 block.
+                mask = mask @ np.ones(mask.shape[1], bool)
+            active = mask.nonzero()[0]
             if active.size <= limit:
                 s = S[active]
+                if not vector:
+                    return active, threshold_weights(s, gamma, penalty)
                 # On active rows, bitwise sign(s) * (|s| - gamma).
                 return active, (s - gamma * np.sign(s) if penalty == "l1" else s)
         return None, threshold_weights(S, gamma, penalty)

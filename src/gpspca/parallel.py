@@ -15,8 +15,9 @@ Given the active columns and their weights alone, the accumulation sums
 those columns on the calling thread (_gathered_product, shared by
 block's dense-step route), so that sum never reads the worker count.
 The caller decides when the weights are sparse enough for that; block's
-step makes the decision once per iterate, and states where a step's
-products come from.
+step makes the decision once per iterate, by one scan of its
+correlations that is the same for a vector and a block, and states
+where a step's products come from.
 """
 
 import os

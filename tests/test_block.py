@@ -8,7 +8,6 @@ from gpspca import (
     RankDeficiencyError,
     SolverConfig,
     ascend,
-    ascent_direction,
     objective,
     polar_projection,
     recover_pattern,
@@ -51,6 +50,14 @@ def ambient_central_difference(A, X, gamma, mu, penalty, step=1e-5):
                 - scalar_block_objective(A, down, gamma, mu, penalty)
             ) / (2 * step)
     return G
+
+
+def block_gradient(A, X, gamma, mu, penalty):
+    """The ambient gradient, column j 2 mu_j A w(mu_j A'x_j, gamma_j) with
+    w = threshold_weights, plain numpy; ambient_central_difference
+    validates it, and the step is checked against it."""
+    mu = np.asarray(mu, dtype=np.float64)
+    return 2.0 * mu * (A @ threshold_weights(mu * (A.T @ X), np.asarray(gamma), penalty))
 
 
 def random_stiefel(rng, p, m):
@@ -128,18 +135,41 @@ class TestBlockObjectives:
 
 
 class TestBlockAscentDirection:
+    """The step the solvers take moves X to the polar factor of the
+    gradient oracle, which the finite differences validate."""
+
     def test_m_one_equals_single_unit_exactly(self):
+        # At m = 1 the block step's weights are the vector step's bitwise,
+        # sparse (one active row) or dense, and one step lands on the same
+        # iterate up to the retraction's rounding.
         rng = np.random.default_rng(32)
         A = rng.standard_normal((4, 7))
         x = rng.standard_normal(4)
         x /= np.linalg.norm(x)
+        top = np.sort(np.abs(A.T @ x))[-2:].mean()
+        fit = gpspca.block._Fit(DataMatrix(A))
+        sparse = []
         for penalty in ("l1", "l0"):
-            G = ascent_direction(A, x[:, None], (0.2,), penalty, (1.0,))
-            assert np.array_equal(G[:, 0], ascent_direction(A, x, 0.2, penalty))
+            for gamma in (0.0, top if penalty == "l1" else top * top):
+                vector = gpspca.block._Retraction(fit, x, gamma, 1.0, penalty, 1)
+                block = gpspca.block._Retraction(fit, x[:, None], np.array([gamma]),
+                                                 np.ones(1), penalty, 1)
+                active, w = vector.weights(vector.start)
+                block_active, W = block.weights(vector.start[:, None])
+                sparse.append(active is not None)
+                assert sparse[-1] == (block_active is not None)
+                assert not sparse[-1] or np.array_equal(block_active, active)
+                assert W.shape == w.shape + (1,) and W[:, 0].tobytes() == w.tobytes()
+                x_next = ascend(A, x, gamma, 1.0, penalty, 0.0, 1)[0]
+                X_next = ascend(A, x[:, None], np.array([gamma]), np.ones(1), penalty, 0.0, 1)[0]
+                assert np.allclose(X_next[:, 0], x_next, rtol=0, atol=1e-12)
+        assert sparse == [False, True, False, True]
 
     def test_identity_example(self):
-        G = ascent_direction(np.eye(2), np.eye(2), (0.0, 0.0), "l1", (1.0, 1.0))
-        assert np.allclose(G, 2.0 * np.eye(2))
+        A = X = np.eye(2)
+        assert np.allclose(block_gradient(A, X, (0.0, 0.0), (1.0, 1.0), "l1"), 2.0 * np.eye(2))
+        X_next, _, history, _ = ascend(A, X, np.zeros(2), np.ones(2), "l1", 0.0, 1)
+        assert np.allclose(X_next, np.eye(2)) and history == [2.0, 2.0]
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
     def test_matches_ambient_finite_differences(self, penalty):
@@ -152,9 +182,12 @@ class TestBlockAscentDirection:
             mu = rng.uniform(0.6, 1.4, size=2)
             if block_near_kink(A, X, gamma, mu, penalty):
                 continue
-            got = ascent_direction(A, X, gamma, penalty, mu)
+            G = block_gradient(A, X, gamma, mu, penalty)
             want = ambient_central_difference(A, X, gamma, mu, penalty)
-            assert np.allclose(got, want, atol=1e-6)
+            assert np.allclose(G, want, atol=1e-6)
+            X_next, _, history, _ = ascend(A, X, gamma, mu, penalty, 0.0, 1)
+            assert len(history) == 2
+            assert np.allclose(X_next, polar_projection(G), rtol=0, atol=1e-12)
             checked += 1
 
 
@@ -682,11 +715,13 @@ class TestGramRowsRoute:
 
 
 class TestOneScanPerStep:
-    """Each iterate's active rows are found once, by _Retraction.weights:
-    for a block by one _active_columns scan, for a vector without one, at
-    the larger of the rows source's limit, p // GRAM_DIVISOR, and the
-    kernel's, n // GATHER_DIVISOR.  The step, the rows source and the
-    accumulation kernel all take that set and scan nothing themselves."""
+    """Each iterate's active rows are found once, by _Retraction.weights,
+    the same way for every m: a count over the lead column's first
+    2 * limit correlations, then, when that leaves the step possibly
+    sparse, one full-length pass mask, at the larger of the rows source's
+    limit, p // GRAM_DIVISOR, and the kernel's, n // GATHER_DIVISOR.  The
+    step, the rows source and the accumulation kernel all take that set
+    and scan nothing themselves."""
 
     @staticmethod
     def sparse_data(n_classes, per_class, n_features):
@@ -698,53 +733,61 @@ class TestOneScanPerStep:
     @pytest.mark.parametrize("case", ["dense-block", "sparse-sequence", "sparse-block"])
     def test_each_step_scans_once(self, monkeypatch, case):
         assert not hasattr(gpspca.parallel, "_active_columns")
-        log = {"climbs": 0, "steps": 0, "moved": 0, "weights": 0, "scans": 0, "in_step": 0}
+        if case == "dense-block":
+            # Past its first 25 steps the fit may take the route from A A'.
+            A = DataMatrix(np.random.default_rng(70).standard_normal((200, 2000)))
+        elif case == "sparse-sequence":
+            A = self.sparse_data(20, 20, 1000)
+        else:
+            A = self.sparse_data(20, 8, 400)
+        log = {"climbs": 0, "steps": 0, "moved": 0, "masks": 0, "in_step": 0}
+        per_iterate = []
         Step = gpspca.block._Retraction
         init, call, weights = Step.__init__, Step.__call__, Step.weights
-        scan = gpspca.block._active_columns
+        passes = gpspca.block._passes
 
         def counting_init(step, *args):
             log["climbs"] += 1
             init(step, *args)
 
         def counting_call(step, active, w):
-            scans = log["scans"]
+            masks = log["masks"]
             S = call(step, active, w)
             log["steps"] += 1
             log["moved"] += S is not None
-            log["in_step"] += log["scans"] - scans
+            log["in_step"] += log["masks"] - masks
             return S
 
         def counting_weights(step, S):
-            log["weights"] += 1
-            return weights(step, S)
+            masks = log["masks"]
+            out = weights(step, S)
+            per_iterate.append(log["masks"] - masks)
+            return out
 
-        def counting_scan(W, limit):
-            log["scans"] += 1
-            return scan(W, limit)
+        def counting_passes(S, gamma, penalty):
+            log["masks"] += len(S) == A.n
+            return passes(S, gamma, penalty)
 
         monkeypatch.setattr(Step, "__init__", counting_init)
         monkeypatch.setattr(Step, "__call__", counting_call)
         monkeypatch.setattr(Step, "weights", counting_weights)
-        monkeypatch.setattr(gpspca.block, "_active_columns", counting_scan)
+        monkeypatch.setattr(gpspca.block, "_passes", counting_passes)
         if case == "dense-block":
-            # Past its first 25 steps the fit may take the route from A A'.
-            A = DataMatrix(np.random.default_rng(70).standard_normal((200, 2000)))
             config = SolverConfig(penalty="l1", m=3, gamma=0.01, tol=1e-300, max_iter=40,
                                   init="random_orthonormal", seed=1)
             solve_block(A, config)
         elif case == "sparse-sequence":
             config = SolverConfig(penalty="l1", m=5, gamma=3.0, max_iter=200)
-            solve_multi_sequential(self.sparse_data(20, 20, 1000), config)
+            solve_multi_sequential(A, config)
         else:
             config = SolverConfig(penalty="l0", m=5, gamma=9.0, max_iter=200,
                                   init="random_orthonormal", seed=1)
-            solve_block(self.sparse_data(20, 8, 400), config)
+            solve_block(A, config)
         # One weights() per iterate: each climb's start and each step that
         # moved the iterate.
-        assert log["steps"] > 20 and log["weights"] == log["climbs"] + log["moved"]
-        assert log["in_step"] == 0
-        assert log["scans"] == (0 if case == "sparse-sequence" else log["weights"])
+        assert log["steps"] > 20 and len(per_iterate) == log["climbs"] + log["moved"]
+        assert log["in_step"] == 0 and log["masks"] == sum(per_iterate)
+        assert per_iterate == [0 if case == "dense-block" else 1] * len(per_iterate)
 
     def test_tall_matrix_rows_source_above_the_kernel_limit(self, monkeypatch):
         # 300 x 120: a step takes the rows of A'A with up to p // 4 = 75
@@ -955,11 +998,11 @@ class TestKeptDeflatedRows:
 
 
 class TestSparseWeights:
-    """A vector step's weights (_Retraction.weights): when at most
-    sparse_limit rows are active, their indices and weights, found without
-    a full-length threshold; otherwise all n weights.  Either way they are
-    threshold_weights' bitwise, and the objective over them matches the
-    one over all n rows."""
+    """A step's weights (_Retraction.weights), for a vector or a block:
+    when at most sparse_limit rows are active in any column, their indices
+    and weights, found without a full-length threshold; otherwise all n
+    weights.  Either way they are threshold_weights' bitwise, and the
+    objective over them matches the one over all n rows."""
 
     @pytest.mark.parametrize("penalty, gamma", [("l1", 2.0), ("l0", 4.0)])
     @pytest.mark.parametrize("placement", ["leading", "random"])
@@ -1006,6 +1049,36 @@ class TestSparseWeights:
         S[:, 0] = 4.0
         active, w = step.weights(S)
         assert active is None and np.array_equal(w, threshold_weights(S, gamma, "l1"))
+
+    @pytest.mark.parametrize("union", ["sparse", "past-limit"])
+    @pytest.mark.parametrize("penalty, gamma", [("l1", (1.0, 2.0, 3.0)), ("l0", (1.0, 4.0, 9.0))])
+    def test_block_row_union(self, penalty, gamma, union):
+        # The lead column is sparse, so its prefix count leaves the step
+        # possibly sparse; the rows another column adds decide whether the
+        # union passes sparse_limit.  The weights keep threshold_weights'
+        # sign bits, -0.0 included (an l1 column inactive on an active row).
+        rng = np.random.default_rng(92)
+        n = 400
+        A = DataMatrix(rng.standard_normal((40, n)))
+        gamma = np.array(gamma)
+        step = gpspca.block._Retraction(gpspca.block._Fit(A), random_stiefel(rng, 40, 3),
+                                        gamma, np.ones(3), penalty, 1)
+        limit = step.sparse_limit
+        edge = gamma if penalty == "l1" else np.sqrt(gamma)
+        S = rng.uniform(-0.99, 0.99, (n, 3)) * edge
+        lead = rng.choice(n, limit // 2, replace=False)
+        other = rng.choice(n, limit // 2 if union == "sparse" else limit + 1, replace=False)
+        S[lead, 0] = rng.choice([-1.0, 1.0], lead.size) * 1.5 * edge[0]
+        S[other, 2] = rng.choice([-1.0, 1.0], other.size) * 1.5 * edge[2]
+        W = threshold_weights(S, gamma, penalty)
+        active, w = step.weights(S)
+        rows = np.union1d(lead, other)
+        assert (rows.size <= limit) == (union == "sparse")
+        if union == "sparse":
+            assert np.array_equal(active, rows) and w.tobytes() == W[active].tobytes()
+            assert np.signbit(w[w == 0]).any() == (penalty == "l1")
+        else:
+            assert active is None and w.tobytes() == W.tobytes()
 
 
 class TestAllOfG:

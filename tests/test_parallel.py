@@ -55,11 +55,13 @@ def layout(n, chunk):
 
 
 def accumulated(A, W, workers=1):
-    """The kernel as a step calls it for the weights W: given the active
-    rows block._active_columns finds, when at most n // GATHER_DIVISOR,
+    """The kernel as a step calls it for the weights W: given the rows
+    with a nonzero weight in any column, when at most n // GATHER_DIVISOR,
     and the weights of those rows alone; otherwise given all n."""
-    rows = gpspca.block._active_columns(W, len(W) // gpspca.block.GATHER_DIVISOR)
-    return par_threshold_accumulate(A, W if rows is None else W[rows], workers, rows)
+    rows = np.flatnonzero(np.reshape(W != 0, (len(W), -1)).any(axis=1))
+    if rows.size > len(W) // gpspca.block.GATHER_DIVISOR:
+        return par_threshold_accumulate(A, W, workers)
+    return par_threshold_accumulate(A, W[rows], workers, rows)
 
 
 def thresholded(A, c, gamma, penalty, workers=1):

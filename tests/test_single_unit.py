@@ -6,7 +6,6 @@ from gpspca import (
     DataMatrix,
     SolverConfig,
     ascend,
-    ascent_direction,
     deflate,
     objective,
     recover_pattern,
@@ -64,6 +63,22 @@ def near_kink(A, x, gamma, penalty, window=1e-4):
     return bool(np.any(np.abs(c * c - gamma) < window))
 
 
+def gradient(A, x, gamma, penalty):
+    """The ambient gradient 2 A w(A'x) with w = threshold_weights, plain
+    numpy; central_difference validates it, and the step is checked
+    against it."""
+    A = np.asarray(A, dtype=np.float64)
+    return 2.0 * (A @ threshold_weights(A.T @ x, gamma, penalty))
+
+
+def one_step(A, x, gamma, penalty):
+    """One step of the solvers' loop from x: ascend with max_iter = 1.
+    Returns (x+, history): x+ is x and history one entry long when the
+    gradient is zero."""
+    x_next, _, history, _ = ascend(A, x, gamma, 1.0, penalty, 0.0, 1)
+    return x_next, history
+
+
 def random_unit(rng, p):
     x = rng.standard_normal(p)
     return x / np.linalg.norm(x)
@@ -116,15 +131,24 @@ class TestObjectives:
 
 
 class TestAscentDirections:
+    """The step the solvers take moves x to g / ||g|| for the gradient
+    oracle g, which the finite differences validate."""
+
     def test_sl1_examples(self):
-        A = np.eye(2)
-        assert np.allclose(ascent_direction(A, [1.0, 0.0], 0.0, "l1"), [2.0, 0.0])
-        assert np.array_equal(ascent_direction(A, [1.0, 0.0], 1.5, "l1"), [0.0, 0.0])
+        A, x = np.eye(2), np.array([1.0, 0.0])
+        assert np.allclose(gradient(A, x, 0.0, "l1"), [2.0, 0.0])
+        assert np.array_equal(one_step(A, x, 0.0, "l1")[0], [1.0, 0.0])
+        assert np.array_equal(gradient(A, x, 1.5, "l1"), [0.0, 0.0])
+        x_next, history = one_step(A, x, 1.5, "l1")
+        assert x_next is x and history == [0.0]
 
     def test_sl0_examples(self):
-        A = np.eye(2)
-        assert np.allclose(ascent_direction(A, [1.0, 0.0], 0.5, "l0"), [2.0, 0.0])
-        assert np.array_equal(ascent_direction(A, [1.0, 0.0], 2.0, "l0"), [0.0, 0.0])
+        A, x = np.eye(2), np.array([1.0, 0.0])
+        assert np.allclose(gradient(A, x, 0.5, "l0"), [2.0, 0.0])
+        assert np.array_equal(one_step(A, x, 0.5, "l0")[0], [1.0, 0.0])
+        assert np.array_equal(gradient(A, x, 2.0, "l0"), [0.0, 0.0])
+        x_next, history = one_step(A, x, 2.0, "l0")
+        assert x_next is x and history == [0.0]
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"], ids=SL_IDS["ascent_direction"])
     def test_matches_finite_differences(self, penalty):
@@ -136,9 +160,11 @@ class TestAscentDirections:
             gamma = float(rng.uniform(0.05, 0.6))
             if near_kink(A, x, gamma, penalty):
                 continue
-            got = ascent_direction(A, x, gamma, penalty)
-            want = central_difference(A, x, gamma, penalty)
-            assert np.allclose(got, want, atol=1e-6)
+            g = gradient(A, x, gamma, penalty)
+            assert np.allclose(g, central_difference(A, x, gamma, penalty), atol=1e-6)
+            x_next, history = one_step(A, x, gamma, penalty)
+            assert len(history) == 2
+            assert np.allclose(x_next, g / np.linalg.norm(g), rtol=0, atol=1e-12)
             checked += 1
 
     def test_zero_iff_no_active_column(self):
@@ -146,8 +172,14 @@ class TestAscentDirections:
         A = rng.standard_normal((3, 6))
         x = random_unit(rng, 3)
         gamma = float(np.abs(A.T @ x).max())
-        assert np.array_equal(ascent_direction(A, x, gamma, "l1"), np.zeros(3))
-        assert np.any(ascent_direction(A, x, 0.9 * gamma, "l1") != 0)
+        assert np.array_equal(gradient(A, x, gamma, "l1"), np.zeros(3))
+        x_next, _, history, converged = ascend(A, x, gamma, 1.0, "l1", 0.0, 1)
+        assert x_next is x and history == [0.0] and converged
+        g = gradient(A, x, 0.9 * gamma, "l1")
+        assert np.any(g != 0)
+        x_next, history = one_step(A, x, 0.9 * gamma, "l1")
+        assert len(history) == 2
+        assert np.allclose(x_next, g / np.linalg.norm(g), rtol=0, atol=1e-12)
 
 
 class TestPowerStep:
@@ -196,12 +228,12 @@ class TestPowerStep:
             A = rng.standard_normal((int(rng.integers(2, 6)), int(rng.integers(2, 9))))
             x = random_unit(rng, A.shape[0])
             gamma = float(rng.uniform(0.0, 1.0))
-            g = ascent_direction(A, x, gamma, penalty)
-            if np.any(g):
-                step = g / np.linalg.norm(g)
-                assert objective(A, step, gamma, penalty) >= (
-                    objective(A, x, gamma, penalty) - 1e-12
-                )
+            x_next, history = one_step(A, x, gamma, penalty)
+            assert len(history) == (2 if np.any(gradient(A, x, gamma, penalty)) else 1)
+            assert history[-1] >= history[0] - 1e-12
+            assert objective(A, x_next, gamma, penalty) >= (
+                objective(A, x, gamma, penalty) - 1e-12
+            )
 
 
 # ----------------------------------------------------------- pattern recovery
@@ -348,9 +380,11 @@ class TestSolveSingleUnit:
             x0 = random_unit(rng, 5)
             x, _, _, converged = ascend(A, x0, 0.1, 1.0, penalty, tol, 5000)
             assert converged
-            grad = ascent_direction(A, x, 0.1, penalty)
-            assert np.linalg.norm(grad) > 0
-            assert np.linalg.norm(x - grad / np.linalg.norm(grad)) <= 10 * np.sqrt(tol)
+            grad = gradient(A.values, x, 0.1, penalty)
+            x_next, history = one_step(A, x, 0.1, penalty)
+            assert np.linalg.norm(grad) > 0 and len(history) == 2
+            assert np.allclose(x_next, grad / np.linalg.norm(grad), rtol=0, atol=1e-12)
+            assert np.linalg.norm(x - x_next) <= 10 * np.sqrt(tol)
 
 
 class TestDeflate:
