@@ -21,17 +21,21 @@ from .datasets import (
     make_splits,
 )
 from .parallel import check_allocation, check_workers
-from .pca import pca_fit
+from .pca import PcaFactors, pca_fit
 from .pca import project  # noqa: F401  unused here, but perfbench wraps it by this name
 from .single_unit import ComponentSequence, solve_multi_sequential
 
 SPCA_VARIANTS = ("sl1", "sl0", "bl1", "bl0")
 VARIANTS = SPCA_VARIANTS + ("pca",)
-# The peak of a timing sweep with pca, in P x N matrices: 3.12 to 3.18
-# (tracemalloc, N=4000, one instance), because pca_fit makes a centered
-# copy and full SVD factors of the shared instance.  A sweep of the sparse
-# variants is checked for the one instance (see check_allocation).
-PCA_SWEEP_MATRICES = 3.25
+# The peak of a timing sweep with pca, in P x N matrices, less the m / P
+# its components add: pca_fit holds a centered copy of the shared instance
+# and factorizes its P x P sample Gram.  Measured with tracemalloc at
+# N = 4000, one instance: 2.26 at m = 5, 2.30 at m = 50 and 3.14 at
+# m = 399, where a full SVD of the centered copy peaked at 3.18, 3.23 and
+# 4.10.  m = P is above the centered rows' rank, so that fit takes the SVD
+# and peaks at 4.20.  A sweep of the sparse variants is checked for the one
+# instance (see check_allocation).
+PCA_SWEEP_MATRICES = 2.3
 
 
 @dataclass
@@ -84,8 +88,8 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     center=True builds the centered matrix straight into a DataMatrix's
     column-major storage, so the solver makes no copy of it.  reuse, a
     dict shared by fits of the same training rows and settings that
-    differ only in m, keeps work a later fit can extend or slice: the PCA
-    factorization, the sl1/sl0 component sequence, and the centered
+    differ only in m, keeps work a later fit can extend or slice: the
+    pca.PcaFactors, the sl1/sl0 component sequence, and the centered
     matrix and its (read-only) mean, which every sparse fit after the
     first takes as they are, so the training rows are centered once.  The
     results are bitwise those of a fresh fit.
@@ -95,12 +99,11 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     else:
         samples = train_samples = np.asarray(train_samples, dtype=np.float64)
     if variant == "pca":
-        if reuse is None:
-            model = pca_fit(samples, m)
-        else:
+        if reuse is not None:
             if "pca" not in reuse:
-                reuse["pca"] = pca_fit(samples)
-            model = reuse["pca"].head(m)
+                reuse["pca"] = PcaFactors(samples)
+            samples = reuse["pca"]
+        model = pca_fit(samples, m)
         return model.components, model.mean, None
     if variant not in SPCA_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -314,7 +317,7 @@ def run_timing_experiment(config):
         try:
             check_allocation(P, N)
             if "pca" in config.timing_variants:
-                check_allocation(P, N, PCA_SWEEP_MATRICES)
+                check_allocation(P, N, PCA_SWEEP_MATRICES + (m / P if m < P else 2.0))
         except MemoryError as err:
             print(f"skipping N={N}: {err}", file=sys.stderr)
             continue

@@ -156,11 +156,16 @@ def _scaled_correlations(A, X, gamma, mu, workers):
     # iterate, one (gamma_j, mu_j) per column of a block.
     A = as_data_matrix(A)
     X = _check_iterate(X, A.p)
+    gamma, mu = _per_column(X, gamma, mu)
+    return gamma, mu * par_matvec_t(A, X, workers)
+
+
+def _per_column(X, gamma, mu):
+    # gamma and mu as float64 scalars for a vector X and length-m vectors
+    # for a p x m X; any sequence of the right length is accepted.
     m = 1 if X.ndim == 1 else X.shape[1]
     gamma, mu = _as_length_m(gamma, m, "gamma"), _as_length_m(mu, m, "mu")
-    if X.ndim == 1:
-        gamma, mu = gamma[0], mu[0]
-    return gamma, mu * par_matvec_t(A, X, workers)
+    return (gamma[0], mu[0]) if X.ndim == 1 else (gamma, mu)
 
 
 def _objective(W, gamma, penalty):
@@ -565,15 +570,17 @@ def ascend(A, X, gamma, mu, penalty, tol, max_iter, workers=1):
     X is normalized (a zero gradient is a fixed point and counts as
     converged), a p x m X takes the polar factor (rank collapse raises
     RankDeficiencyError carrying the iteration and the history so far).
-    gamma and mu are scalars for a vector and length-m vectors for a
-    block.  Stops when the relative objective change drops below tol or
-    after max_iter steps.
+    gamma and mu are scalars for a vector and, for a block, scalars or
+    length-m sequences.  Stops when the relative objective change drops
+    below tol or after max_iter steps.
 
     Returns (X, S, history, converged), where S = mu * A'X belongs to the
     returned X.  An X off the sphere or Stiefel manifold raises ValueError.
     """
     A = as_data_matrix(A)
-    return climb(_Fit(A), _check_iterate(X, A.p), gamma, mu, penalty, tol, max_iter, workers)
+    X = _check_iterate(X, A.p)
+    gamma, mu = _per_column(X, gamma, mu)
+    return climb(_Fit(A), X, gamma, mu, penalty, tol, max_iter, workers)
 
 
 def _init_block(A, config):

@@ -8,7 +8,9 @@ convert` turns into it; conversion notes for the usual benchmark corpora
 live in the README.
 """
 
+import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,18 +92,71 @@ def read_table(path, sep=",", label=None):
     have the same width and finite values; errors name the 1-based line.
     Returns the float matrix, or with label (a column index) that column
     as int64 labels and the remaining columns: (labels, features).
+
+    numpy's C reader (np.loadtxt) parses the lines first, stripped as
+    above.  Where it raises, as on a ragged row or a value such as 1_000
+    that float() accepts and it does not, or where it finds no rows, a
+    non-finite value or a label that is not an integer, the file is read
+    again one line at a time.  That loop parses each value with float(),
+    which rounds as the C reader does, and names the line of the first
+    error.
     """
+    values = _c_table(path, sep)
+    if values is None or _first_bad_row(values, label) is not None:
+        values, line_numbers = _table_lines(path, sep)
+        bad = _first_bad_row(values, label)
+        if bad is not None:
+            row, reason = bad
+            raise DatasetFormatError(f"line {line_numbers[row]}: {reason}")
+    if label is None:
+        return values
+    return values[:, label].astype(np.int64), np.delete(values, label, axis=1)
+
+
+def _strip(line):
+    # A line as both readers see it: outer whitespace and trailing commas off.
+    return line.strip().rstrip(",")
+
+
+def _parse_row(line, sep):
+    """A line's values, or None for a blank line; ValueError when a value
+    does not parse."""
+    line = _strip(line)
+    return np.array(line.split(sep), dtype=np.float64) if line else None
+
+
+def _c_table(path, sep):
+    """np.loadtxt's parse of the lines the line loop parses: stripped,
+    without blank lines or a header.  None where it raises or warns (an
+    empty table does)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            try:
+                _parse_row(first, sep)
+            except ValueError:
+                first = ""
+            lines = (line for line in map(_strip, itertools.chain([first], fh)) if line)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return np.loadtxt(lines, delimiter=sep, comments=None, ndmin=2)
+    except Exception:
+        # Whatever the C reader refuses, the line loop reads or names.
+        return None
+
+
+def _table_lines(path, sep):
+    """(values, 1-based line number of each row), one line at a time."""
     rows, line_numbers = [], []
     for line_no, line in numbered_lines(path):
-        line = line.strip().rstrip(",")
-        if not line:
-            continue
         try:
-            row = np.array(line.split(sep), dtype=np.float64)
+            row = _parse_row(line, sep)
         except ValueError:
             if line_no == 1:
                 continue
             raise DatasetFormatError(f"line {line_no}: non-numeric value") from None
+        if row is None:
+            continue
         if rows and len(row) != len(rows[0]):
             raise DatasetFormatError(
                 f"line {line_no}: expected {len(rows[0])} columns, got {len(row)}"
@@ -110,24 +165,24 @@ def read_table(path, sep=",", label=None):
         line_numbers.append(line_no)
     if not rows:
         raise DatasetFormatError(f"{path}: no data rows")
-    values = np.array(rows, dtype=np.float64)
-    # Drop the row list before the features are copied out, so that copy
-    # adds nothing to the peak memory.
-    del rows
+    return np.array(rows, dtype=np.float64), line_numbers
+
+
+def _first_bad_row(values, label):
+    """(row index, reason) of the first row with a non-finite value or,
+    with label, a label that is not an integer; None when every row is
+    good."""
     # A value such as 1e999 parses, to inf.
     bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
     if bad.size:
-        raise DatasetFormatError(f"line {line_numbers[bad[0]]}: non-finite value")
-    if label is None:
-        return values
-    labels = values[:, label]
-    # abs < 2**63 also rejects labels that overflow int64.
-    bad = np.flatnonzero(~(np.abs(labels) < 2.0**63) | (labels != np.trunc(labels)))
-    if bad.size:
-        raise DatasetFormatError(
-            f"line {line_numbers[bad[0]]}: label {float(labels[bad[0]])!r} is not an integer"
-        )
-    return labels.astype(np.int64), np.delete(values, label, axis=1)
+        return bad[0], "non-finite value"
+    if label is not None:
+        labels = values[:, label]
+        # abs < 2**63 also rejects labels that overflow int64.
+        bad = np.flatnonzero(~(np.abs(labels) < 2.0**63) | (labels != np.trunc(labels)))
+        if bad.size:
+            return bad[0], f"label {float(labels[bad[0]])!r} is not an integer"
+    return None
 
 
 def read_svmlight(path, n_features=0):

@@ -227,8 +227,8 @@ def check_allocation(P, N, matrices=1):
 
     Callers pass the matrices they hold at their peak: one for a scaling
     run, a data load, or the instance a timing sweep shares among its
-    fits, bench.PCA_SWEEP_MATRICES for a sweep with pca.  The sparse fits'
-    temporaries (gathered columns, block's K = A A') take a sparse sweep
+    fits, bench.PCA_SWEEP_MATRICES and m / P for a sweep with pca.  The
+    sparse fits' temporaries (gathered columns, block's K = A A') take a sparse sweep
     to 1.2-1.3 matrices at N = 4000 and 1.7 at N = 2000 (tracemalloc),
     which the check leaves as slack.
     """

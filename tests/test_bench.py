@@ -185,7 +185,7 @@ class TestSweepReuse:
     """Within a repetition sl1/sl0 fits extend one component sequence and
     pca slices one factorization; every row must match a fresh fit."""
 
-    def sweep(self, monkeypatch, variant, ms, gamma=0.05, **kw):
+    def sweep(self, monkeypatch, variant, ms, gamma=0.05, ds=None, **kw):
         calls = []
         original = bench.fit_projection
 
@@ -198,7 +198,7 @@ class TestSweepReuse:
         settings = dict(repetitions=2, seed=7, split=PerClassCount(7), max_iter=300)
         settings.update(kw)
         config = ExperimentConfig(variant=variant, m=ms, gamma=gamma, **settings)
-        ds = small_dataset()
+        ds = small_dataset() if ds is None else ds
         rows = run_recognition_experiment(config, dataset=ds)
         monkeypatch.setattr(bench, "fit_projection", original)
         return ds, config, [r for r in rows if r["repetition"] != "mean"], calls
@@ -236,6 +236,27 @@ class TestSweepReuse:
             assert report.component_histories == want_report.component_histories
             assert report.converged == want_report.converged
             assert row["converged"] == int(want_report.converged)
+
+    @pytest.mark.parametrize("ms", [(2, 5, 34, 35), (35, 5, 34, 2)], ids=["sorted", "unsorted"])
+    def test_pca_rows_bitwise_equal_to_fresh_fits_with_fewer_rows_than_features(
+            self, monkeypatch, ms):
+        # 35 training rows x 60 features: the sample Gram serves m <= 34
+        # and the SVD m = 35, above the centered rows' rank.  One
+        # eigendecomposition and one SVD per repetition serve every row.
+        ds = synthetic_sparse_factors(n_classes=5, per_class=12, n_features=60, n_factors=3,
+                                      support_size=6, seed=3)
+        calls = []
+        for name in ("svd", "eigh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        ds, config, rows, fits = self.sweep(monkeypatch, "pca", ms, ds=ds)
+        assert sorted(calls) == ["eigh", "eigh", "svd", "svd"]
+        for row, (loadings, _, _) in zip(rows, fits):
+            want, _, accuracy = self.fresh(ds, config, row["repetition"], row["m"])
+            assert not row["error"]
+            assert np.array_equal(loadings, want)
+            assert row["overall_accuracy"] == accuracy
 
     @pytest.mark.parametrize("variant", ["sl1", "pca"])
     def test_embedded_rows_centered_once_per_repetition(self, monkeypatch, variant):

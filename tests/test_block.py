@@ -171,6 +171,27 @@ class TestBlockAscentDirection:
         X_next, _, history, _ = ascend(A, X, np.zeros(2), np.ones(2), "l1", 0.0, 1)
         assert np.allclose(X_next, np.eye(2)) and history == [2.0, 2.0]
 
+    def test_sequences_give_the_array_result(self):
+        # A block takes gamma and mu as any length-m sequence or a scalar,
+        # as objective and SolverConfig do; a vector takes a scalar or a
+        # length-1 sequence.
+        rng = np.random.default_rng(35)
+        A = rng.standard_normal((4, 9))
+        X = random_stiefel(rng, 4, 2)
+        want = ascend(A, X, np.array([0.3, 0.5]), np.array([1.0, 0.8]), "l1", 0.0, 3)
+        for gamma, mu in (((0.3, 0.5), (1.0, 0.8)), ([0.3, 0.5], [1.0, 0.8])):
+            got = ascend(A, X, gamma, mu, "l1", 0.0, 3)
+            assert all(np.array_equal(g, w) for g, w in zip(got[:2], want[:2]))
+            assert got[2:] == want[2:]
+        scalar = ascend(A, X, 0.3, 1.0, "l1", 0.0, 3)
+        assert np.array_equal(scalar[0], ascend(A, X, [0.3, 0.3], (1.0, 1.0), "l1", 0.0, 3)[0])
+        x = X[:, 0]
+        want = ascend(A, x, 0.3, 0.8, "l0", 0.0, 3)
+        got = ascend(A, x, (0.3,), [0.8], "l0", 0.0, 3)
+        assert np.array_equal(got[0], want[0]) and got[2] == want[2]
+        with pytest.raises(ValueError, match="length-2"):
+            ascend(A, X, (0.3, 0.5, 0.7), 1.0, "l1", 0.0, 3)
+
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
     def test_matches_ambient_finite_differences(self, penalty):
         rng = np.random.default_rng(33)

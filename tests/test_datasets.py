@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gpspca.datasets
 from gpspca import (
     DatasetFormatError,
     FixedSplit,
@@ -133,6 +134,87 @@ class TestLoadMatrixCsv:
         path.write_text("1.0,2.0\n3.0\n")
         with pytest.raises(DatasetFormatError, match="line 2"):
             read_table(path)
+
+
+# (id, file bytes, sep, label column, the reader that serves it: "c" for
+# numpy's C reader, "loop" for the line loop, "error" when both refuse).
+READER_CORPUS = [
+    ("header", b"label,f1,f2\n1,0.5,2.25\n2,-1e-3,3\n", ",", 0, "c"),
+    ("no-header", b"1,0.5,2.25\n2,-1e-3,3\n", ",", 0, "c"),
+    ("unlabeled", b"1.5,2\n-3,4e2\n", ",", None, "c"),
+    ("label-last", b"a,b,y\n0.5,2,7\n1,3,8\n", ",", -1, "c"),
+    ("crlf", b"label,a\r\n1,0.5\r\n2,0.25\r\n", ",", 0, "c"),
+    ("blank-lines", b"\n1,2\n\n3,4\n\n", ",", 0, "c"),
+    ("blank-first-line-then-header", b"\nlabel,a\n1,2\n", ",", 0, "error"),
+    ("spaces-around-values", b" 1 , 2.5 \n3,\t4\n", ",", 0, "c"),
+    ("whitespace-only-lines", b"1,2\n   \n\t\n3,4\n  \n", ",", 0, "c"),
+    ("comma-only-line", b"1,2\n,,\n3,4\n", ",", 0, "c"),
+    ("trailing-commas", b"1,2,\n3,4,,\n", ",", 0, "c"),
+    ("whitespace-separated", b"1 2.5\n3\t4\n", None, 0, "c"),
+    ("whitespace-header", b"label x y\n1 2 3\n4 5 6\n", None, 0, "c"),
+    ("whitespace-trailing-comma", b"1 2,\n3 4\n", None, 0, "c"),
+    ("underscore-digits", b"1,1_000\n2,3\n", ",", 0, "loop"),
+    ("non-ascii-digits", "1,\u0661\u0662\n2,\uff13\n".encode(), ",", 0, "loop"),
+    ("hash-header", b"#label,a\n1,2\n", ",", 0, "c"),
+    ("hash-line-is-data", b"1,2\n#3,4\n", ",", 0, "error"),
+    ("inf", b"1,inf\n2,3\n", ",", 0, "error"),
+    ("nan", b"1,2\n2,nan\n", ",", None, "error"),
+    ("overflow", b"1,2\n2,1e999\n", ",", 0, "error"),
+    ("ragged", b"1,2\n3\n", ",", 0, "error"),
+    ("non-integer-label", b"1,2\n1.5,2\n", ",", 0, "error"),
+    ("label-beyond-int64", b"9223372036854775808,1\n", ",", 0, "error"),
+    ("non-numeric", b"1,2\n3,x\n", ",", 0, "error"),
+    ("empty", b"", ",", 0, "error"),
+    ("header-only", b"label,a,b\n", ",", 0, "error"),
+    ("blank-only", b"\n\n", ",", None, "error"),
+    ("non-utf8", b"1,2\n\xff,3\n", ",", 0, "error"),
+    ("non-utf8-header", b"\xffabel,a\n1,2\n", ",", 0, "error"),
+]
+
+
+class TestReadTableReaders:
+    """read_table parses with numpy's C reader and falls back to its line
+    loop; every file must read as the loop alone reads it, bitwise, or
+    fail with the loop's message."""
+
+    @staticmethod
+    def outcome(path, sep, label):
+        try:
+            out = read_table(path, sep, label)
+        except DatasetFormatError as err:
+            return str(err)
+        arrays = out if isinstance(out, tuple) else (out,)
+        return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+    @pytest.mark.parametrize("name, data, sep, label, reader", READER_CORPUS,
+                             ids=[case[0] for case in READER_CORPUS])
+    def test_same_result_as_the_line_loop(self, tmp_path, monkeypatch, recwarn,
+                                          name, data, sep, label, reader):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        served = []
+        c_table = gpspca.datasets._c_table
+        monkeypatch.setattr(gpspca.datasets, "_c_table",
+                            lambda *a: served.append(c_table(*a)) or served[-1])
+        got = self.outcome(path, sep, label)
+        monkeypatch.setattr(gpspca.datasets, "_c_table", lambda *a: None)
+        want = self.outcome(path, sep, label)
+        assert got == want
+        assert isinstance(got, str) == (reader == "error")
+        if reader == "c":
+            assert served[0] is not None
+        if reader == "loop":
+            assert served[0] is None
+        assert not recwarn.list
+
+    def test_error_names_the_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"label,a\n1,2\n\n2,1e999\n")
+        with pytest.raises(DatasetFormatError, match="^line 4: non-finite value$"):
+            read_table(path, label=0)
+        path.write_bytes(b"label,a\n1,2\n2.5,1\n")
+        with pytest.raises(DatasetFormatError, match="^line 3: label 2.5 is not an integer$"):
+            read_table(path, label=0)
 
 
 def toy_dataset(per_class=72, classes=20, seed=0):

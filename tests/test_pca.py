@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from gpspca import pca_fit, project
-from gpspca.pca import deterministic_signs
+from gpspca import pca as pca_module
+from gpspca.datasets import PerClassCount, make_splits, synthetic_sparse_factors
+from gpspca.pca import GRAM_FLOOR, PcaFactors, deterministic_signs
 
 
 class TestPcaFit:
@@ -33,18 +35,19 @@ class TestPcaFit:
         rng = np.random.default_rng(54)
         S = rng.standard_normal((9, 14))
         _, s, Vt = np.linalg.svd(S - S.mean(axis=0), full_matrices=False)
-        full = pca_fit(S)
-        assert full.m == 9
-        for m in (1, 4, 9):
-            # The slice of one fit against the factorization truncated first.
+        for m in (1, 4, 9, None):
+            # A fit of m components against the SVD truncated to m.  The
+            # centered rows have rank 8, so m = 9 and m = None (all nine)
+            # take the SVD, bitwise; m = 1 and 4 the sample Gram.
+            model = pca_fit(S, m)
             want = deterministic_signs(Vt[:m].T)
-            for model in (full.head(m), pca_fit(S, m)):
-                assert np.array_equal(model.components, want)
-                assert model.components.flags.f_contiguous == want.flags.f_contiguous
-                assert np.array_equal(model.singular_values, s[:m])
-                assert np.array_equal(model.mean, S.mean(axis=0))
+            exact = m in (9, None)
+            assert model.components.flags.f_contiguous
+            assert np.allclose(model.components, want, rtol=0, atol=0 if exact else 1e-13)
+            assert np.allclose(model.singular_values, s[:m], rtol=0 if exact else 1e-14, atol=0)
+            assert np.array_equal(model.mean, S.mean(axis=0))
         with pytest.raises(ValueError, match="= 9"):
-            full.head(10)
+            pca_fit(S, 10)
 
     def test_sample_permutation_invariance(self):
         rng = np.random.default_rng(52)
@@ -69,6 +72,99 @@ class TestPcaFit:
     def test_rejects_m_too_large(self):
         with pytest.raises(ValueError):
             pca_fit(np.eye(3), 4)
+
+
+def recognition_split():
+    # The recognition benchmark's training rows: 400 x 1000.
+    ds = synthetic_sparse_factors(n_classes=20, per_class=40, n_features=1000, n_factors=10,
+                                  support_size=10, seed=12001)
+    return make_splits(ds, PerClassCount(20), seed=[12, 0]).train()[0]
+
+
+def with_spectrum(s, n, seed):
+    """len(s) + 1 rows of n variables, whose centered rows have the
+    singular values s and a zero one."""
+    rng = np.random.default_rng(seed)
+    R = rng.standard_normal((len(s) + 1, len(s)))
+    U, _ = np.linalg.qr(R - R.mean(axis=0))
+    V, _ = np.linalg.qr(rng.standard_normal((n, len(s))))
+    return (U * s) @ V.T + rng.standard_normal(n)
+
+
+class TestGramRoute:
+    """With fewer samples than variables, the leading components come from
+    the eigenvectors of the sample Gram; they must agree with the SVD's."""
+
+    @staticmethod
+    def routes(monkeypatch):
+        calls = []
+        for name in ("svd", "eigh"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
+                                calls.append(_n) or _f(*a, **k))
+        return calls
+
+    @pytest.mark.parametrize("shape", ["recognition", "timing"])
+    def test_agrees_with_the_svd(self, monkeypatch, shape):
+        if shape == "recognition":
+            S, m = recognition_split(), 50
+        else:
+            S, m = np.random.default_rng(57).standard_normal((200, 2000)), 20
+        C = S - S.mean(axis=0)
+        U, s, Vt = np.linalg.svd(C, full_matrices=False)
+        calls = self.routes(monkeypatch)
+        model = pca_fit(S, m)
+        assert calls == ["eigh"]
+        assert np.abs(model.singular_values - s[:m]).max() <= 1e-14 * s[m - 1]
+        want = deterministic_signs(Vt[:m].T)
+        assert np.abs(model.components - want).max() <= 1e-12
+        # Embeddings against the SVD's U s, on the scale of s_1.
+        scores = project(S, model.components, model.mean)
+        assert np.abs(scores - C @ want).max() <= 1e-12 * s[0]
+        assert np.abs(np.abs(scores) - np.abs(U[:, :m] * s[:m])).max() <= 1e-12 * s[0]
+        V = model.components
+        assert np.abs(V.T @ V - np.eye(m)).max() <= 1e-14
+
+    def test_svd_for_at_least_as_many_samples_as_variables(self, monkeypatch):
+        S = np.random.default_rng(58).standard_normal((30, 20))
+        calls = self.routes(monkeypatch)
+        pca_fit(S, 5)
+        pca_fit(S[:20], 5)
+        assert calls == ["svd", "svd"]
+
+    def test_svd_above_the_rank_and_below_the_floor(self, monkeypatch):
+        # Singular values 4, 2, 1e-2 and 0: lambda_3 / lambda_1 = 6.25e-6
+        # is below the floor, and m = 4 is above the rank.
+        s = np.array([4.0, 2.0, 1e-2])
+        assert (s[2] / s[0]) ** 2 < GRAM_FLOOR < (s[1] / s[0]) ** 2
+        S = with_spectrum(s, 9, seed=59)
+        calls = self.routes(monkeypatch)
+        for m in (1, 2, 3, 4):
+            model = pca_fit(S, m)
+            assert calls == (["eigh"] if m < 3 else ["eigh", "svd"])
+            assert np.allclose(model.singular_values, np.append(s, 0.0)[:m], rtol=0, atol=1e-14)
+            calls.clear()
+
+    def test_shared_factors_fit_each_m_as_a_fresh_fit(self):
+        # One factorization serves m = 1 ... 9 in any order, on both routes
+        # (m = 9 is above the centered rows' rank), bitwise.
+        S = np.random.default_rng(60).standard_normal((9, 40))
+        factors = PcaFactors(S)
+        for m in (3, 9, 1, 8, 5, 9, None):
+            got, want = pca_fit(factors, m), pca_fit(S, m)
+            assert np.array_equal(got.components, want.components)
+            assert np.array_equal(got.singular_values, want.singular_values)
+            assert got.components.flags.f_contiguous == want.components.flags.f_contiguous
+            assert np.array_equal(got.mean, want.mean)
+
+    def test_components_do_not_depend_on_m(self):
+        # Each component rounds the same whatever m is asked for, so the
+        # leading columns of a larger fit are a smaller fit's, bitwise.
+        S = recognition_split()
+        big = pca_fit(S, 50)
+        for m in (2, 5, 10, 20):
+            assert np.array_equal(pca_fit(S, m).components, big.components[:, :m])
+        assert pca_module.GRAM_BLOCK < 50
 
 
 class TestProject:
