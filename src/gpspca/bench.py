@@ -30,9 +30,9 @@ VARIANTS = SPCA_VARIANTS + ("pca",)
 # The peak of a timing sweep with pca, in P x N matrices, less the m / P
 # its components add: pca_fit holds a centered copy of the shared instance
 # and factorizes its P x P sample Gram.  Measured with tracemalloc at
-# N = 4000, one instance: 2.26 at m = 5, 2.30 at m = 50 and 3.14 at
-# m = 399, where a full SVD of the centered copy peaked at 3.18, 3.23 and
-# 4.10.  m = P is above the centered rows' rank, so that fit takes the SVD
+# N = 4000, one instance: 2.20-2.26 at m = 5, 2.30 at m = 50 and 3.14 at
+# m = 399, where a full SVD of the centered copy peaked at 3.12-3.18, 3.23
+# and 4.10.  m = P is above the centered rows' rank, so that fit takes the SVD
 # and peaks at 4.20.  A sweep of the sparse variants is checked for the one
 # instance (see check_allocation).
 PCA_SWEEP_MATRICES = 2.3
