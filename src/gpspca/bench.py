@@ -68,8 +68,6 @@ class ExperimentConfig:
         if isinstance(self.m, int):
             self.m = (self.m,)
         self.m = tuple(int(v) for v in self.m)
-        if any(v < 1 for v in self.m):
-            raise ValueError("m values must be >= 1")
         # A fit's exception becomes an error row, so a bad worker count is
         # rejected here rather than in every fit.
         for workers in (self.workers, *(self.timing_workers or ())):
@@ -98,6 +96,15 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         samples = train_samples.values
     else:
         samples = train_samples = np.asarray(train_samples, dtype=np.float64)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    penalty = "l1" if variant.endswith("1") else "l0"
+    sequential = variant.startswith("s")
+    # Built for pca too, which reads none of it, so every variant checks it.
+    config = SolverConfig(
+        penalty=penalty, m=m, gamma=gamma, mu=mu, tol=tol, max_iter=max_iter,
+        init="max_norm_column" if sequential else "random_orthonormal", seed=seed,
+    )
     if variant == "pca":
         if reuse is not None:
             if "pca" not in reuse:
@@ -105,8 +112,6 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
             samples = reuse["pca"]
         model = pca_fit(samples, m)
         return model.components, model.mean, None
-    if variant not in SPCA_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if reuse is not None and "centered" in reuse:
         centered, mean = reuse["centered"]
     elif center:
@@ -120,12 +125,6 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     if reuse is not None:
         mean.flags.writeable = False
         reuse["centered"] = centered, mean
-    penalty = "l1" if variant.endswith("1") else "l0"
-    sequential = variant.startswith("s")
-    config = SolverConfig(
-        penalty=penalty, m=m, gamma=gamma, mu=mu, tol=tol, max_iter=max_iter,
-        init="max_norm_column" if sequential else "random_orthonormal", seed=seed,
-    )
     if sequential:
         # Sequential component j depends on gamma_j, not on m, so with one
         # gamma (and mu) for every component a larger m extends the last
@@ -174,15 +173,21 @@ def run_recognition_experiment(config, dataset):
     returns that training mean, so the rows it embeds are centered once
     too, and each m embeds them with one product per set.
     converged is 1 when every component of a sparse fit converged, 0
-    otherwise, and empty for pca.  Solver failures are recorded in the
-    row's error column, not raised.
+    otherwise, and empty for pca.  Settings no fit can take (a gamma or
+    mu list whose length misses an m, a knn_k above the training
+    samples) raise ValueError before the first fit; a fit's own failure
+    is recorded in the row's error column, not raised.
     """
     if config.split is None:
         raise ValueError("recognition experiment needs a split policy")
+    _check_fit_settings(config, (config.gamma,))
     all_labels = np.unique(dataset.labels)
     rows = []
     for rep in range(config.repetitions):
         split = make_splits(dataset, config.split, seed=[config.seed, rep])
+        n_train = split.train_indices.size  # the same in every repetition
+        if config.knn_k > n_train:
+            raise ValueError(f"knn_k={config.knn_k} exceeds the {n_train} training samples")
         train_x, train_y = split.train()
         test_x, test_y = split.test()
         reuse = {}
@@ -228,6 +233,15 @@ def run_recognition_experiment(config, dataset):
     if config.out:
         emit_report(rows, config.out)
     return rows
+
+
+def _check_fit_settings(config, gammas):
+    # A setting SolverConfig refuses raises here, before the first fit,
+    # rather than filling every row's error column.
+    for m in config.m:
+        for gamma in gammas:
+            SolverConfig(m=m, gamma=gamma, mu=config.mu, tol=config.tol,
+                         max_iter=config.max_iter)
 
 
 def _render_gamma(gamma):
@@ -289,7 +303,8 @@ def run_timing_experiment(config):
     counts only the instances without one.  A size whose peak cannot fit
     in memory is skipped, before its first instance is drawn, and the
     sweep continues.  Settings no sweep can run, such as a size off the
-    grid or two values of m, raise ValueError before the first fit.
+    grid, two values of m, an m above P for a block or pca fit, or a mu
+    list whose length is not m, raise ValueError before the first fit.
     """
     if len(config.m) != 1:
         raise ValueError(f"a timing sweep takes one m, got {config.m}")
@@ -304,6 +319,7 @@ def run_timing_experiment(config):
             raise ValueError(f"size {N} violates the P = N/10 grid")
         if m > N // 10 and any(not v.startswith("s") for v in config.timing_variants):
             raise ValueError(f"m={m} exceeds P = {N // 10} at size N={N}, for block or pca")
+    _check_fit_settings(config, config.timing_gammas)
     worker_counts = config.timing_workers or (config.workers,)
     cells = [
         (variant, gamma, workers)

@@ -3,8 +3,12 @@
 Flag values come from, in decreasing precedence: the command line, the
 GPSPCA_WORKERS environment variable (workers only), a --config
 key=value file, then built-in defaults.  Every value, whatever its
-source, is checked by its flag's type.  Exit codes: 0 success, 1 usage
-error, 2 data error, 3 solver error.  The --config file is a setting,
+source, is checked by its flag's type before any data is read.  A rule
+that ties a value to the data or to other settings is the library's
+alone, and main maps the exception it raises to an exit code by type:
+0 success; 1 usage error (a bad flag or config, or any other
+ValueError); 2 data error (DatasetFormatError, OSError); 3 solver error
+(RankDeficiencyError, LinAlgError).  The --config file is a setting,
 not data: one that is missing, unreadable or not UTF-8 is a usage error,
 and so is a key that is not a flag the chosen subcommand lets a config
 set (a misspelling, another subcommand's flag, or an input such as
@@ -34,7 +38,6 @@ from .datasets import (
     GroupedSplit,
     PerClassCount,
     load_dataset,
-    make_splits,
     numbered_lines,
     read_svmlight,
     read_table,
@@ -45,8 +48,8 @@ ENV_KEYS = {"workers": "GPSPCA_WORKERS"}
 FLAG_ONLY = {"command", "config", "input", "no_center", "group_file", "test_groups"}
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A bad command line or --config file: exit 1, as for any ValueError."""
 
 
 class Parser(argparse.ArgumentParser):
@@ -122,8 +125,6 @@ MU = _scalar_or_list(_typed(float, lambda v: 0 < v < np.inf,
 VARIANT = _typed(str, lambda v: v in VARIANTS, f"one of {','.join(VARIANTS)}")
 VARIANT_LIST = _typed(str, lambda v: v in VARIANTS, f"a list of {','.join(VARIANTS)}",
                       many=True)
-GRID_SIZES = _typed(int, lambda v: v >= 10 and v % 10 == 0,
-                    "positive multiples of 10 (the P = N/10 grid)", many=True)
 FORMAT = _typed(str, lambda v: v in ("labeled", "matrix"), "'labeled' or 'matrix'")
 
 
@@ -149,15 +150,13 @@ def _add_common_flags(parser, workers=POSITIVE):
 def cmd_solve(args):
     if not args.input or not args.out:
         raise UsageError("solve requires --input and --out")
+    # pca_fit always centers, so the flag would be ignored.
+    if args.no_center and args.variant == "pca":
+        raise UsageError("--no-center applies to the sparse variants only")
     if args.format == "labeled":
         samples = load_dataset(args.input).samples
     else:
         samples = read_table(args.input)
-    # A block fit or PCA has at most min(p, n) components; a sequence's
-    # later ones come back zero instead.
-    if not args.variant.startswith("s") and args.m > min(samples.shape):
-        raise UsageError(f"--m {args.m} exceeds min(samples, features) = {min(samples.shape)} "
-                         f"for {args.variant} on {args.input}")
     loadings, _, report = fit_projection(
         samples, args.variant, args.m, args.gamma, args.mu, args.tol, args.max_iter,
         seed=args.seed, workers=args.workers,
@@ -188,8 +187,6 @@ def _split_policy(dataset, args):
     if kind == "per-class":
         return PerClassCount(value)
     if kind == "head":
-        if value >= dataset.n_samples:
-            raise UsageError("head split must leave at least one test sample")
         return FixedSplit(np.arange(value), np.arange(value, dataset.n_samples))
     if kind == "file":
         marks = np.array([line.strip().lower() for _, line in numbered_lines(value)
@@ -210,10 +207,6 @@ def cmd_bench_recognition(args):
         raise UsageError("bench-recognition requires --dataset and --out")
     dataset = load_dataset(args.dataset)
     split = _split_policy(dataset, args)
-    # Every repetition's split draws the same number of training samples.
-    n_train = make_splits(dataset, split, seed=[args.seed, 0]).train_indices.size
-    if args.knn_k > n_train:
-        raise UsageError(f"--knn-k {args.knn_k} exceeds the {n_train} training samples")
     config = ExperimentConfig(
         variant=args.variant, m=args.m, gamma=args.gamma,
         mu=args.mu, repetitions=args.repetitions, seed=args.seed, out=args.out,
@@ -284,7 +277,7 @@ def build_parser():
     _add_common_flags(p_rec)
 
     p_tim = sub.add_parser("bench-timing", help="wall-time sweep on random instances")
-    p_tim.add_argument("--sizes", type=GRID_SIZES, default="500,1000,2000")
+    p_tim.add_argument("--sizes", type=POSITIVES, default="500,1000,2000")
     p_tim.add_argument("--gammas", type=GAMMAS, default="0.01,0.05")
     p_tim.add_argument("--variants", type=VARIANT_LIST, default=",".join(SPCA_VARIANTS))
     p_tim.add_argument("--instances", type=POSITIVE, default="20")
@@ -320,19 +313,6 @@ def parse_args(argv=None):
     if layered:
         commands[args.command].set_defaults(**layered)
         args = parser.parse_args(argv)
-    m_values = np.atleast_1d(getattr(args, "m", ()))
-    for name in ("gamma", "mu"):
-        value = getattr(args, name, None)
-        if isinstance(value, tuple) and np.any(m_values != len(value)):
-            raise UsageError(
-                f"--{name} has {len(value)} values; give one, or one per component "
-                "for every --m"
-            )
-    # A size of the P = N/10 grid holds at most P components.
-    for size in getattr(args, "sizes", ()):
-        if args.m > size // 10:
-            raise UsageError(f"--m {args.m} exceeds P = {size // 10} at size N={size} "
-                             "(P = N/10 samples carry at most P components)")
     return args
 
 
@@ -350,15 +330,16 @@ def main(argv=None):
                 return cmd_datasets_convert(args)
             raise UsageError("datasets requires a subcommand (convert)")
         raise UsageError("a subcommand is required")
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
+    # DatasetFormatError and LinAlgError are ValueErrors, so they come first.
     except (DatasetFormatError, OSError) as err:
         print(f"data error: {err}", file=sys.stderr)
         return 2
-    except (RankDeficiencyError, ValueError, np.linalg.LinAlgError) as err:
+    except (RankDeficiencyError, np.linalg.LinAlgError) as err:
         print(f"solver error: {err}", file=sys.stderr)
         return 3
+    except ValueError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

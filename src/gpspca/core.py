@@ -141,7 +141,7 @@ def _as_length_m(value, m, name):
     if vec.size == 1:
         vec = np.full(m, vec[0])
     if vec.shape != (m,):
-        raise ValueError(f"{name} must be a scalar or length-{m} vector")
+        raise ValueError(f"{name} must be a scalar or length-{m} vector, got {vec.size} values")
     return vec
 
 
@@ -150,8 +150,9 @@ class SolverConfig:
     """Settings for one solve: penalty, thresholds, stopping rule.
 
     gamma and mu accept a scalar or a length-m sequence and are stored
-    as length-m vectors (gamma_j >= 0, mu_j > 0).  solve_multi_sequential
-    extracts the m components one at a time, solve_block jointly.
+    as length-m vectors of finite entries (gamma_j >= 0, mu_j > 0); tol
+    is finite and > 0.  solve_multi_sequential extracts the m components
+    one at a time, solve_block jointly.
     """
 
     penalty: str = "l1"
@@ -180,16 +181,16 @@ class SolverConfig:
             raise ValueError("m must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not 0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         gamma = _as_length_m(self.gamma, self.m, "gamma")
-        if np.any(gamma < 0):
-            raise ValueError("gamma entries must be >= 0")
+        if not np.all((gamma >= 0) & (gamma < np.inf)):
+            raise ValueError("gamma entries must be finite and >= 0")
         mu = _as_length_m(self.mu, self.m, "mu")
-        if np.any(mu <= 0):
-            raise ValueError("mu entries must be > 0")
+        if not np.all((mu > 0) & (mu < np.inf)):
+            raise ValueError("mu entries must be finite and > 0")
         gamma.flags.writeable = False
         mu.flags.writeable = False
         object.__setattr__(self, "gamma", gamma)

@@ -237,10 +237,13 @@ def load_dataset(path):
     return LabeledDataset(samples=samples, labels=labels)
 
 
-def _validate_split(dataset, train_idx, test_idx):
+def _validate_split(dataset, kind, train_idx, test_idx):
     n = dataset.n_samples
     train_idx = np.asarray(train_idx, dtype=np.int64)
     test_idx = np.asarray(test_idx, dtype=np.int64)
+    for side, idx in (("training", train_idx), ("test", test_idx)):
+        if idx.size == 0:
+            raise DatasetFormatError(f"{kind} split leaves no {side} sample")
     combined = np.concatenate([train_idx, test_idx])
     if combined.size != n or np.unique(combined).size != n:
         raise DatasetFormatError("split indices must be disjoint and exhaustive")
@@ -256,11 +259,12 @@ def _validate_split(dataset, train_idx, test_idx):
 
 
 def make_splits(dataset, policy, seed=0):
-    """Attach a train/test split to a dataset; deterministic under seed."""
+    """Attach a train/test split to a dataset; deterministic under seed.
+    A split that leaves either side empty is a DatasetFormatError."""
     if isinstance(policy, FixedSplit):
-        train_idx = np.asarray(policy.train_indices, dtype=np.int64)
-        test_idx = np.asarray(policy.test_indices, dtype=np.int64)
+        kind, train_idx, test_idx = "fixed", policy.train_indices, policy.test_indices
     elif isinstance(policy, PerClassCount):
+        kind = "per-class"
         if policy.k < 1:
             raise DatasetFormatError("per-class count must be >= 1")
         rng = np.random.default_rng(seed)
@@ -276,20 +280,17 @@ def make_splits(dataset, policy, seed=0):
         mask = np.ones(dataset.n_samples, dtype=bool)
         mask[train_idx] = False
         test_idx = np.nonzero(mask)[0]
-        if test_idx.size == 0:
-            raise DatasetFormatError("per-class split leaves no test sample")
     elif isinstance(policy, GroupedSplit):
+        kind = "grouped"
         groups = np.asarray(policy.groups)
         if groups.shape != (dataset.n_samples,):
             raise DatasetFormatError("groups must give one id per sample")
         test_mask = np.isin(groups, np.asarray(policy.test_groups))
-        if not test_mask.any() or test_mask.all():
-            raise DatasetFormatError("grouped split leaves train or test empty")
         train_idx = np.nonzero(~test_mask)[0]
         test_idx = np.nonzero(test_mask)[0]
     else:
         raise DatasetFormatError(f"unknown split policy {policy!r}")
-    train_idx, test_idx = _validate_split(dataset, train_idx, test_idx)
+    train_idx, test_idx = _validate_split(dataset, kind, train_idx, test_idx)
     return LabeledDataset(
         samples=dataset.samples,
         labels=dataset.labels,

@@ -77,7 +77,7 @@ class PcaFactors:
     def model(self, m=None):
         p, n = self.centered.shape
         if m is not None and not 1 <= m <= min(p, n):
-            raise ValueError(f"need 1 <= m <= min(#samples, #variables) = {min(p, n)}")
+            raise ValueError(f"need 1 <= m <= min(#samples, #variables) = {min(p, n)}, got m={m}")
         if m is not None and p < n:
             if self._eig is None:
                 lam, Q = np.linalg.eigh(self.centered @ self.centered.T)

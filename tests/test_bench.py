@@ -30,6 +30,16 @@ def small_dataset(seed=0):
     )
 
 
+@pytest.fixture
+def fits(monkeypatch):
+    # Every fit a sweep runs.
+    seen = []
+    fit = bench.fit_projection
+    monkeypatch.setattr(bench, "fit_projection",
+                        lambda *args, **kwargs: seen.append(args) or fit(*args, **kwargs))
+    return seen
+
+
 class TestEmitReport:
     def test_empty_rejected_and_no_file(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -173,6 +183,22 @@ class TestRecognitionExperiment:
             run_recognition_experiment(
                 ExperimentConfig(variant="pca", split=None), dataset=small_dataset()
             )
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(m=(1, 2), gamma=(0.1, 0.2)),
+         "gamma must be a scalar or length-1 vector, got 2 values"),
+        (dict(m=(2, 3), mu=(1.0, 2.0)), "mu must be a scalar or length-3 vector, got 2 values"),
+        (dict(variant="pca", m=(2, 3), gamma=(0.0, 0.0)),
+         "gamma must be a scalar or length-3 vector, got 2 values"),
+        (dict(knn_k=36), "knn_k=36 exceeds the 35 training samples"),
+    ], ids=["gamma-2-for-m-1", "mu-2-for-m-3", "pca-gamma-2-for-m-3", "knn-k-above-train"])
+    def test_bad_settings_rejected_before_the_first_fit(self, fits, settings, message):
+        # A fit's ValueError would only become an error row; 5 classes x 7
+        # training samples leave 35.
+        config = ExperimentConfig(**{"variant": "sl1", "split": PerClassCount(7), **settings})
+        with pytest.raises(ValueError, match=message):
+            run_recognition_experiment(config, dataset=small_dataset())
+        assert fits == []
 
     @pytest.mark.parametrize("counts", [dict(workers=0), dict(timing_workers=(1, 0))])
     def test_bad_worker_count_rejected_before_any_fit(self, counts):
@@ -318,7 +344,8 @@ class TestSweepReuse:
         # 35 training rows x 30 features: at most 30 components.
         ds, config, rows, _ = self.sweep(monkeypatch, "pca", (2, 31, 5))
         errors = [r["error"] for r in rows]
-        assert errors == ["", "ValueError: need 1 <= m <= min(#samples, #variables) = 30", ""] * 2
+        assert errors == ["", "ValueError: need 1 <= m <= min(#samples, #variables) = 30, "
+                          "got m=31", ""] * 2
         for row in rows:
             if not row["error"]:
                 assert row["overall_accuracy"] == self.fresh(ds, config, row["repetition"],
@@ -434,15 +461,6 @@ class TestTimingExperiment:
         with pytest.raises(ValueError):
             run_timing_experiment(self.config(timing_sizes=(55,)))
 
-    @pytest.fixture
-    def fits(self, monkeypatch):
-        # Every fit a sweep runs.
-        seen = []
-        fit = bench.fit_projection
-        monkeypatch.setattr(bench, "fit_projection",
-                            lambda *args, **kwargs: seen.append(args) or fit(*args, **kwargs))
-        return seen
-
     @pytest.mark.parametrize("settings, message", [
         (dict(m=(2, 7)), "one m"),
         (dict(timing_instances=0), "timing_instances must be >= 1"),
@@ -452,8 +470,10 @@ class TestTimingExperiment:
         (dict(m=(6,), timing_sizes=(50, 100)), "m=6 exceeds P = 5 at size N=50"),
         (dict(m=(6,), timing_sizes=(50, 100), timing_variants=("sl1", "pca")),
          "m=6 exceeds P = 5 at size N=50"),
+        (dict(mu=(1.0, 2.0, 3.0)), "mu must be a scalar or length-2 vector, got 3 values"),
+        (dict(timing_gammas=(0.01, np.nan)), "gamma entries must be finite and >= 0"),
     ], ids=["two-m", "no-instances", "unknown-variant", "off-grid", "zero-size",
-            "block-m-above-p", "pca-m-above-p"])
+            "block-m-above-p", "pca-m-above-p", "mu-3-for-m-2", "nan-gamma"])
     def test_bad_settings_rejected_before_the_first_fit(self, fits, settings, message):
         with pytest.raises(ValueError, match=message):
             run_timing_experiment(self.config(**settings))

@@ -3,7 +3,9 @@ from importlib import resources
 import numpy as np
 import pytest
 
+import gpspca.cli
 import gpspca.parallel
+from gpspca import DatasetFormatError, RankDeficiencyError
 from gpspca.cli import main, parse_args, read_config_file
 
 PRESETS = sorted(
@@ -76,15 +78,41 @@ class TestExitCodes:
             "solver error: gradient has numerical rank 0 < 2 at iteration 0; "
             "reduce gamma or m\n")
 
+    @pytest.mark.parametrize("error, code", [
+        (ValueError("bad setting"), 1), (DatasetFormatError("bad file"), 2),
+        (FileNotFoundError("absent"), 2), (np.linalg.LinAlgError("no convergence"), 3),
+        (RankDeficiencyError(0, 2), 3),
+    ], ids=["value-error", "data-error", "os-error", "linalg-error", "rank-deficiency"])
+    def test_exit_code_follows_the_exception_type(self, tmp_path, capsys, monkeypatch,
+                                                  error, code):
+        def raising(args):
+            raise error
+
+        monkeypatch.setattr(gpspca.cli, "cmd_solve", raising)
+        assert main(["solve", "--input", "x.csv", "--out", str(tmp_path / "o.csv")]) == code
+        label = {1: "usage error", 2: "data error", 3: "solver error"}[code]
+        assert capsys.readouterr().err == f"{label}: {error}\n"
+
+    def test_no_center_with_pca_is_usage_error(self, tmp_path, capsys):
+        # pca always centers, so the flag would be ignored.
+        data = write_labeled_csv(tmp_path / "d.csv")
+        out = tmp_path / "o.csv"
+        assert main(["solve", "--input", str(data), "--variant", "pca", "--no-center",
+                     "--out", str(out)]) == 1
+        assert "--no-center" in capsys.readouterr().err and not out.exists()
+        assert main(["solve", "--input", str(data), "--variant", "sl1", "--no-center",
+                     "--out", str(out)]) == 0
+
     @pytest.mark.parametrize("variant", ["bl1", "bl0", "pca"])
     def test_solve_m_above_min_p_n_is_usage_error(self, tmp_path, capsys, variant):
-        # 24 samples x 6 features carry at most 6 components.
+        # 24 samples x 6 features carry at most 6 components; the solver
+        # or pca refuses m = 7, naming the bound and m.
         data = write_labeled_csv(tmp_path / "d.csv")
         out = tmp_path / "o.csv"
         flags = ["solve", "--input", str(data), "--variant", variant, "--gamma", "0",
                  "--out", str(out)]
         assert main([*flags, "--m", "7"]) == 1 and not out.exists()
-        assert "--m 7 exceeds min(samples, features) = 6" in capsys.readouterr().err
+        assert ") = 6, got m=7" in capsys.readouterr().err
         assert main([*flags, "--m", "6"]) == 0 and out.exists()
 
     @pytest.mark.parametrize(
@@ -104,16 +132,21 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags",
-        [["--m", "2", "--gamma", "0.1,0.2,0.3"], ["--m", "3", "--mu", "1,2"]],
+        "flags, message",
+        [(["--m", "2", "--gamma", "0.1,0.2,0.3"], "gamma must be a scalar or length-2 vector, "
+                                                  "got 3 values"),
+         (["--m", "3", "--mu", "1,2"], "mu must be a scalar or length-3 vector, got 2 values")],
         ids=["gamma-3-for-m-2", "mu-2-for-m-3"],
     )
-    def test_per_component_list_length_must_match_m(self, tmp_path, capsys, flags):
+    def test_per_component_list_length_must_match_m(self, tmp_path, capsys, flags, message):
+        # SolverConfig holds the rule, for pca's fits too.
         data = write_labeled_csv(tmp_path / "d.csv")
         out = tmp_path / "o.csv"
-        assert main(["solve", "--input", str(data), *flags, "--out", str(out)]) == 1
-        assert "--m" in capsys.readouterr().err
-        assert not out.exists()
+        for variant in ("sl1", "pca"):
+            assert main(["solve", "--input", str(data), "--variant", variant, *flags,
+                         "--out", str(out)]) == 1
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_knn_k_above_the_training_samples_is_usage_error(self, tmp_path, capsys):
         # 3 classes x 4 training samples: no 13th neighbour to vote.
@@ -325,6 +358,17 @@ class TestBenchCommands:
         assert code == 1 and not out.exists()
         assert "N=10" in capsys.readouterr().err
 
+    def test_bench_timing_sequence_m_above_p_runs(self, tmp_path, capsys):
+        # Only block and pca fits are bounded by P = 10; a sequence's
+        # components past it come back zero.
+        out = tmp_path / "timing.csv"
+        code = main(["bench-timing", "--variants", "sl1", "--m", "15", "--sizes", "100",
+                     "--gammas", "0.05", "--instances", "1", "--max-iter", "20",
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 2 and all(row.endswith(",") for row in rows[1:])
+
     def test_bench_recognition_writes_csv(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
         out = tmp_path / "rec.csv"
@@ -353,6 +397,25 @@ class TestBenchCommands:
             "--m", "2", "--gamma", "0", "--split", "head:15", "--out", str(out),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("split, side", [
+        ("head:30", "test"), ("head:31", "test"),
+        ("file:train", "test"), ("file:test", "training"),
+    ], ids=["head-all", "head-past-all", "file-no-test", "file-no-train"])
+    def test_bench_recognition_split_with_an_empty_side_is_data_error(self, tmp_path, capsys,
+                                                                      split, side):
+        # 30 samples; a split file of one token puts all of them on one side.
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        kind, _, value = split.partition(":")
+        if kind == "file":
+            marks = tmp_path / "split.txt"
+            marks.write_text(f"{value}\n" * 30)
+            split = f"file:{marks}"
+        out = tmp_path / "rec.csv"
+        code = main(["bench-recognition", "--dataset", str(data), "--variant", "pca",
+                     "--m", "2", "--split", split, "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert f"split leaves no {side} sample" in capsys.readouterr().err
 
     def test_bench_recognition_grouped_split(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv", per_class=10)

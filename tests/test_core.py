@@ -99,6 +99,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mu=0.0)
 
+    @pytest.mark.parametrize("settings", [
+        dict(gamma=np.nan), dict(gamma=np.inf), dict(m=2, gamma=[0.1, np.nan]),
+        dict(mu=np.inf), dict(mu=np.nan), dict(tol=np.inf),
+    ], ids=["nan-gamma", "inf-gamma", "nan-gamma-entry", "inf-mu", "nan-mu", "inf-tol"])
+    def test_rejects_non_finite_settings(self, settings):
+        # Left through, a nan gamma zeroes every loading and reads
+        # converged, an infinite or nan mu makes solve_block raise
+        # LinAlgError, and tol = inf stops after one step as converged.
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**settings)
+
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
             SolverConfig(m=2, gamma=[0.1, 0.2, 0.3])
