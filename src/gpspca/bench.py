@@ -4,7 +4,9 @@ This module owns the samples-as-rows boundary: data is centered with
 training-set feature means here, solvers consume the centered matrix
 directly (training samples are the sphere dimension, features are the
 variables), and PCA components and sparse loadings end up in the same
-feature space.
+feature space.  Recognition scores the embedded test rows with the
+1-nearest-neighbor classifier (datasets.knn_classify), which has no
+setting.
 """
 
 import sys
@@ -21,7 +23,7 @@ from .datasets import (
     make_splits,
 )
 from .parallel import check_allocation, check_workers
-from .pca import PcaFactors, pca_fit
+from .pca import PcaFactors, center_rows, pca_fit
 from .pca import project  # noqa: F401  unused here, but perfbench wraps it by this name
 from .single_unit import ComponentSequence, solve_multi_sequential
 
@@ -52,7 +54,6 @@ class ExperimentConfig:
     workers: int = 1
     tol: float = 1e-6
     max_iter: int = 1000
-    knn_k: int = 1
     split: object = None
     timing_sizes: tuple = (500, 1000, 2000)
     timing_gammas: tuple = (0.01, 0.05)
@@ -90,7 +91,8 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     pca.PcaFactors, the sl1/sl0 component sequence, and the centered
     matrix and its (read-only) mean, which every sparse fit after the
     first takes as they are, so the training rows are centered once.  The
-    results are bitwise those of a fresh fit.
+    results are bitwise those of a fresh fit.  Training rows whose
+    centering overflows raise DatasetFormatError (see pca.center_rows).
     """
     if isinstance(train_samples, DataMatrix):
         samples = train_samples.values
@@ -115,9 +117,7 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
     if reuse is not None and "centered" in reuse:
         centered, mean = reuse["centered"]
     elif center:
-        mean = samples.mean(axis=0)
-        centered = np.empty(samples.shape, order="F")
-        np.subtract(samples, mean, out=centered)
+        centered, mean = center_rows(samples, order="F")
         centered = DataMatrix._own(centered)
     else:
         mean = np.zeros(samples.shape[1])
@@ -126,13 +126,13 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         mean.flags.writeable = False
         reuse["centered"] = centered, mean
     if sequential:
-        # Sequential component j depends on gamma_j, not on m, so with one
-        # gamma (and mu) for every component a larger m extends the last
-        # fit's components exactly.  A per-component gamma or mu is tied
-        # to its m, and block fits (bl1/bl0) couple all m components:
-        # those fit from scratch.
+        # Sequential component j depends on gamma_j, not on m or mu, so a
+        # larger m extends the last fit's components exactly; a
+        # per-component gamma is tied to its m, which the sequence holds
+        # to.  Block fits (bl1/bl0) couple all m components and fit from
+        # scratch.
         sequence = None
-        if reuse is not None and np.size(gamma) == 1 and np.size(mu) == 1:
+        if reuse is not None:
             if "sequence" not in reuse:
                 reuse["sequence"] = ComponentSequence(centered, config, workers)
             sequence = reuse["sequence"]
@@ -174,9 +174,9 @@ def run_recognition_experiment(config, dataset):
     too, and each m embeds them with one product per set.
     converged is 1 when every component of a sparse fit converged, 0
     otherwise, and empty for pca.  Settings no fit can take (a gamma or
-    mu list whose length misses an m, a knn_k above the training
-    samples) raise ValueError before the first fit; a fit's own failure
-    is recorded in the row's error column, not raised.
+    mu list whose length misses an m) raise ValueError before the first
+    fit; a fit's own failure is recorded in the row's error column, not
+    raised.
     """
     if config.split is None:
         raise ValueError("recognition experiment needs a split policy")
@@ -185,9 +185,6 @@ def run_recognition_experiment(config, dataset):
     rows = []
     for rep in range(config.repetitions):
         split = make_splits(dataset, config.split, seed=[config.seed, rep])
-        n_train = split.train_indices.size  # the same in every repetition
-        if config.knn_k > n_train:
-            raise ValueError(f"knn_k={config.knn_k} exceeds the {n_train} training samples")
         train_x, train_y = split.train()
         test_x, test_y = split.test()
         reuse = {}
@@ -217,9 +214,7 @@ def run_recognition_experiment(config, dataset):
                 if centered is None:
                     centered = _centered_rows(train_x, test_x, mean)
                 train_emb, test_emb = (rows @ loadings for rows in centered)
-                predictions, accuracy = knn_classify(
-                    train_emb, train_y, test_emb, test_y, k=config.knn_k
-                )
+                predictions, accuracy = knn_classify(train_emb, train_y, test_emb, test_y)
                 row["overall_accuracy"] = accuracy
                 row.update(_per_class_accuracy(predictions, test_y, all_labels))
                 nnz = np.count_nonzero(loadings, axis=0)

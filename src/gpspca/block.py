@@ -623,7 +623,6 @@ def solve_block(A, config, workers=1):
         objective_history=history,
         iterations=len(history) - 1,
         wall_time=time.perf_counter() - start,
-        nnz_per_component=loadings.nnz_per_component(),
         converged=converged,
         component_histories=[history],
     )

@@ -12,7 +12,8 @@ ValueError); 2 data error (DatasetFormatError, OSError); 3 solver error
 not data: one that is missing, unreadable or not UTF-8 is a usage error,
 and so is a key that is not a flag the chosen subcommand lets a config
 set (a misspelling, another subcommand's flag, or an input such as
-input or group_file, which only the command line names).
+input or group_file, which only the command line names).  solve prints
+a sparse fit's objective summed over its components.
 """
 
 import argparse
@@ -171,7 +172,8 @@ def cmd_solve(args):
     print(f"variant={args.variant} m={args.m} loadings={args.out}")
     print(f"nnz_per_component={';'.join(str(int(v)) for v in nnz)}")
     if report is not None:
-        objective = report.objective_history[-1]
+        # Every component's final objective: a block fit has one history.
+        objective = sum(history[-1] for history in report.component_histories)
         line = (
             f"objective={objective:.17g} iterations={report.iterations} "
             f"converged={report.converged} seconds={report.wall_time:.3f}"
@@ -210,8 +212,7 @@ def cmd_bench_recognition(args):
     config = ExperimentConfig(
         variant=args.variant, m=args.m, gamma=args.gamma,
         mu=args.mu, repetitions=args.repetitions, seed=args.seed, out=args.out,
-        workers=args.workers, tol=args.tol, max_iter=args.max_iter,
-        knn_k=args.knn_k, split=split,
+        workers=args.workers, tol=args.tol, max_iter=args.max_iter, split=split,
     )
     rows = run_recognition_experiment(config, dataset=dataset)
     print(f"wrote {len(rows)} rows to {config.out}")
@@ -269,7 +270,6 @@ def build_parser():
     p_rec.add_argument("--m", type=POSITIVES, default="5")
     p_rec.add_argument("--gamma", type=GAMMA, default="0.1")
     p_rec.add_argument("--repetitions", type=POSITIVE, default="1")
-    p_rec.add_argument("--knn-k", dest="knn_k", type=POSITIVE, default="1")
     p_rec.add_argument("--split", type=_split_spec, default="per-class:24",
                        help="per-class:K, head:K, file:PATH, or grouped")
     p_rec.add_argument("--group-file")

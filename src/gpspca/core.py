@@ -199,15 +199,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class RunReport:
-    """Per-solve diagnostics: objective trace, timing, sparsity counts.
+    """Per-solve diagnostics: objective traces, timing, convergence.
 
     objective_history is non-decreasing for a single ascent run; for
     sequential multi-component extraction it holds the first component's
-    trace and component_histories keeps one trace per component.  A
-    sequential fit that extends an earlier one (solve_multi_sequential
-    with a ComponentSequence) still reports all m components' traces,
-    nnz counts and converged flag, but iterations and wall_time count
-    only the components that call added and the seconds it ran.
+    trace and component_histories keeps one trace per component (a block
+    fit has one).  A sequential fit that extends an earlier one
+    (solve_multi_sequential with a ComponentSequence) still reports all
+    m components' traces and converged flag, but iterations and
+    wall_time count only the components that call added and the seconds
+    it ran.  The loadings count their own nonzeros
+    (SparseLoadings.nnz_per_component).
 
     converged is True when every climb stopped because the relative
     objective change fell below tol, or because its gradient or its
@@ -218,7 +220,6 @@ class RunReport:
     objective_history: list = field(default_factory=list)
     iterations: int = 0
     wall_time: float = 0.0
-    nnz_per_component: list = field(default_factory=list)
     converged: bool = False
     component_histories: list = None
 

@@ -1,4 +1,4 @@
-"""Dataset ingestion, train/test splitting, and nearest-neighbor scoring.
+"""Dataset ingestion, train/test splitting, and 1-nearest-neighbor scoring.
 
 One normalized on-disk format is supported: UTF-8 CSV with an optional
 single header row, one sample per row, the integer class label in the
@@ -309,13 +309,13 @@ def _squared_distances(test, train):
     return np.maximum(d, 0.0)
 
 
-def knn_classify(train_embedding, train_labels, test_embedding, test_labels=None, k=1):
-    """Nearest-neighbor prediction in the embedded space.
+def knn_classify(train_embedding, train_labels, test_embedding, test_labels=None):
+    """1-nearest-neighbor prediction in the embedded space.
 
-    Euclidean metric; distance ties go to the lowest train index.  For
-    k > 1 the majority label wins, vote ties resolved in favor of the
-    label holding the nearest neighbor.  Returns (predictions, accuracy);
-    accuracy is None when test_labels is not given.
+    Euclidean metric; each test row takes the label of its nearest
+    training row, distance ties going to the lowest train index.
+    Returns (predictions, accuracy); accuracy is None when test_labels
+    is not given.
     """
     train = np.asarray(train_embedding, dtype=np.float64)
     test = np.asarray(test_embedding, dtype=np.float64)
@@ -324,29 +324,12 @@ def knn_classify(train_embedding, train_labels, test_embedding, test_labels=None
         raise ValueError("training set is empty")
     if train.ndim != 2 or test.ndim != 2 or train.shape[1] != test.shape[1]:
         raise ValueError("train and test embeddings must share the column count")
-    if not 1 <= k <= train.shape[0]:
-        raise ValueError("k must be between 1 and the training-set size")
     predictions = np.empty(test.shape[0], dtype=train_labels.dtype)
     # Chunk test rows so the distance matrix stays modest.
-    step = max(1, int(2**22 // max(train.shape[0], 1)))
+    step = max(1, 2**22 // train.shape[0])
     for lo in range(0, test.shape[0], step):
         d = _squared_distances(test[lo : lo + step], train)
-        if k == 1:
-            predictions[lo : lo + d.shape[0]] = train_labels[np.argmin(d, axis=1)]
-            continue
-        order = np.argsort(d, axis=1, kind="stable")[:, :k]
-        for r in range(order.shape[0]):
-            votes = train_labels[order[r]]
-            labels, counts = np.unique(votes, return_counts=True)
-            winners = labels[counts == counts.max()]
-            if winners.size == 1:
-                predictions[lo + r] = winners[0]
-            else:
-                # First neighbor whose label is among the tied winners.
-                for idx in order[r]:
-                    if train_labels[idx] in winners:
-                        predictions[lo + r] = train_labels[idx]
-                        break
+        predictions[lo : lo + d.shape[0]] = train_labels[np.argmin(d, axis=1)]
     accuracy = None
     if test_labels is not None:
         test_labels = np.asarray(test_labels)

@@ -1,4 +1,5 @@
-"""Dense PCA baseline and the projection shared with the sparse fits.
+"""Dense PCA baseline, and the centering and projection shared with the
+sparse fits.
 
 Works in the benchmark's samples-as-rows layout so that PCA components
 and sparse loadings live in the same feature space and embed samples
@@ -16,6 +17,8 @@ an m above the numerical rank), they come from the SVD of C.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .datasets import DatasetFormatError
 
 # Squaring the singular values loses the small ones: the Gram route's
 # error grows as about eps * lambda_1 / lambda_j.  Against the SVD, on
@@ -43,6 +46,21 @@ class PcaModel:
     mean: np.ndarray
 
 
+def center_rows(samples, order="C"):
+    """(samples less their column means, in the given memory order, the
+    means).  A column sum or a centered entry beyond the float64 range
+    raises DatasetFormatError, read from the floating-point status rather
+    than from a pass over the result."""
+    centered = np.empty(samples.shape, order=order)
+    with np.errstate(over="raise"):
+        try:
+            mean = samples.mean(axis=0)
+            np.subtract(samples, mean, out=centered)
+        except FloatingPointError:
+            raise DatasetFormatError("centering the training rows overflows float64") from None
+    return centered, mean
+
+
 def deterministic_signs(loadings):
     """Flip each column so its largest-magnitude entry is positive."""
     L = np.array(loadings, dtype=np.float64, copy=True)
@@ -68,8 +86,7 @@ class PcaFactors:
         S = np.asarray(samples, dtype=np.float64)
         if S.ndim != 2:
             raise ValueError("samples must be a 2-d matrix")
-        self.mean = S.mean(axis=0)
-        self.centered = S - self.mean
+        self.centered, self.mean = center_rows(S)
         self._eig = None  # (lambda, Q), descending, lambda_j above the floor
         self._rows = None  # the components computed from them, as rows
         self._svd = None  # (s, V'), V' sign-fixed

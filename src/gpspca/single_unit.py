@@ -218,7 +218,6 @@ class ComponentSequence:
             objective_history=self.histories[0],
             iterations=sum(len(h) - 1 for h in self.histories[first_new:]),
             wall_time=time.perf_counter() - start,
-            nnz_per_component=loadings.nnz_per_component(),
             converged=all(self.converged[:m]),
             component_histories=self.histories[:m],
         )

@@ -190,11 +190,9 @@ class TestRecognitionExperiment:
         (dict(m=(2, 3), mu=(1.0, 2.0)), "mu must be a scalar or length-3 vector, got 2 values"),
         (dict(variant="pca", m=(2, 3), gamma=(0.0, 0.0)),
          "gamma must be a scalar or length-3 vector, got 2 values"),
-        (dict(knn_k=36), "knn_k=36 exceeds the 35 training samples"),
-    ], ids=["gamma-2-for-m-1", "mu-2-for-m-3", "pca-gamma-2-for-m-3", "knn-k-above-train"])
+    ], ids=["gamma-2-for-m-1", "mu-2-for-m-3", "pca-gamma-2-for-m-3"])
     def test_bad_settings_rejected_before_the_first_fit(self, fits, settings, message):
-        # A fit's ValueError would only become an error row; 5 classes x 7
-        # training samples leave 35.
+        # A fit's ValueError would only become an error row.
         config = ExperimentConfig(**{"variant": "sl1", "split": PerClassCount(7), **settings})
         with pytest.raises(ValueError, match=message):
             run_recognition_experiment(config, dataset=small_dataset())
@@ -383,12 +381,25 @@ class TestSweepReuse:
             done = max(done, row["m"])
         assert calls[2][2].iterations == 0
 
-    def test_per_component_gamma_fits_from_scratch(self, monkeypatch):
+    def test_per_component_gamma_extends_one_sequence(self, monkeypatch):
+        # A gamma list ties every fit of the sweep to its m, so the second
+        # m = 3 fit of a repetition reads the first one's components.
         count = self.count_deflated_solves(monkeypatch)
-        _, _, rows, _ = self.sweep(monkeypatch, "sl1", (3, 3), gamma=(0.05, 0.1, 0.05),
-                                   repetitions=1)
-        assert not any(r["error"] for r in rows)
-        assert len(count) == 4  # two fresh 3-component fits
+        sequences = []
+        init = single_unit.ComponentSequence.__init__
+        monkeypatch.setattr(single_unit.ComponentSequence, "__init__",
+                            lambda self, *a, **k: sequences.append(1) or init(self, *a, **k))
+        ds, config, rows, calls = self.sweep(monkeypatch, "sl1", (3, 3),
+                                             gamma=(0.05, 0.1, 0.05))
+        assert len(sequences) == config.repetitions == 2
+        assert len(count) == 4  # components 2 and 3, once per repetition
+        for row, (loadings, _, report) in zip(rows, calls):
+            want, want_report, accuracy = self.fresh(ds, config, row["repetition"], row["m"])
+            assert not row["error"]
+            assert np.array_equal(loadings, want)
+            assert np.count_nonzero(loadings, axis=0).all()
+            assert row["overall_accuracy"] == accuracy
+            assert report.component_histories == want_report.component_histories
 
     def test_converged_column(self, monkeypatch):
         _, _, rows, _ = self.sweep(monkeypatch, "sl1", (2, 4), max_iter=1)

@@ -5,7 +5,7 @@ import pytest
 
 import gpspca.cli
 import gpspca.parallel
-from gpspca import DatasetFormatError, RankDeficiencyError
+from gpspca import DatasetFormatError, RankDeficiencyError, fit_projection, load_dataset
 from gpspca.cli import main, parse_args, read_config_file
 
 PRESETS = sorted(
@@ -54,6 +54,18 @@ class TestExitCodes:
         bad.write_text("label,f1,f2\n0,1.0,2.0\n1,1e999,3.0\n")
         assert main(["solve", "--input", str(bad), "--out", str(tmp_path / "o.csv")]) == 2
         assert "line 3: non-finite value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["sl1", "sl0", "bl1", "bl0", "pca"])
+    def test_centering_overflow_is_data_error(self, tmp_path, capsys, variant):
+        # Every value is finite, but column a sums past the float64 range,
+        # so no variant can center it.
+        data = tmp_path / "d.csv"
+        data.write_text("label,a,b\n0,1e308,1\n0,1e308,2\n1,1e308,3\n1,1e308,5\n")
+        out = tmp_path / "o.csv"
+        code = main(["solve", "--input", str(data), "--variant", variant, "--m", "1",
+                     "--out", str(out)])
+        assert code == 2 and "data error: centering" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_data_file_not_utf8_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -148,15 +160,6 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
             assert not out.exists()
 
-    def test_knn_k_above_the_training_samples_is_usage_error(self, tmp_path, capsys):
-        # 3 classes x 4 training samples: no 13th neighbour to vote.
-        data = write_labeled_csv(tmp_path / "d.csv")
-        out = tmp_path / "o.csv"
-        code = main(["bench-recognition", "--dataset", str(data), "--split", "per-class:4",
-                     "--knn-k", "13", "--out", str(out)])
-        assert code == 1 and "12 training samples" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_success_is_zero(self, tmp_path, capsys):
         data = write_labeled_csv(tmp_path / "d.csv")
         out = tmp_path / "loadings.csv"
@@ -202,6 +205,22 @@ class TestSolveCommand:
         text = capsys.readouterr().out
         assert "nnz_per_component=" in text
         assert "sqrt_objective=" in text
+
+    @pytest.mark.parametrize("variant", ["sl1", "bl1"])
+    def test_objective_sums_every_component(self, tmp_path, capsys, variant):
+        # A sequence reports one history per component, a block fit one.
+        data = write_labeled_csv(tmp_path / "d.csv")
+        assert main(["solve", "--input", str(data), "--variant", variant, "--m", "3",
+                     "--gamma", "0.1", "--out", str(tmp_path / "o.csv")]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        fields = dict(token.split("=") for token in summary.split())
+        _, _, report = fit_projection(load_dataset(str(data)).samples, variant, 3, 0.1)
+        want = sum(history[-1] for history in report.component_histories)
+        assert float(fields["objective"]) == want
+        assert float(fields["sqrt_objective"]) == np.sqrt(want)
+        if variant == "sl1":
+            assert len(report.component_histories) == 3
+            assert want > report.component_histories[0][-1] > 0
 
 
 class TestConfigResolution:

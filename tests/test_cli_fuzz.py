@@ -147,7 +147,6 @@ def recognition_case(rng, tmp):
         "--split": ["per-class:4", "per-class:8", "per-class:0", "head:10", "head:24",
                     f"file:{marks}", "grouped", "random:3"],
         "--repetitions": ["1", "2"],
-        "--knn-k": ["1", "3", "40"],
         "--max-iter": ["5", "50"],
         "--test-groups": ["0", "1,2", "9", "0,1,2,3"],
         "--group-file": [groups, str(tmp / "absent.txt")],

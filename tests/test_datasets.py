@@ -303,12 +303,6 @@ class TestKnnClassify:
         assert np.array_equal(pred, train_labels[np.argmin(d, axis=1)])
         assert acc >= 0.99
 
-    def test_k_three_majority(self):
-        train = np.array([[0.0], [0.2], [0.3], [9.0]])
-        labels = np.array([1, 1, 2, 2])
-        pred, _ = knn_classify(train, labels, [[0.1]], k=3)
-        assert pred.tolist() == [1]
-
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
             knn_classify(np.zeros((0, 2)), np.array([]), np.zeros((1, 2)))

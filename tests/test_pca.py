@@ -3,8 +3,13 @@ import pytest
 
 from gpspca import pca_fit, project
 from gpspca import pca as pca_module
-from gpspca.datasets import PerClassCount, make_splits, synthetic_sparse_factors
-from gpspca.pca import GRAM_FLOOR, PcaFactors, deterministic_signs
+from gpspca.datasets import (
+    DatasetFormatError,
+    PerClassCount,
+    make_splits,
+    synthetic_sparse_factors,
+)
+from gpspca.pca import GRAM_FLOOR, PcaFactors, center_rows, deterministic_signs
 
 
 class TestPcaFit:
@@ -195,3 +200,23 @@ class TestProject:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             project(np.ones((2, 3)), np.ones((4, 1)))
+
+
+class TestCenterRows:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bitwise_samples_less_their_means(self, order):
+        S = np.random.default_rng(4).standard_normal((7, 5)) * 1e3
+        centered, mean = center_rows(S, order)
+        assert np.array_equal(mean, S.mean(axis=0))
+        assert np.array_equal(centered, S - S.mean(axis=0))
+        assert centered.flags[f"{order}_CONTIGUOUS"]
+
+    @pytest.mark.parametrize("column", [
+        [1e308, 1e308, 1e308],  # the sum overflows
+        [1.7e308, -1.7e308, -1.7e308],  # the mean is finite, 1.7e308 less it is not
+    ], ids=["sum", "entry"])
+    def test_overflow_is_a_data_error(self, column):
+        S = np.column_stack([column, [1.0, 2.0, 4.0]])
+        for center in (center_rows, PcaFactors):
+            with pytest.raises(DatasetFormatError, match="overflows float64"):
+                center(S)
