@@ -9,10 +9,11 @@ fit or single-unit sequence share one _Fit: single_unit's holds the
 earlier directions X of its sequence, which every step projects out.
 
 The climb thresholds each iterate's correlations once
-(_Retraction.weights), the same way for every m: a count over a prefix
-of the lead column rules out a dense step, else one pass over all n
-finds the rows active in any column, and when few are, only those rows
-are thresholded and kept, with their indices.  The step takes (active
+(_Retraction.weights), the same way for every m: unless the last step
+read rows of G_l (below), a count over a prefix of the lead column
+rules out a dense step early; then one pass over all n finds the rows
+active in any column, and when few are, only those rows are thresholded
+and kept, with their indices.  The step takes (active
 rows, weights), and the kernel sums those columns alone when at most
 n // GATHER_DIVISOR are active.  A step's products have three
 sources:
@@ -35,6 +36,7 @@ Loading columns are the same threshold weights of the final
 correlations, normalized, with the per-component weights mu folded in.
 """
 
+import math
 import time
 
 import numpy as np
@@ -162,9 +164,13 @@ def _scaled_correlations(A, X, gamma, mu, workers):
 
 def _per_column(X, gamma, mu):
     # gamma and mu as float64 scalars for a vector X and length-m vectors
-    # for a p x m X; any sequence of the right length is accepted.
+    # for a p x m X; any sequence of the right length is accepted.  A
+    # sparse step's weights rely on gamma >= 0 (see _Retraction.weights),
+    # as SolverConfig requires.
     m = 1 if X.ndim == 1 else X.shape[1]
     gamma, mu = _as_length_m(gamma, m, "gamma"), _as_length_m(mu, m, "mu")
+    if not np.all(gamma >= 0):
+        raise ValueError("gamma entries must be >= 0")
     return (gamma[0], mu[0]) if X.ndim == 1 else (gamma, mu)
 
 
@@ -294,7 +300,10 @@ class _Fit:
             self.gram[new] = values[:, new].T @ values
             level[level < 0] = 0
         l = self.C.shape[1]
-        for lev in np.unique(level[level < l]):
+        stale = level[level < l]
+        # Most calls find their stale rows at one level: one comparison
+        # then stands in for np.unique's sort.
+        for lev in stale[:1] if (stale == stale[:1]).all() else np.unique(stale):
             rows = active[level == lev]
             self.gram[rows] -= self.C[rows, lev:] @ self.C[:, lev:].T
         self.level[active] = l
@@ -308,11 +317,6 @@ class _Fit:
             i, norm = column
             return self.gram_rows(np.array([i]))[0] / norm
         return par_matvec_t(self.A, x, workers)
-
-    def gram_products(self, W, rows):
-        """P = G_l[:, act] W for the weights W of the active rows act, with
-        rows = G_l[act]."""
-        return (W.T @ rows).T
 
     def tracking(self):
         """Whether a matrix step keeps the route's state; a step that does
@@ -404,8 +408,8 @@ class _Retraction:
         # (active, w) that give the iterate after a sparse step.
         self.start = self.S = mu * fit.correlations(self.X, workers, column)
         self.R = self.AR = self.last = self.unformed = None
-        # (active rows of the last step, G_l at those rows) while the
-        # climb's steps read rows of G_l; None after any other step.
+        # (the last step's active rows as bytes, G_l at those rows) while
+        # the climb's steps read rows of G_l; None after any other step.
         self.kept = None
 
     def weights(self, S):
@@ -414,24 +418,28 @@ class _Retraction:
         (None, all n weights)."""
         limit, gamma, penalty = self.sparse_limit, self.gamma, self.penalty
         vector = S.ndim == 1
-        # The lead column's first 2 * limit correlations rule out a dense
+        # Unless the last step read rows (whose active rows mostly repeat),
+        # the lead column's first 2 * limit correlations rule out a dense
         # step, at half a column's count, before any pass over all n.
-        head = S[: 2 * limit] if vector else S[: 2 * limit, 0]
-        g = gamma if vector else np.ravel(gamma)[0]
-        if np.count_nonzero(_passes(head, g, penalty)) <= limit:
-            mask = _passes(S, gamma, penalty)
-            if not vector:
-                # An OR over the m column masks, as a boolean product: 17 us
-                # against 40 us for np.any(mask, axis=1) on a 2000 x 5 block.
-                mask = mask @ np.ones(mask.shape[1], bool)
-            active = mask.nonzero()[0]
-            if active.size <= limit:
-                s = S[active]
-                if not vector:
-                    return active, threshold_weights(s, gamma, penalty)
-                # On active rows, bitwise sign(s) * (|s| - gamma).
-                return active, (s - gamma * np.sign(s) if penalty == "l1" else s)
-        return None, threshold_weights(S, gamma, penalty)
+        if self.kept is None:
+            head = S[: 2 * limit] if vector else S[: 2 * limit, 0]
+            g = gamma if vector else np.ravel(gamma)[0]
+            if np.count_nonzero(_passes(head, g, penalty)) > limit:
+                return None, threshold_weights(S, gamma, penalty)
+        mask = _passes(S, gamma, penalty)
+        if not vector:
+            # An OR over the m column masks, as a boolean product: 17 us
+            # against 40 us for np.any(mask, axis=1) on a 2000 x 5 block.
+            mask = mask @ np.ones(mask.shape[1], bool)
+        active = mask.nonzero()[0]
+        if active.size > limit:
+            return None, threshold_weights(S, gamma, penalty)
+        s = S[active]
+        if not vector:
+            return active, threshold_weights(s, gamma, penalty)
+        # On active rows (|s| > gamma >= 0, so s != 0), bitwise
+        # sign(s) * (|s| - gamma).
+        return active, (s - np.copysign(gamma, s) if penalty == "l1" else s)
 
     def forget(self):
         """Drop the route's state: X no longer gives the correlations."""
@@ -442,18 +450,28 @@ class _Retraction:
         # active rows, or None for a matrix step: when the step is not
         # sparse, a column of W is all zero, or M is too near singular for
         # its inverse square root (M squares the gradient's condition
-        # number), so that polar_projection makes every rank decision.
-        if active is None or not 0 < active.size <= self.fit.gram_limit or not _live(w):
+        # number), so that polar_projection makes every rank decision.  A
+        # vector's active weights are never zero (see weights), and zero
+        # ones would leave q = 0.
+        if active is None or not 0 < active.size <= self.fit.gram_limit:
             return None
-        P = self.fit.gram_products(w, self._gram_rows(active))
-        if w.ndim == 1:
+        vector = w.ndim == 1
+        if not (vector or _live(w)):
+            return None
+        # P = G_l[:, act] W from rows = G_l[act].
+        rows = self._gram_rows(active)
+        if vector:
+            P = w @ rows
             q = w @ P[active]
             if not q > 0:
                 return None
-            # In place, P's own buffer: bitwise mu * (P / sqrt(q)).
-            P /= np.sqrt(q)
-            P *= self.mu
+            # In place, P's own buffer: bitwise mu * (P / sqrt(q)), as both
+            # square roots round correctly.
+            P /= math.sqrt(q)
+            if self.mu != 1.0:
+                P *= self.mu
             return P
+        P = (w.T @ rows).T
         d = np.broadcast_to(2.0 * self.mu, w.shape[1:])
         lam, V = np.linalg.eigh((w.T @ P[active]) * np.outer(d, d))
         if not lam[0] > np.sqrt(np.finfo(np.float64).eps) * lam[-1]:
@@ -463,9 +481,12 @@ class _Retraction:
     def _gram_rows(self, active):
         # G_l[active]: the last step's block while the climb's active rows
         # repeat (C is fixed for a climb), otherwise a copy from the fit.
+        # The rows, weights()' intp indices, are compared as bytes: about
+        # 0.2 us against 1.8 us for an elementwise compare and any() at k = 6.
+        key = active.tobytes()
         kept = self.kept
-        if kept is None or kept[0].size != active.size or (kept[0] != active).any():
-            self.kept = kept = active, self.fit.gram_rows(active)
+        if kept is None or kept[0] != key:
+            self.kept = kept = key, self.fit.gram_rows(active)
         return kept[1]
 
     def _accumulate(self, active, w):

@@ -7,7 +7,8 @@ has already thresholded).  Work is split into column chunks, and each
 worker takes one contiguous run of them (one pool task per worker, not
 per chunk).  The chunk width is derived from the call's shape alone
 (rows p and iterate columns m, see GEMM_BUDGET); the worker count does
-not set it.  Every chunk's partial result is computed the same way
+not set it; a call of one chunk runs its GEMM on the calling thread,
+without the pool.  Every chunk's partial result is computed the same way
 whichever worker runs it, and the partials are combined by a pairwise
 tree whose shape depends only on the chunk layout, never on scheduling,
 so kernel output is bitwise identical for any worker count.
@@ -58,11 +59,15 @@ def check_workers(workers):
         raise ValueError(f"workers must be >= 1, got {workers}")
 
 
-def _chunk_bounds(p, n, iterate):
-    """Column ranges of one kernel call on a p x n matrix; m, in the
+def _chunk_width(p, n, iterate):
+    """Columns per chunk of one kernel call on a p x n matrix; m, in the
     budget, is the iterate's (or weights') column count, 1 for a vector."""
     m = iterate.shape[1] if iterate.ndim == 2 else 1
-    chunk = min(max(GEMM_BUDGET // max(p * m, 1), MIN_CHUNK), n)
+    return min(max(GEMM_BUDGET // max(p * m, 1), MIN_CHUNK), n)
+
+
+def _chunk_bounds(n, chunk):
+    """Column ranges of n columns cut every chunk columns."""
     return [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
 
 
@@ -124,10 +129,13 @@ def par_matvec_t(A, x, workers=1):
     x = _check_rows(x, A.p, "x")
     values = A.values
     out = np.empty((A.n,) + x.shape[1:])
+    chunk = _chunk_width(A.p, A.n, x)
+    if chunk == A.n:
+        return np.matmul(values.T, x, out=out)
     # Each worker writes its chunks straight into their output rows.
     _map_chunks(
         lambda lo, hi: np.matmul(values[:, lo:hi].T, x, out=out[lo:hi]),
-        _chunk_bounds(A.p, A.n, x), workers,
+        _chunk_bounds(A.n, chunk), workers,
     )
     return out
 
@@ -194,8 +202,11 @@ def par_threshold_accumulate(A, weights, workers=1, active=None):
     # (W_c' A_c')' rather than A_c W_c: the same sum, which OpenBLAS runs
     # 25-30% faster at 800x8000, m=5 (and 10-20% slower at 200x2000, m=5,
     # where the derived chunk still gains more than that end to end).
-    bounds = _chunk_bounds(A.p, A.n, w)
-    parts = _map_chunks(lambda lo, hi: (w[lo:hi].T @ values[:, lo:hi].T).T, bounds, workers)
+    chunk = _chunk_width(A.p, A.n, w)
+    if chunk == A.n:
+        return (w.T @ values.T).T
+    parts = _map_chunks(lambda lo, hi: (w[lo:hi].T @ values[:, lo:hi].T).T,
+                        _chunk_bounds(A.n, chunk), workers)
     return _pairwise_combine(parts)
 
 

@@ -46,7 +46,11 @@ def _initial_iterates(data, config):
     """
     out = []
     if config.init == "max_norm_column":
-        for i in np.argsort(-data.norms, kind="stable")[: config.restarts]:
+        # One start is the first index of the largest norm, as the stable
+        # sort's first entry, without sorting all n.
+        order = ([np.argmax(data.norms)] if config.restarts == 1
+                 else np.argsort(-data.norms, kind="stable")[: config.restarts])
+        for i in order:
             column = data.columns(i)
             norm = np.linalg.norm(column)
             if norm > 0:

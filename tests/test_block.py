@@ -325,6 +325,21 @@ class TestSolveBlock:
         with pytest.raises(ValueError, match="Stiefel"):
             ascend(A, X0, np.full(3, 0.1), np.ones(3), "l1", 1e-6, 100)
 
+    @pytest.mark.parametrize("m", [1, 3], ids=["vector", "block"])
+    def test_negative_gamma_rejected(self, m):
+        # 40 x 8: every row passes a negative l1 gamma, yet at most
+        # p // 4 = 10 are active, so a step would read rows of A'A, whose
+        # weights hold for gamma >= 0 only.
+        rng = np.random.default_rng(42)
+        A = DataMatrix(rng.standard_normal((40, 8)))
+        X = random_stiefel(rng, 40, m)
+        X, gamma = (X[:, 0], -0.5) if m == 1 else (X, np.array([0.1, -0.5, 0.1]))
+        for call in (lambda: ascend(A, X, gamma, 1.0, "l1", 1e-6, 100),
+                     lambda: objective(A, X, gamma, "l1"),
+                     lambda: recover_pattern(A, X, gamma, "l0")):
+            with pytest.raises(ValueError, match="gamma entries must be >= 0"):
+                call()
+
     def test_rank_collapse_carries_iteration(self):
         A = np.diag([3.0, 0.1])
         cfg = SolverConfig(
@@ -412,7 +427,7 @@ class TestThresholdOncePerIterate:
                                       n_factors=5, support_size=5, seed=3)
         data = single_unit._Deflated(DataMatrix(ds.samples - ds.samples.mean(axis=0)))
         routes = {"gram": 0, "matrix": 0}
-        for route, owner, name in (("gram", gpspca.block._Fit, "gram_products"),
+        for route, owner, name in (("gram", gpspca.block._Retraction, "_gram_rows"),
                                    ("matrix", gpspca.block, "par_threshold_accumulate")):
             def counting(*args, _route=route, _original=getattr(owner, name)):
                 routes[_route] += 1
@@ -738,8 +753,9 @@ class TestGramRowsRoute:
 class TestOneScanPerStep:
     """Each iterate's active rows are found once, by _Retraction.weights,
     the same way for every m: a count over the lead column's first
-    2 * limit correlations, then, when that leaves the step possibly
-    sparse, one full-length pass mask, at the larger of the rows source's
+    2 * limit correlations (skipped after a step that read rows of G_l),
+    then, when that leaves the step possibly sparse, one full-length pass
+    mask, at the larger of the rows source's
     limit, p // GRAM_DIVISOR, and the kernel's, n // GATHER_DIVISOR.  The
     step, the rows source and the accumulation kernel all take that set
     and scan nothing themselves."""
@@ -911,12 +927,14 @@ class TestKeptDeflatedRows:
         x, y = random_stiefel(rng, 40, 2).T
         fit.add(x, A.values.T @ x)
         gathered, passed = [], []
-        rows, products = gpspca.block._Fit.gram_rows, gpspca.block._Fit.gram_products
+        rows, read = gpspca.block._Fit.gram_rows, gpspca.block._Retraction._gram_rows
         monkeypatch.setattr(gpspca.block._Fit, "gram_rows",
                             lambda fit, active: gathered.append(active.tolist())
                             or rows(fit, active))
-        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
-                            lambda fit, W, block: passed.append(block) or products(fit, W, block))
+        # The block each rows step reads.
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows",
+                            lambda step, active: passed.append(read(step, active))
+                            or passed[-1])
         step = gpspca.block._Retraction(fit, random_stiefel(rng, 40, 1)[:, 0], 1.0, 1.0, "l1", 1)
         first, second = np.arange(3, 9), np.arange(20, 26)
 
@@ -966,9 +984,9 @@ class TestKeptDeflatedRows:
         # call; rows of G_l are computed and read without the engine.
         monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
         steps = []
-        original = gpspca.block._Fit.gram_products
-        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
-                            lambda fit, W, rows: steps.append(1) or original(fit, W, rows))
+        original = gpspca.block._Retraction._gram_rows
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows",
+                            lambda step, active: steps.append(1) or original(step, active))
         A = self.recog_data()
         runs = []
         for workers in (1, 2, 3):
@@ -1100,6 +1118,77 @@ class TestSparseWeights:
             assert np.signbit(w[w == 0]).any() == (penalty == "l1")
         else:
             assert active is None and w.tobytes() == W.tobytes()
+
+
+    @pytest.mark.parametrize("penalty", ["l1", "l0"])
+    @pytest.mark.parametrize("gamma", [0.0, 2.0])
+    def test_after_a_rows_step_the_same_weights_without_the_head_count(self, monkeypatch,
+                                                                       penalty, gamma):
+        # After a step that read rows of G_l, weights skips the count over
+        # the lead column's head, which only rules out a dense step early.
+        # Its (active, w) stay bitwise those of a step that counts, from
+        # none to 60% of the rows active, at gamma 0 (only exact zeros
+        # inactive) as well.
+        rng = np.random.default_rng(93)
+        n = 400
+        A = DataMatrix(rng.standard_normal((40, n)))
+        x = random_stiefel(rng, 40, 1)[:, 0]
+        counted = gpspca.block._Retraction(gpspca.block._Fit(A), x, gamma, 1.0, penalty, 1)
+        skipping = gpspca.block._Retraction(gpspca.block._Fit(A), x, gamma, 1.0, penalty, 1)
+        edge = gamma if penalty == "l1" else np.sqrt(gamma)
+        scale = max(edge, 1.0)
+        S = np.zeros(n)
+        S[:5] = 2.0 * scale
+        assert skipping(*skipping.weights(S)) is not None and skipping.kept is not None
+        heads = []
+        passes = gpspca.block._passes
+        monkeypatch.setattr(gpspca.block, "_passes",
+                            lambda S, g, p: heads.append(len(S) < n) or passes(S, g, p))
+        for share in (0.0, 0.05, 0.25, 0.3, 0.6):
+            k = int(share * n)
+            for placement in ("leading", "random"):
+                S = rng.uniform(-0.99, 0.99, n) * edge
+                rows = np.arange(k) if placement == "leading" else rng.choice(n, k, replace=False)
+                S[rows] = rng.choice([-1.0, 1.0], k) * rng.uniform(1.001, 3.0, k) * scale
+                heads.clear()
+                want = counted.weights(S)
+                assert heads[0]
+                heads.clear()
+                got = skipping.weights(S)
+                assert not any(heads)
+                W = threshold_weights(S, gamma, penalty)
+                if want[0] is None:
+                    assert got[0] is None and want[1].tobytes() == W.tobytes()
+                else:
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(want[0], np.flatnonzero(W))
+                    assert want[1].tobytes() == W[want[0]].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
+    def test_steady_climb_counts_no_head_and_scans_no_live(self, monkeypatch):
+        # A recognition component climbs on rows of G_l from its first step
+        # to its last: only its start's weights count the head, and no step
+        # scans its vector weights for an all-zero column.
+        A = TestKeptDeflatedRows.recog_data()
+        fit = single_unit._Deflated(A)
+        heads, lives, kept = [], [], []
+        Step = gpspca.block._Retraction
+        passes, live, weights = gpspca.block._passes, gpspca.block._live, Step.weights
+
+        def weighing(step, S):
+            kept.append(step.kept is not None)
+            return weights(step, S)
+
+        monkeypatch.setattr(gpspca.block, "_passes",
+                            lambda S, g, p: heads.append(len(S) < A.n) or passes(S, g, p))
+        monkeypatch.setattr(gpspca.block, "_live", lambda W: lives.append(1) or live(W))
+        monkeypatch.setattr(Step, "weights", weighing)
+        i = int(np.argmax(fit.norms))
+        _, _, history, converged = climb(fit, fit.columns(i) / fit.norms[i], 3.0, 1.0, "l1",
+                                         1e-6, 200, 1)
+        assert converged and len(history) == len(kept) > 20
+        assert kept == [False] + [True] * (len(kept) - 1)
+        assert heads.count(True) == 1 and lives == []
 
 
 class TestAllOfG:

@@ -383,8 +383,8 @@ class TestSparseSequenceWorkers:
         cfg = SolverConfig(penalty="l1", gamma=3.0, m=6, restarts=2, refine=True)
         chunk_of(32, 40)
         gram_steps = []
-        original = gpspca.block._Fit.gram_products
-        monkeypatch.setattr(gpspca.block._Fit, "gram_products",
+        original = gpspca.block._Retraction._gram_rows
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows",
                             lambda *a: gram_steps.append(1) or original(*a))
         runs = []
         for workers in (1, 2, 4):
@@ -436,10 +436,14 @@ class TestActiveColumns:
 
     @pytest.mark.parametrize("share", [0.01, 0.10, 0.25])
     @pytest.mark.parametrize("m", [1, 5], ids=["vector", "block"])
-    def test_gathered_sum_matches_dense_product(self, gathered_rows, chunk_widths, m, share):
+    def test_gathered_sum_matches_dense_product(self, gathered_rows, chunk_of, chunk_widths, m,
+                                                share):
         rng = np.random.default_rng(20)
         p, n = 48, 2000
         A = DataMatrix(rng.standard_normal((p, n)))
+        # Four chunks a call, where the default budget runs one on the
+        # calling thread, so that a call that reaches the engine shows.
+        chunk_of(500, p, m)
         active = np.sort(rng.choice(n, int(share * n), replace=False))
         c = sparse_correlations(rng, n, m, active)
         cases = [(
@@ -514,15 +518,17 @@ class TestActiveColumns:
         ids=["vector", "block", "block-one-column-per-row"],
     )
     @pytest.mark.parametrize("placement", ["leading", "random"])
-    def test_gathers_at_a_quarter_and_not_above(self, gathered_rows, chunk_widths, m, spread,
-                                                placement):
+    def test_gathers_at_a_quarter_and_not_above(self, gathered_rows, chunk_of, chunk_widths, m,
+                                                spread, placement):
         # A step (not sparse enough for the rows of A'A: p // 4 = 2 here)
         # hands n // 4 active rows to _gathered_product; with one more,
         # its accumulation sums all n columns in the chunk engine instead.
-        # The new iterate's correlations then run the engine either way.
+        # The new iterate's correlations then run the engine either way,
+        # here in four chunks a call (one at the default budget).
         rng = np.random.default_rng(24)
         p, n = 8, 1000
         A = DataMatrix(rng.standard_normal((p, n)))
+        chunk_of(250, p, m)
         gamma = np.ones(m) if m > 1 else 1.0
         X = np.linalg.qr(rng.standard_normal((p, m)))[0]
         for k, gathered, engine in ((n // 4, [n // 4], [n]), (n // 4 + 1, [], [n, n])):
@@ -554,11 +560,13 @@ class TestThresholdWeights:
 
 class TestWorkerCount:
     @pytest.mark.parametrize("path", ["dense", "gathered", "all_inactive"])
-    def test_zero_workers_rejected_before_any_work(self, chunk_widths, gathered_rows, path):
-        # Dense weights reach the chunk engine over every column; sparse
-        # and all-zero ones, given their active rows, go to
-        # _gathered_product, which never reads the worker count, yet a
-        # count below 1 is still rejected.
+    def test_zero_workers_rejected_before_any_work(self, monkeypatch, chunk_widths, gathered_rows,
+                                                   path):
+        # Dense weights reach the chunk engine over every column, here in
+        # chunks of 32 (a zero budget); sparse and all-zero ones, given
+        # their active rows, go to _gathered_product, which never reads the
+        # worker count, yet a count below 1 is still rejected.
+        monkeypatch.setattr(gpspca.parallel, "GEMM_BUDGET", 0)
         rng = np.random.default_rng(31)
         A = DataMatrix(rng.standard_normal((8, 200)))
         c = {"dense": 0.5 * rng.standard_normal(200), "gathered": np.eye(200)[0],
@@ -576,8 +584,28 @@ class TestWorkerCount:
             call(1)
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 call(0)
-        assert len(chunk_widths) == (len(calls) if path == "dense" else 0)
+        assert chunk_widths == [[32] * 6 + [8]] * (len(calls) if path == "dense" else 0)
         assert gathered_rows == {"dense": [], "gathered": [1] * 3, "all_inactive": [0] * 3}[path]
+
+    @pytest.mark.parametrize("m", [1, 2], ids=["vector", "block"])
+    def test_one_chunk_runs_on_the_calling_thread(self, chunk_widths, m):
+        # At the default budget, 8 x 200 is one chunk: the kernels run the
+        # engine's GEMM for that chunk on the calling thread, without the
+        # engine, after the same worker check.
+        rng = np.random.default_rng(32)
+        A = DataMatrix(rng.standard_normal((8, 200)))
+        shape = (8,) if m == 1 else (8, m)
+        x = rng.standard_normal(shape)
+        z = rng.standard_normal((200,) + shape[1:])
+        chunk = A.values[:, 0:200]
+        for workers in (1, 3):
+            assert np.array_equal(par_matvec_t(A, x, workers), chunk.T @ x)
+            assert np.array_equal(par_threshold_accumulate(A, z, workers),
+                                  (z[0:200].T @ chunk.T).T)
+        for call in (par_matvec_t, par_threshold_accumulate):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                call(A, x if call is par_matvec_t else z, 0)
+        assert chunk_widths == []
 
     def test_measure_scaling_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):

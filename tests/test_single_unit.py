@@ -370,6 +370,24 @@ class TestSolveSingleUnit:
             v = want.standard_normal(5)
             assert np.array_equal(x, v / np.linalg.norm(v)) and column is None
 
+    @pytest.mark.parametrize("restarts", [1, 2, 3])
+    def test_tied_largest_norms_start_from_the_lowest_index(self, restarts):
+        # Columns 2, 5 and 7 share the largest norm, exactly 5 (integer
+        # entries, so every summation order gives it); the starts walk them
+        # in index order, the stable sort's order, whatever the restart
+        # count.
+        rng = np.random.default_rng(22)
+        values = 0.1 * rng.standard_normal((4, 9))
+        top = np.array([1.0, -2.0, 2.0, 4.0])
+        values[:, 2], values[:, 5], values[:, 7] = top, -top, top[::-1]
+        data = single_unit._Deflated(DataMatrix(values))
+        assert np.count_nonzero(data.norms == data.norms.max()) == 3
+        config = SolverConfig(init="max_norm_column", restarts=restarts)
+        starts = single_unit._initial_iterates(data, config)
+        assert [i for _, (i, _) in starts] == [2, 5, 7][:restarts]
+        order = np.argsort(-data.norms, kind="stable")[:restarts]
+        assert [i for _, (i, _) in starts] == order.tolist()
+
     def test_fixed_point_stationarity(self):
         # The stopping rule watches the objective, which is quadratically
         # flat at a maximum, so the iterate residual scales like sqrt(tol).
@@ -568,7 +586,7 @@ class TestImplicitDeflation:
     def test_gram_route_matches_matrix_route(self, monkeypatch, penalty, gamma):
         A = sparse_factor_matrix()
         cfg = SolverConfig(penalty=penalty, gamma=gamma, m=8, max_iter=500)
-        gram_steps = count_calls(monkeypatch, block._Fit, "gram_products")
+        gram_steps = count_calls(monkeypatch, block._Retraction, "_gram_rows")
         sequence = ComponentSequence(A, cfg)
         gram, gram_report = sequence.solve(8)
         assert sequence._data.gram is not None and len(gram_steps) > 20
