@@ -32,7 +32,6 @@ from .datasets import (
     synthetic_sparse_factors,
 )
 from .bench import (
-    ExperimentConfig,
     emit_report,
     fit_projection,
     run_recognition_experiment,

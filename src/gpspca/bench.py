@@ -1,4 +1,10 @@
-"""Benchmark harness: timing sweeps and recognition experiments.
+"""Benchmark harness: the paper's two experiments and their CSV output.
+
+run_recognition_experiment (the 1-NN m-sweep) and run_timing_experiment
+(the P = N/10 timing grid) each take the settings they read, and no
+other, as keywords.  Each checks every fit it will run before the first
+one, with the check fit_projection makes (_fit_config), so a setting no
+fit takes raises ValueError rather than filling error rows.
 
 This module owns the samples-as-rows boundary: data is centered with
 training-set feature means here, solvers consume the centered matrix
@@ -11,7 +17,6 @@ setting.
 
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,39 +45,19 @@ VARIANTS = SPCA_VARIANTS + ("pca",)
 PCA_SWEEP_MATRICES = 2.3
 
 
-@dataclass
-class ExperimentConfig:
-    """Settings for one experiment sweep; seed fixes all randomness."""
-
-    variant: str = "sl1"
-    m: tuple = (5,)
-    gamma: float = 0.1
-    mu: float = 1.0
-    repetitions: int = 1
-    seed: int = 0
-    out: str = None
-    workers: int = 1
-    tol: float = 1e-6
-    max_iter: int = 1000
-    split: object = None
-    timing_sizes: tuple = (500, 1000, 2000)
-    timing_gammas: tuple = (0.01, 0.05)
-    timing_variants: tuple = SPCA_VARIANTS
-    timing_instances: int = 20
-    timing_workers: tuple = None
-
-    def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
-        if isinstance(self.m, int):
-            self.m = (self.m,)
-        self.m = tuple(int(v) for v in self.m)
-        # A fit's exception becomes an error row, so a bad worker count is
-        # rejected here rather than in every fit.
-        for workers in (self.workers, *(self.timing_workers or ())):
-            check_workers(workers)
+def _fit_config(variant, m, gamma, mu=1.0, tol=1e-6, max_iter=1000, seed=0):
+    """The SolverConfig a fit of variant takes: the one check of what a
+    fit accepts, which fit_projection makes and both sweeps make for
+    every setting before their first fit.  An unknown variant, or a
+    setting SolverConfig refuses, raises ValueError.  It is built for pca
+    too, which reads none of it, so every variant checks it."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return SolverConfig(
+        penalty="l1" if variant.endswith("1") else "l0", m=m, gamma=gamma, mu=mu, tol=tol,
+        max_iter=max_iter,
+        init="max_norm_column" if variant.startswith("s") else "random_orthonormal", seed=seed,
+    )
 
 
 def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=1000,
@@ -98,15 +83,8 @@ def fit_projection(train_samples, variant, m, gamma, mu=1.0, tol=1e-6, max_iter=
         samples = train_samples.values
     else:
         samples = train_samples = np.asarray(train_samples, dtype=np.float64)
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    penalty = "l1" if variant.endswith("1") else "l0"
+    config = _fit_config(variant, m, gamma, mu, tol, max_iter, seed)
     sequential = variant.startswith("s")
-    # Built for pca too, which reads none of it, so every variant checks it.
-    config = SolverConfig(
-        penalty=penalty, m=m, gamma=gamma, mu=mu, tol=tol, max_iter=max_iter,
-        init="max_norm_column" if sequential else "random_orthonormal", seed=seed,
-    )
     if variant == "pca":
         if reuse is not None:
             if "pca" not in reuse:
@@ -161,40 +139,48 @@ def _centered_rows(train_x, test_x, mean):
     return train_x - mean, test_x
 
 
-def run_recognition_experiment(config, dataset):
+def run_recognition_experiment(dataset, split, *, variant="sl1", m=(5,), gamma=0.1, mu=1.0,
+                               repetitions=1, seed=0, out=None, workers=1, tol=1e-6,
+                               max_iter=1000):
     """Fit on train, embed everything, 1-NN classify; repeat and sweep m.
 
-    Returns the CSV rows (one per repetition and m, mean rows appended)
-    and writes them to config.out when set.  The fits of one repetition
-    share a reuse state (see fit_projection): the training rows are
-    centered once, into one matrix and mean that every sparse fit of the
-    repetition reads, so a row's fit_seconds is the fit time spent in its
-    repetition so far, its own fit included.  Every fit of a repetition
-    returns that training mean, so the rows it embeds are centered once
-    too, and each m embeds them with one product per set.
-    converged is 1 when every component of a sparse fit converged, 0
-    otherwise, and empty for pca.  Settings no fit can take (a gamma or
-    mu list whose length misses an m) raise ValueError before the first
-    fit; a fit's own failure is recorded in the row's error column, not
-    raised.
+    split is the split policy (datasets.make_splits) each repetition
+    draws with seed [seed, repetition]; m is the sweep's list of
+    component counts, each at most once.  gamma and mu are one value or
+    one per component, as SolverConfig takes them.  Returns the CSV rows
+    (one per repetition and m, mean rows appended) and writes them to out
+    when set.  The fits of one repetition share a reuse state (see
+    fit_projection): the training rows are centered once, into one
+    matrix and mean that every sparse fit of the repetition reads, so a
+    row's fit_seconds is the fit time spent in its repetition so far, its
+    own fit included.  Every fit of a repetition returns that training
+    mean, so the rows it embeds are centered once too, and each m embeds
+    them with one product per set.  converged is 1 when every component
+    of a sparse fit converged, 0 otherwise, and empty for pca.  Settings
+    no fit can take (an unknown variant, a gamma or mu list whose length
+    misses an m, a worker count below 1) and an m listed twice raise
+    ValueError before the first fit; a fit's own failure is recorded in
+    the row's error column, not raised.
     """
-    if config.split is None:
-        raise ValueError("recognition experiment needs a split policy")
-    _check_fit_settings(config, (config.gamma,))
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    if len(set(m)) != len(m):
+        raise ValueError(f"m lists a value more than once: {','.join(str(v) for v in m)}")
+    _check_fits([variant], m, [gamma], mu, tol, max_iter, [workers])
     all_labels = np.unique(dataset.labels)
     rows = []
-    for rep in range(config.repetitions):
-        split = make_splits(dataset, config.split, seed=[config.seed, rep])
-        train_x, train_y = split.train()
-        test_x, test_y = split.test()
+    for rep in range(repetitions):
+        drawn = make_splits(dataset, split, seed=[seed, rep])
+        train_x, train_y = drawn.train()
+        test_x, test_y = drawn.test()
         reuse = {}
         centered = None
         fit_seconds = 0.0
-        for m in config.m:
+        for count in m:
             row = {
-                "method": config.variant,
-                "m": m,
-                "gamma": _render_gamma(config.gamma),
+                "method": variant,
+                "m": count,
+                "gamma": _render_gamma(gamma),
                 "repetition": rep,
                 "overall_accuracy": None,
             }
@@ -205,9 +191,8 @@ def run_recognition_experiment(config, dataset):
                 start = time.perf_counter()
                 try:
                     loadings, mean, report = fit_projection(
-                        train_x, config.variant, m, config.gamma, config.mu,
-                        config.tol, config.max_iter, seed=[config.seed, rep],
-                        workers=config.workers, reuse=reuse,
+                        train_x, variant, count, gamma, mu, tol, max_iter,
+                        seed=[seed, rep], workers=workers, reuse=reuse,
                     )
                 finally:
                     fit_seconds += time.perf_counter() - start
@@ -224,19 +209,21 @@ def run_recognition_experiment(config, dataset):
             except Exception as err:  # recorded per repetition, sweep continues
                 row["error"] = f"{type(err).__name__}: {err}"
             rows.append(row)
-    rows.extend(_mean_rows(rows, all_labels, config))
-    if config.out:
-        emit_report(rows, config.out)
+    rows.extend(_mean_rows(rows, all_labels, variant, m))
+    if out:
+        emit_report(rows, out)
     return rows
 
 
-def _check_fit_settings(config, gammas):
-    # A setting SolverConfig refuses raises here, before the first fit,
-    # rather than filling every row's error column.
-    for m in config.m:
-        for gamma in gammas:
-            SolverConfig(m=m, gamma=gamma, mu=config.mu, tol=config.tol,
-                         max_iter=config.max_iter)
+def _check_fits(variants, ms, gammas, mu, tol, max_iter, worker_counts):
+    # A fit's exception becomes an error row, so every fit a sweep will
+    # run is checked here, before the first one.
+    for variant in variants:
+        for count in ms:
+            for gamma in gammas:
+                _fit_config(variant, count, gamma, mu, tol, max_iter)
+    for workers in worker_counts:
+        check_workers(workers)
 
 
 def _render_gamma(gamma):
@@ -245,17 +232,14 @@ def _render_gamma(gamma):
     return ";".join(f"{float(g):.17g}" for g in np.asarray(gamma).ravel())
 
 
-def _mean_rows(rows, all_labels, config):
+def _mean_rows(rows, all_labels, variant, ms):
     means = []
-    for m in config.m:
-        group = [
-            r for r in rows
-            if r["m"] == m and r["repetition"] != "mean" and not r["error"]
-        ]
+    for m in ms:
+        group = [r for r in rows if r["m"] == m and not r["error"]]
         if not group:
             continue
         row = {
-            "method": config.variant,
+            "method": variant,
             "m": m,
             "gamma": group[0]["gamma"],
             "repetition": "mean",
@@ -274,81 +258,79 @@ def _mean_rows(rows, all_labels, config):
         )
         row["fit_seconds"] = float(np.mean([r["fit_seconds"] for r in group]))
         row["converged"] = (
-            None if config.variant == "pca" else float(np.mean([r["converged"] for r in group]))
+            None if variant == "pca" else float(np.mean([r["converged"] for r in group]))
         )
         row["error"] = ""
         means.append(row)
     return means
 
 
-def run_timing_experiment(config):
+def run_timing_experiment(*, sizes=(500, 1000, 2000), gammas=(0.01, 0.05),
+                          variants=SPCA_VARIANTS, instances=20, m=5, workers=(1,), mu=1.0,
+                          seed=0, out=None, tol=1e-6, max_iter=1000):
     """Wall-time sweep over random dense instances on the (N, P=N/10) grid.
 
-    Each instance is drawn once, straight into the solvers' column-major
-    storage, and that one matrix is shared by every variant, gamma and
-    worker count, so the comparison is paired and a sweep of the sparse
-    variants peaks at about one P x N matrix (PCA_SWEEP_MATRICES with
-    pca).  Rows carry per-solve seconds, iteration counts and whether the
-    solve converged (1/0; empty for pca, which has no solver report),
-    grouped by cell (variant, gamma, workers) with the cell's median row
-    after its instances; the median's converged cell is the share of
-    instances that converged.  A fit that raises RankDeficiencyError (a
-    gamma that zeroes a block component) is recorded in its row's error
-    column, with iterations and converged left empty, and the median row
-    counts only the instances without one.  A size whose peak cannot fit
-    in memory is skipped, before its first instance is drawn, and the
-    sweep continues.  Settings no sweep can run, such as a size off the
-    grid, two values of m, an m above P for a block or pca fit, or a mu
-    list whose length is not m, raise ValueError before the first fit.
+    Every variant fits m components at every gamma and worker count (a
+    tuple of counts) on instances instances of each size N, drawn with
+    seed [seed, N, instance].  Each instance is drawn once, straight into
+    the solvers' column-major storage, and that one matrix is shared by
+    every variant, gamma and worker count, so the comparison is paired
+    and a sweep of the sparse variants peaks at about one P x N matrix
+    (PCA_SWEEP_MATRICES with pca).  Returns the rows, and writes them to
+    out when set.  Rows carry per-solve seconds, iteration counts and
+    whether the solve converged (1/0; empty for pca, which has no solver
+    report), grouped by cell (variant, gamma, workers) with the cell's
+    median row after its instances; the median's converged cell is the
+    share of instances that converged.  A fit that raises
+    RankDeficiencyError (a gamma that zeroes a block component) is
+    recorded in its row's error column, with iterations and converged
+    left empty, and the median row counts only the instances without one.
+    A size whose peak cannot fit in memory is skipped, before its first
+    instance is drawn, and the sweep continues.  Settings no sweep can
+    run, such as a size off the grid, an unknown variant, an m above P for
+    a block or pca fit, a mu list whose length is not m, or a worker count
+    below 1, raise ValueError before the first fit.
     """
-    if len(config.m) != 1:
-        raise ValueError(f"a timing sweep takes one m, got {config.m}")
-    m = config.m[0]
-    if config.timing_instances < 1:
-        raise ValueError("timing_instances must be >= 1")
-    for variant in config.timing_variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
-    for N in config.timing_sizes:
+    if instances < 1:
+        raise ValueError("instances must be >= 1")
+    _check_fits(variants, [m], gammas, mu, tol, max_iter, workers)
+    for N in sizes:
         if N < 10 or N % 10:
             raise ValueError(f"size {N} violates the P = N/10 grid")
-        if m > N // 10 and any(not v.startswith("s") for v in config.timing_variants):
+        if m > N // 10 and any(not v.startswith("s") for v in variants):
             raise ValueError(f"m={m} exceeds P = {N // 10} at size N={N}, for block or pca")
-    _check_fit_settings(config, config.timing_gammas)
-    worker_counts = config.timing_workers or (config.workers,)
     cells = [
-        (variant, gamma, workers)
-        for variant in config.timing_variants
-        for gamma in config.timing_gammas
-        for workers in worker_counts
+        (variant, gamma, count)
+        for variant in variants
+        for gamma in gammas
+        for count in workers
     ]
     rows = []
-    for N in sorted(config.timing_sizes):
+    for N in sorted(sizes):
         P = N // 10
         try:
             check_allocation(P, N)
-            if "pca" in config.timing_variants:
+            if "pca" in variants:
                 check_allocation(P, N, PCA_SWEEP_MATRICES + (m / P if m < P else 2.0))
         except MemoryError as err:
             print(f"skipping N={N}: {err}", file=sys.stderr)
             continue
         cell_rows = [(cell, []) for cell in cells]
-        for instance in range(config.timing_instances):
-            A = _standard_normal_matrix(np.random.default_rng([config.seed, N, instance]), P, N)
-            for (variant, gamma, workers), out in cell_rows:
+        for instance in range(instances):
+            A = _standard_normal_matrix(np.random.default_rng([seed, N, instance]), P, N)
+            for (variant, gamma, count), rows_of_cell in cell_rows:
                 start = time.perf_counter()
                 error = ""
                 try:
                     _, _, report = fit_projection(
-                        A, variant, m, gamma, config.mu, config.tol,
-                        config.max_iter, seed=[config.seed, N, instance],
-                        workers=workers, center=False,
+                        A, variant, m, gamma, mu, tol, max_iter,
+                        seed=[seed, N, instance], workers=count, center=False,
                     )
                 except RankDeficiencyError as err:
                     report, error = None, f"{type(err).__name__}: {err}"
-                out.append({
+                rows_of_cell.append({
                     "variant": variant, "N": N, "P": P, "gamma": gamma,
-                    "workers": workers, "instance": instance,
+                    "workers": count, "instance": instance,
                     "seconds": time.perf_counter() - start,
                     "iterations": report.iterations if report else (None if error else 0),
                     "converged": int(report.converged) if report else None,
@@ -356,20 +338,20 @@ def run_timing_experiment(config):
                 })
             # Release this instance before the next one is drawn.
             del A
-        for (variant, gamma, workers), out in cell_rows:
-            rows.extend(out)
-            done = [r for r in out if not r["error"]]
+        for (variant, gamma, count), rows_of_cell in cell_rows:
+            rows.extend(rows_of_cell)
+            done = [r for r in rows_of_cell if not r["error"]]
             rows.append({
                 "variant": variant, "N": N, "P": P, "gamma": gamma,
-                "workers": workers, "instance": "median",
+                "workers": count, "instance": "median",
                 "seconds": _median(done, "seconds"),
                 "iterations": _median(done, "iterations"),
                 "converged": None if variant == "pca" or not done else float(np.mean(
                     [r["converged"] for r in done])),
                 "error": "",
             })
-    if config.out:
-        emit_report(rows, config.out)
+    if out:
+        emit_report(rows, out)
     return rows
 
 

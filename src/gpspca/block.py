@@ -641,7 +641,6 @@ def solve_block(A, config, workers=1):
     )
     loadings = SparseLoadings(_loadings(S, config.gamma, config.penalty))
     return loadings, RunReport(
-        objective_history=history,
         iterations=len(history) - 1,
         wall_time=time.perf_counter() - start,
         converged=converged,

@@ -26,7 +26,6 @@ import numpy as np
 from .bench import (
     SPCA_VARIANTS,
     VARIANTS,
-    ExperimentConfig,
     emit_report,
     fit_projection,
     run_recognition_experiment,
@@ -208,28 +207,24 @@ def cmd_bench_recognition(args):
     if not args.dataset or not args.out:
         raise UsageError("bench-recognition requires --dataset and --out")
     dataset = load_dataset(args.dataset)
-    split = _split_policy(dataset, args)
-    config = ExperimentConfig(
-        variant=args.variant, m=args.m, gamma=args.gamma,
-        mu=args.mu, repetitions=args.repetitions, seed=args.seed, out=args.out,
-        workers=args.workers, tol=args.tol, max_iter=args.max_iter, split=split,
+    rows = run_recognition_experiment(
+        dataset, _split_policy(dataset, args), variant=args.variant, m=args.m,
+        gamma=args.gamma, mu=args.mu, repetitions=args.repetitions, seed=args.seed,
+        out=args.out, workers=args.workers, tol=args.tol, max_iter=args.max_iter,
     )
-    rows = run_recognition_experiment(config, dataset=dataset)
-    print(f"wrote {len(rows)} rows to {config.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_bench_timing(args):
     if not args.out:
         raise UsageError("bench-timing requires --out")
-    config = ExperimentConfig(
-        m=args.m, mu=args.mu, seed=args.seed, out=args.out, tol=args.tol,
-        max_iter=args.max_iter, timing_sizes=args.sizes, timing_gammas=args.gammas,
-        timing_variants=args.variants, timing_instances=args.instances,
-        timing_workers=args.workers,
+    rows = run_timing_experiment(
+        sizes=args.sizes, gammas=args.gammas, variants=args.variants,
+        instances=args.instances, m=args.m, workers=args.workers, mu=args.mu,
+        seed=args.seed, out=args.out, tol=args.tol, max_iter=args.max_iter,
     )
-    rows = run_timing_experiment(config)
-    print(f"wrote {len(rows)} rows to {config.out}")
+    print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 

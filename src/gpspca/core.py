@@ -6,7 +6,7 @@ the p-dimensional sample space.  Loading vectors z live in R^n, sphere
 iterates x in R^p.  All arithmetic is double precision.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,14 +201,13 @@ class SolverConfig:
 class RunReport:
     """Per-solve diagnostics: objective traces, timing, convergence.
 
-    objective_history is non-decreasing for a single ascent run; for
-    sequential multi-component extraction it holds the first component's
-    trace and component_histories keeps one trace per component (a block
-    fit has one).  A sequential fit that extends an earlier one
-    (solve_multi_sequential with a ComponentSequence) still reports all
-    m components' traces and converged flag, but iterations and
-    wall_time count only the components that call added and the seconds
-    it ran.  The loadings count their own nonzeros
+    component_histories holds non-decreasing objective traces: one per
+    component of a sequential fit, and one for a block fit, whose
+    objective covers all m components.  A sequential fit that extends an
+    earlier one (solve_multi_sequential with a ComponentSequence) still
+    reports all m components' traces and converged flag, but iterations
+    and wall_time count only the components that call added and the
+    seconds it ran.  The loadings count their own nonzeros
     (SparseLoadings.nnz_per_component).
 
     converged is True when every climb stopped because the relative
@@ -217,11 +216,10 @@ class RunReport:
     and a climb stopped at max_iter reads False.
     """
 
-    objective_history: list = field(default_factory=list)
+    component_histories: list
     iterations: int = 0
     wall_time: float = 0.0
     converged: bool = False
-    component_histories: list = None
 
 
 def column_norms(A):

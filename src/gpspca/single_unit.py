@@ -219,7 +219,6 @@ class ComponentSequence:
             self.converged.append(converged)
         loadings = SparseLoadings(np.column_stack(self.columns[:m]))
         return loadings, RunReport(
-            objective_history=self.histories[0],
             iterations=sum(len(h) - 1 for h in self.histories[first_new:]),
             wall_time=time.perf_counter() - start,
             converged=all(self.converged[:m]),

@@ -16,7 +16,6 @@ import gpspca.block
 import gpspca.parallel
 from gpspca import (
     DataMatrix,
-    ExperimentConfig,
     PerClassCount,
     SolverConfig,
     par_matvec_t,
@@ -68,7 +67,7 @@ def test_criterion_01_monotone_ascent():
         for penalty in ("l1", "l0"):
             cfg = SolverConfig(penalty=penalty, gamma=gamma, max_iter=300)
             _, rep = solve_multi_sequential(A, cfg)
-            assert np.all(np.diff(rep.objective_history) >= -1e-12)
+            assert np.all(np.diff(rep.component_histories[0]) >= -1e-12)
             checked["s" + penalty] += 1
             cfg_b = SolverConfig(
                 penalty=penalty, m=m, gamma=gamma,
@@ -77,7 +76,7 @@ def test_criterion_01_monotone_ascent():
             )
             try:
                 _, rep_b = solve_block(A, cfg_b)
-                history = rep_b.objective_history
+                history, = rep_b.component_histories
             except RankDeficiencyError as err:
                 history = err.history
             assert np.all(np.diff(history) >= -1e-12)
@@ -114,7 +113,7 @@ def test_criterion_02_brute_force_optimality_p2():
                 restarts=n, refine=True,
             )
             _, rep = solve_multi_sequential(A, cfg)
-            gap = grid[penalty] - rep.objective_history[-1]
+            gap = grid[penalty] - rep.component_histories[0][-1]
             worst[penalty] = max(worst[penalty], gap)
             assert gap <= 1e-4
     elapsed = time.perf_counter() - start
@@ -192,7 +191,7 @@ def test_criterion_04_support_brute_force_l0():
         )
         loadings, rep = solve_multi_sequential(A, cfg)
         val, z_star = enumerate_l0_supports(A, gamma)
-        assert abs(rep.objective_history[-1] - val) <= 1e-6
+        assert abs(rep.component_histories[0][-1] - val) <= 1e-6
         want = set(np.nonzero(np.abs(z_star) > 1e-12)[0].tolist())
         assert set(loadings.pattern[0].tolist()) == want
     report(4, "l0 support and objective match 16-support enumeration on 25 2x4 instances")
@@ -273,11 +272,8 @@ def test_criterion_06_parallel_determinism(tmp_path, monkeypatch):
     blobs = []
     for workers in (1, 4):
         path = tmp_path / f"rec_w{workers}.csv"
-        config = ExperimentConfig(
-            variant="sl1", m=(2,), gamma=0.5, repetitions=2, seed=9,
-            split=PerClassCount(7), workers=workers, out=str(path),
-        )
-        run_recognition_experiment(config, dataset=ds)
+        run_recognition_experiment(ds, PerClassCount(7), variant="sl1", m=(2,), gamma=0.5,
+                                   repetitions=2, seed=9, workers=workers, out=str(path))
         blobs.append(csv_without(path, "fit_seconds"))
     assert blobs[0] == blobs[1]
     report(
@@ -314,11 +310,8 @@ def test_criterion_08_recognition_spca_vs_pca():
     )
     means = {}
     for variant, gamma in (("sl1", 2.0), ("pca", 0.0)):
-        config = ExperimentConfig(
-            variant=variant, m=(2, 5), gamma=gamma, repetitions=5, seed=8,
-            split=PerClassCount(10), max_iter=500,
-        )
-        rows = run_recognition_experiment(config, dataset=ds)
+        rows = run_recognition_experiment(ds, PerClassCount(10), variant=variant, m=(2, 5),
+                                          gamma=gamma, repetitions=5, seed=8, max_iter=500)
         means[variant] = {
             r["m"]: r["overall_accuracy"] for r in rows if r["repetition"] == "mean"
         }
@@ -338,13 +331,10 @@ def test_criterion_08_recognition_spca_vs_pca():
 def test_criterion_09_timing_harness_shape(tmp_path):
     start = time.perf_counter()
     path = tmp_path / "timing.csv"
-    config = ExperimentConfig(
-        m=(5,), seed=9, out=str(path),
-        timing_sizes=(500, 1000, 2000), timing_gammas=(0.01, 0.05),
-        timing_variants=("sl1", "sl0", "bl1", "bl0"), timing_instances=20,
-        max_iter=200,
+    rows = run_timing_experiment(
+        sizes=(500, 1000, 2000), gammas=(0.01, 0.05), variants=("sl1", "sl0", "bl1", "bl0"),
+        instances=20, m=5, seed=9, out=str(path), max_iter=200,
     )
-    rows = run_timing_experiment(config)
     elapsed = time.perf_counter() - start
     # schema-valid, complete CSV: every (variant, size, gamma) cell has all
     # twenty instances plus its median row, P = N/10 throughout

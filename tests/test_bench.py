@@ -8,7 +8,6 @@ import gpspca.parallel
 
 from gpspca import (
     DataMatrix,
-    ExperimentConfig,
     PerClassCount,
     RankDeficiencyError,
     emit_report,
@@ -81,11 +80,10 @@ class TestRecognitionExperiment:
         ds = small_dataset()
         accs = {}
         for variant in ("pca", "sl1", "sl0"):
-            config = ExperimentConfig(
-                variant=variant, m=(2, 3), gamma=0.0, repetitions=2, seed=5,
-                split=PerClassCount(7), tol=1e-12, max_iter=5000,
+            rows = run_recognition_experiment(
+                ds, PerClassCount(7), variant=variant, m=(2, 3), gamma=0.0, repetitions=2,
+                seed=5, tol=1e-12, max_iter=5000,
             )
-            rows = run_recognition_experiment(config, dataset=ds)
             accs[variant] = [
                 r["overall_accuracy"] for r in rows if r["repetition"] != "mean"
             ]
@@ -98,11 +96,8 @@ class TestRecognitionExperiment:
         outputs = []
         for run in range(2):
             path = tmp_path / f"run{run}.csv"
-            config = ExperimentConfig(
-                variant="sl1", m=(2,), gamma=0.5, repetitions=3, seed=11,
-                split=PerClassCount(7), out=str(path),
-            )
-            run_recognition_experiment(config, dataset=ds)
+            run_recognition_experiment(ds, PerClassCount(7), variant="sl1", m=(2,), gamma=0.5,
+                                       repetitions=3, seed=11, out=str(path))
             with open(path, encoding="utf-8", newline="") as fh:
                 records = list(csv.reader(fh))
             drop = records[0].index("fit_seconds")  # wall clock
@@ -111,11 +106,8 @@ class TestRecognitionExperiment:
 
     def test_nnz_column_is_honest(self):
         ds = small_dataset()
-        config = ExperimentConfig(
-            variant="sl1", m=(3,), gamma=0.5, repetitions=1, seed=2,
-            split=PerClassCount(7),
-        )
-        rows = run_recognition_experiment(config, dataset=ds)
+        rows = run_recognition_experiment(ds, PerClassCount(7), variant="sl1", m=(3,),
+                                          gamma=0.5, repetitions=1, seed=2)
         row = rows[0]
         split = make_splits(ds, PerClassCount(7), seed=[2, 0])
         train_x, _ = split.train()
@@ -125,11 +117,8 @@ class TestRecognitionExperiment:
 
     def test_solver_failure_recorded_not_fatal(self):
         ds = small_dataset()
-        config = ExperimentConfig(
-            variant="bl0", m=(2,), gamma=1e9, repetitions=2, seed=1,
-            split=PerClassCount(7),
-        )
-        rows = run_recognition_experiment(config, dataset=ds)
+        rows = run_recognition_experiment(ds, PerClassCount(7), variant="bl0", m=(2,),
+                                          gamma=1e9, repetitions=2, seed=1)
         data_rows = [r for r in rows if r["repetition"] != "mean"]
         assert len(data_rows) == 2
         assert all("RankDeficiencyError" in r["error"] for r in data_rows)
@@ -137,11 +126,8 @@ class TestRecognitionExperiment:
 
     def test_mean_rows_appended(self):
         ds = small_dataset()
-        config = ExperimentConfig(
-            variant="pca", m=(2,), gamma=0.0, repetitions=3, seed=0,
-            split=PerClassCount(7),
-        )
-        rows = run_recognition_experiment(config, dataset=ds)
+        rows = run_recognition_experiment(ds, PerClassCount(7), variant="pca", m=(2,),
+                                          gamma=0.0, repetitions=3, seed=0)
         mean_rows = [r for r in rows if r["repetition"] == "mean"]
         assert len(mean_rows) == 1
         per_rep = [r["overall_accuracy"] for r in rows if r["repetition"] != "mean"]
@@ -155,11 +141,8 @@ class TestRecognitionExperiment:
         )
         means = {}
         for variant, gamma in (("sl1", 2.0), ("pca", 0.0)):
-            config = ExperimentConfig(
-                variant=variant, m=(5,), gamma=gamma, repetitions=3, seed=3,
-                split=PerClassCount(10), max_iter=500,
-            )
-            rows = run_recognition_experiment(config, dataset=ds)
+            rows = run_recognition_experiment(ds, PerClassCount(10), variant=variant, m=(5,),
+                                              gamma=gamma, repetitions=3, seed=3, max_iter=500)
             means[variant] = [r for r in rows if r["repetition"] == "mean"][0][
                 "overall_accuracy"
             ]
@@ -178,31 +161,35 @@ class TestRecognitionExperiment:
         pred_perm, _ = knn_classify(train_emb, train_y, test_emb[perm])
         assert np.array_equal(pred_perm, pred[perm])
 
-    def test_requires_split_policy(self):
-        with pytest.raises(ValueError):
-            run_recognition_experiment(
-                ExperimentConfig(variant="pca", split=None), dataset=small_dataset()
-            )
-
     @pytest.mark.parametrize("settings, message", [
         (dict(m=(1, 2), gamma=(0.1, 0.2)),
          "gamma must be a scalar or length-1 vector, got 2 values"),
         (dict(m=(2, 3), mu=(1.0, 2.0)), "mu must be a scalar or length-3 vector, got 2 values"),
         (dict(variant="pca", m=(2, 3), gamma=(0.0, 0.0)),
          "gamma must be a scalar or length-3 vector, got 2 values"),
-    ], ids=["gamma-2-for-m-1", "mu-2-for-m-3", "pca-gamma-2-for-m-3"])
+        (dict(variant="bogus"), "unknown variant 'bogus'"),
+        (dict(m=(2, 5, 2)), "m lists a value more than once: 2,5,2"),
+    ], ids=["gamma-2-for-m-1", "mu-2-for-m-3", "pca-gamma-2-for-m-3", "unknown-variant",
+            "repeated-m"])
     def test_bad_settings_rejected_before_the_first_fit(self, fits, settings, message):
         # A fit's ValueError would only become an error row.
-        config = ExperimentConfig(**{"variant": "sl1", "split": PerClassCount(7), **settings})
         with pytest.raises(ValueError, match=message):
-            run_recognition_experiment(config, dataset=small_dataset())
+            run_recognition_experiment(small_dataset(), PerClassCount(7),
+                                       **{"variant": "sl1", **settings})
         assert fits == []
 
-    @pytest.mark.parametrize("counts", [dict(workers=0), dict(timing_workers=(1, 0))])
-    def test_bad_worker_count_rejected_before_any_fit(self, counts):
-        # A fit's exception would only become an error row.
+    @pytest.mark.parametrize("counts", [dict(workers=0), dict(variant="pca", workers=0)])
+    def test_bad_worker_count_rejected_before_any_fit(self, fits, counts):
+        # A fit's exception would only become an error row.  pca reads no
+        # worker count, yet its sweep refuses one too.
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            ExperimentConfig(variant="sl1", split=PerClassCount(7), **counts)
+            run_recognition_experiment(small_dataset(), PerClassCount(7),
+                                       **{"variant": "sl1", **counts})
+        assert fits == []
+
+    def test_unknown_variant_rejected_by_a_fit(self):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            fit_projection(small_dataset().samples, "bogus", 2, 0.1)
 
 
 class TestSweepReuse:
@@ -219,34 +206,34 @@ class TestSweepReuse:
             return out
 
         monkeypatch.setattr(bench, "fit_projection", tap)
-        settings = dict(repetitions=2, seed=7, split=PerClassCount(7), max_iter=300)
+        settings = dict(split=PerClassCount(7), variant=variant, m=ms, gamma=gamma,
+                        repetitions=2, seed=7, max_iter=300)
         settings.update(kw)
-        config = ExperimentConfig(variant=variant, m=ms, gamma=gamma, **settings)
         ds = small_dataset() if ds is None else ds
-        rows = run_recognition_experiment(config, dataset=ds)
+        rows = run_recognition_experiment(ds, **settings)
         monkeypatch.setattr(bench, "fit_projection", original)
-        return ds, config, [r for r in rows if r["repetition"] != "mean"], calls
+        return ds, settings, [r for r in rows if r["repetition"] != "mean"], calls
 
-    def fresh(self, ds, config, rep, m):
-        split = make_splits(ds, config.split, seed=[config.seed, rep])
+    def fresh(self, ds, settings, rep, m):
+        split = make_splits(ds, settings["split"], seed=[settings["seed"], rep])
         train_x, train_y = split.train()
         test_x, test_y = split.test()
         loadings, mean, report = fit_projection(
-            train_x, config.variant, m, config.gamma, config.mu, config.tol,
-            config.max_iter, seed=[config.seed, rep],
+            train_x, settings["variant"], m, settings["gamma"],
+            max_iter=settings["max_iter"], seed=[settings["seed"], rep],
         )
         _, accuracy = knn_classify(
             project(train_x, loadings, mean), train_y, project(test_x, loadings, mean), test_y
         )
         return loadings, report, accuracy
 
-    @pytest.mark.parametrize("ms", [(2, 5, 10), (5, 2, 5, 10)], ids=["sorted", "unsorted"])
+    @pytest.mark.parametrize("ms", [(2, 5, 10), (5, 2, 10, 3)], ids=["sorted", "unsorted"])
     @pytest.mark.parametrize("variant", ["sl1", "sl0", "bl1", "bl0", "pca"])
     def test_rows_bitwise_equal_to_fresh_fits(self, monkeypatch, variant, ms):
-        ds, config, rows, calls = self.sweep(monkeypatch, variant, ms)
+        ds, settings, rows, calls = self.sweep(monkeypatch, variant, ms)
         assert len(rows) == len(calls) == 2 * len(ms)
         for row, (loadings, _, report) in zip(rows, calls):
-            want, want_report, accuracy = self.fresh(ds, config, row["repetition"], row["m"])
+            want, want_report, accuracy = self.fresh(ds, settings, row["repetition"], row["m"])
             assert not row["error"]
             assert loadings.shape == (ds.n_features, row["m"])
             assert np.array_equal(loadings, want)
@@ -274,10 +261,10 @@ class TestSweepReuse:
             original = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda *a, _f=original, _n=name, **k:
                                 calls.append(_n) or _f(*a, **k))
-        ds, config, rows, fits = self.sweep(monkeypatch, "pca", ms, ds=ds)
+        ds, settings, rows, fits = self.sweep(monkeypatch, "pca", ms, ds=ds)
         assert sorted(calls) == ["eigh", "eigh", "svd", "svd"]
         for row, (loadings, _, _) in zip(rows, fits):
-            want, _, accuracy = self.fresh(ds, config, row["repetition"], row["m"])
+            want, _, accuracy = self.fresh(ds, settings, row["repetition"], row["m"])
             assert not row["error"]
             assert np.array_equal(loadings, want)
             assert row["overall_accuracy"] == accuracy
@@ -293,11 +280,11 @@ class TestSweepReuse:
         monkeypatch.setattr(bench, "knn_classify", lambda train, labels, test, *args, **kw:
                             embeddings.append((train, test)) or classify(train, labels, test,
                                                                          *args, **kw))
-        ds, config, rows, calls = self.sweep(monkeypatch, variant, (2, 5, 3))
-        assert len(centerings) == config.repetitions == 2
+        ds, settings, rows, calls = self.sweep(monkeypatch, variant, (2, 5, 3))
+        assert len(centerings) == settings["repetitions"] == 2
         assert len(embeddings) == len(calls) == len(rows) == 6
         for row, (loadings, mean, _), (train_emb, test_emb) in zip(rows, calls, embeddings):
-            split = make_splits(ds, config.split, seed=[config.seed, row["repetition"]])
+            split = make_splits(ds, settings["split"], seed=[settings["seed"], row["repetition"]])
             assert np.array_equal(train_emb, project(split.train()[0], loadings, mean))
             assert np.array_equal(test_emb, project(split.test()[0], loadings, mean))
 
@@ -306,10 +293,10 @@ class TestSweepReuse:
         original = bench.solve_block
         monkeypatch.setattr(
             bench, "solve_block", lambda *a, **k: solves.append(1) or original(*a, **k))
-        ds, config, rows, calls = self.sweep(monkeypatch, "bl1", (2, 3, 2))
+        ds, settings, rows, calls = self.sweep(monkeypatch, "bl1", (3, 2, 4))
         assert len(solves) == len(rows) == 6
         for row, (loadings, _, report) in zip(rows, calls):
-            want, want_report, _ = self.fresh(ds, config, row["repetition"], row["m"])
+            want, want_report, _ = self.fresh(ds, settings, row["repetition"], row["m"])
             assert np.array_equal(loadings, want)
             assert report.iterations == want_report.iterations
 
@@ -340,13 +327,13 @@ class TestSweepReuse:
 
     def test_pca_m_above_rank_records_its_own_error(self, monkeypatch):
         # 35 training rows x 30 features: at most 30 components.
-        ds, config, rows, _ = self.sweep(monkeypatch, "pca", (2, 31, 5))
+        ds, settings, rows, _ = self.sweep(monkeypatch, "pca", (2, 31, 5))
         errors = [r["error"] for r in rows]
         assert errors == ["", "ValueError: need 1 <= m <= min(#samples, #variables) = 30, "
                           "got m=31", ""] * 2
         for row in rows:
             if not row["error"]:
-                assert row["overall_accuracy"] == self.fresh(ds, config, row["repetition"],
+                assert row["overall_accuracy"] == self.fresh(ds, settings, row["repetition"],
                                                              row["m"])[2]
 
     @staticmethod
@@ -382,19 +369,27 @@ class TestSweepReuse:
         assert calls[2][2].iterations == 0
 
     def test_per_component_gamma_extends_one_sequence(self, monkeypatch):
-        # A gamma list ties every fit of the sweep to its m, so the second
-        # m = 3 fit of a repetition reads the first one's components.
+        # A gamma list ties a sweep to its one m, whose fit solves one
+        # sequence per repetition; a second fit at that m with the same
+        # reuse state reads the first one's components.
         count = self.count_deflated_solves(monkeypatch)
         sequences = []
         init = single_unit.ComponentSequence.__init__
         monkeypatch.setattr(single_unit.ComponentSequence, "__init__",
                             lambda self, *a, **k: sequences.append(1) or init(self, *a, **k))
-        ds, config, rows, calls = self.sweep(monkeypatch, "sl1", (3, 3),
-                                             gamma=(0.05, 0.1, 0.05))
-        assert len(sequences) == config.repetitions == 2
+        gamma = (0.05, 0.1, 0.05)
+        ds, settings, rows, calls = self.sweep(monkeypatch, "sl1", (3,), gamma=gamma)
+        assert len(sequences) == settings["repetitions"] == 2
         assert len(count) == 4  # components 2 and 3, once per repetition
+        train_x = make_splits(ds, settings["split"], seed=[7, 0]).train()[0]
+        reuse = {}
+        first, second = [fit_projection(train_x, "sl1", 3, gamma, max_iter=300, seed=[7, 0],
+                                        reuse=reuse) for _ in range(2)]
+        assert len(sequences) == 3 and len(count) == 6
+        assert np.array_equal(second[0], first[0]) and second[2].iterations == 0
+        assert np.array_equal(first[0], calls[0][0])
         for row, (loadings, _, report) in zip(rows, calls):
-            want, want_report, accuracy = self.fresh(ds, config, row["repetition"], row["m"])
+            want, want_report, accuracy = self.fresh(ds, settings, row["repetition"], row["m"])
             assert not row["error"]
             assert np.array_equal(loadings, want)
             assert np.count_nonzero(loadings, axis=0).all()
@@ -404,12 +399,10 @@ class TestSweepReuse:
     def test_converged_column(self, monkeypatch):
         _, _, rows, _ = self.sweep(monkeypatch, "sl1", (2, 4), max_iter=1)
         assert [r["converged"] for r in rows] == [0] * 4
-        config = ExperimentConfig(
-            variant="sl1", m=(2, 4), gamma=0.05, repetitions=2, seed=7,
-            split=PerClassCount(7), max_iter=1,
-        )
-        means = [r for r in run_recognition_experiment(config, dataset=small_dataset())
-                 if r["repetition"] == "mean"]
+        rows = run_recognition_experiment(small_dataset(), PerClassCount(7), variant="sl1",
+                                          m=(2, 4), gamma=0.05, repetitions=2, seed=7,
+                                          max_iter=1)
+        means = [r for r in rows if r["repetition"] == "mean"]
         assert [r["converged"] for r in means] == [0.0, 0.0]
         _, _, rows, _ = self.sweep(monkeypatch, "sl1", (2, 4))
         assert [r["converged"] for r in rows] == [1] * 4
@@ -419,82 +412,77 @@ class TestSweepReuse:
         ticks = iter(range(1000))
         monkeypatch.setattr(bench, "time", type("Clock", (), {
             "perf_counter": staticmethod(lambda: float(next(ticks)))}))
-        config = ExperimentConfig(
-            variant="sl1", m=(2, 5, 10), gamma=0.05, repetitions=2, seed=7,
-            split=PerClassCount(7),
-        )
-        rows = run_recognition_experiment(config, dataset=small_dataset())
+        rows = run_recognition_experiment(small_dataset(), PerClassCount(7), variant="sl1",
+                                          m=(2, 5, 10), gamma=0.05, repetitions=2, seed=7)
         assert [r["fit_seconds"] for r in rows] == [1.0, 2.0, 3.0] * 3  # two repetitions, then the means
 
 
 class TestTimingExperiment:
-    def config(self, **kw):
-        base = dict(
-            m=(2,), seed=0, timing_sizes=(50, 100), timing_gammas=(0.01, 0.05),
-            timing_variants=("sl1", "bl0"), timing_instances=2, max_iter=50,
-        )
+    def settings(self, **kw):
+        # The keyword settings of a small sweep, with kw's changes.
+        base = dict(m=2, seed=0, sizes=(50, 100), gammas=(0.01, 0.05),
+                    variants=("sl1", "bl0"), instances=2, max_iter=50)
         base.update(kw)
-        return ExperimentConfig(**base)
+        return base
 
     def test_grid_honors_p_equals_n_over_ten(self):
-        rows = run_timing_experiment(self.config())
+        rows = run_timing_experiment(**self.settings())
         assert all(r["P"] * 10 == r["N"] for r in rows)
 
     def test_gamma_column_only_configured_values(self):
-        rows = run_timing_experiment(self.config())
+        rows = run_timing_experiment(**self.settings())
         assert set(r["gamma"] for r in rows) == {0.01, 0.05}
 
     def test_same_seed_same_iteration_counts(self):
-        a = run_timing_experiment(self.config())
-        b = run_timing_experiment(self.config())
+        a = run_timing_experiment(**self.settings())
+        b = run_timing_experiment(**self.settings())
         assert [r["iterations"] for r in a] == [r["iterations"] for r in b]
 
     def test_medians_appended_per_cell(self):
-        rows = run_timing_experiment(self.config())
+        rows = run_timing_experiment(**self.settings())
         medians = [r for r in rows if r["instance"] == "median"]
         # 2 sizes x 2 variants x 2 gammas
         assert len(medians) == 8
 
     def test_converged_column(self):
         # max_iter=1 caps every SPCA solve; pca has no solver report
-        rows = run_timing_experiment(self.config(
-            timing_variants=("sl1", "pca"), timing_gammas=(0.05,), max_iter=1,
+        rows = run_timing_experiment(**self.settings(
+            variants=("sl1", "pca"), gammas=(0.05,), max_iter=1,
         ))
         cells = {(r["variant"], r["instance"]): r["converged"] for r in rows if r["N"] == 50}
         assert cells == {
             ("sl1", 0): 0, ("sl1", 1): 0, ("sl1", "median"): 0.0,
             ("pca", 0): None, ("pca", 1): None, ("pca", "median"): None,
         }
-        free = run_timing_experiment(self.config(timing_variants=("sl1",), max_iter=1000))
+        free = run_timing_experiment(**self.settings(variants=("sl1",), max_iter=1000))
         assert all(r["converged"] == 1 for r in free)
 
     def test_rejects_off_grid_size(self):
         with pytest.raises(ValueError):
-            run_timing_experiment(self.config(timing_sizes=(55,)))
+            run_timing_experiment(**self.settings(sizes=(55,)))
 
     @pytest.mark.parametrize("settings, message", [
-        (dict(m=(2, 7)), "one m"),
-        (dict(timing_instances=0), "timing_instances must be >= 1"),
-        (dict(timing_variants=("sl1", "bogus")), "unknown variant 'bogus'"),
-        (dict(timing_sizes=(50, 55)), "size 55 violates the P = N/10 grid"),
-        (dict(timing_sizes=(50, 0)), "size 0 violates the P = N/10 grid"),
-        (dict(m=(6,), timing_sizes=(50, 100)), "m=6 exceeds P = 5 at size N=50"),
-        (dict(m=(6,), timing_sizes=(50, 100), timing_variants=("sl1", "pca")),
+        (dict(instances=0), "instances must be >= 1"),
+        (dict(variants=("sl1", "bogus")), "unknown variant 'bogus'"),
+        (dict(sizes=(50, 55)), "size 55 violates the P = N/10 grid"),
+        (dict(sizes=(50, 0)), "size 0 violates the P = N/10 grid"),
+        (dict(m=6, sizes=(50, 100)), "m=6 exceeds P = 5 at size N=50"),
+        (dict(m=6, sizes=(50, 100), variants=("sl1", "pca")),
          "m=6 exceeds P = 5 at size N=50"),
         (dict(mu=(1.0, 2.0, 3.0)), "mu must be a scalar or length-2 vector, got 3 values"),
-        (dict(timing_gammas=(0.01, np.nan)), "gamma entries must be finite and >= 0"),
-    ], ids=["two-m", "no-instances", "unknown-variant", "off-grid", "zero-size",
-            "block-m-above-p", "pca-m-above-p", "mu-3-for-m-2", "nan-gamma"])
+        (dict(gammas=(0.01, np.nan)), "gamma entries must be finite and >= 0"),
+        (dict(workers=(1, 0)), "workers must be >= 1"),
+    ], ids=["no-instances", "unknown-variant", "off-grid", "zero-size",
+            "block-m-above-p", "pca-m-above-p", "mu-3-for-m-2", "nan-gamma", "zero-workers"])
     def test_bad_settings_rejected_before_the_first_fit(self, fits, settings, message):
         with pytest.raises(ValueError, match=message):
-            run_timing_experiment(self.config(**settings))
+            run_timing_experiment(**self.settings(**settings))
         assert fits == []
 
     def test_sequence_m_above_p_runs(self, fits):
         # A sequence's components past P come back zero; only block and
         # pca fits are bounded by P.
-        rows = run_timing_experiment(self.config(m=(6,), timing_sizes=(50,),
-                                                 timing_variants=("sl1",)))
+        rows = run_timing_experiment(**self.settings(m=6, sizes=(50,), variants=("sl1",)))
         assert len(fits) == 2 * 2 and not any(r["error"] for r in rows)
 
     def test_every_cell_shares_one_instance(self, monkeypatch):
@@ -508,7 +496,7 @@ class TestTimingExperiment:
             return fit(A, variant, m, gamma, *args, **kwargs)
 
         monkeypatch.setattr(bench, "fit_projection", recording_fit)
-        rows = run_timing_experiment(self.config(timing_workers=(1, 2)))
+        rows = run_timing_experiment(**self.settings(workers=(1, 2)))
         for N in (50, 100):
             for instance in range(2):
                 fits = [f for f in seen if f[4] == [0, N, instance]]
@@ -528,12 +516,11 @@ class TestTimingExperiment:
         # The one column-major instance is the only P x N matrix a sweep
         # holds: no row-major draw beside it, no squares in column_norms.
         N = 4000
-        config = self.config(timing_sizes=(N,), timing_gammas=(0.05,),
-                             timing_variants=("sl1", "bl1"), timing_instances=2,
-                             m=(5,), max_iter=3)
+        settings = self.settings(sizes=(N,), gammas=(0.05,), variants=("sl1", "bl1"),
+                                 instances=2, m=5, max_iter=3)
         tracemalloc.start()
         try:
-            run_timing_experiment(config)
+            run_timing_experiment(**settings)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -547,17 +534,15 @@ class TestTimingExperiment:
         draw = bench._standard_normal_matrix
         monkeypatch.setattr(bench, "_standard_normal_matrix",
                             lambda *args: draws.append(args) or draw(*args))
-        rows = run_timing_experiment(self.config(timing_sizes=(50,),
-                                                 timing_variants=("sl1", "pca")))
+        rows = run_timing_experiment(**self.settings(sizes=(50,), variants=("sl1", "pca")))
         assert rows == [] and draws == []
         assert "skipping N=50" in capsys.readouterr().err
-        rows = run_timing_experiment(self.config(timing_sizes=(50,),
-                                                 timing_variants=("sl1", "bl1")))
+        rows = run_timing_experiment(**self.settings(sizes=(50,), variants=("sl1", "bl1")))
         assert len(rows) == 2 * 2 * 3 and len(draws) == 2
 
     def test_csv_written(self, tmp_path):
         path = tmp_path / "timing.csv"
-        run_timing_experiment(self.config(out=str(path)))
+        run_timing_experiment(**self.settings(out=str(path)))
         header = path.read_text().splitlines()[0]
         assert header == "variant,N,P,gamma,workers,instance,seconds,iterations,converged,error"
 
@@ -565,8 +550,8 @@ class TestTimingExperiment:
         # gamma 1e9 zeroes every bl0 component at the first step; the sweep
         # goes on and writes every row.
         path = tmp_path / "timing.csv"
-        rows = run_timing_experiment(self.config(
-            timing_sizes=(50,), timing_gammas=(0.01, 1e9), out=str(path)))
+        rows = run_timing_experiment(**self.settings(
+            sizes=(50,), gammas=(0.01, 1e9), out=str(path)))
         failed = [r for r in rows if r["error"]]
         assert {(r["variant"], r["gamma"]) for r in failed} == {("bl0", 1e9)}
         assert len(failed) == 2 and all(
@@ -589,7 +574,7 @@ class TestTimingExperiment:
             return fit(A, variant, m, gamma, *args, **kwargs)
 
         monkeypatch.setattr(bench, "fit_projection", failing_first_instance)
-        rows = run_timing_experiment(self.config(timing_sizes=(50,), timing_instances=3))
+        rows = run_timing_experiment(**self.settings(sizes=(50,), instances=3))
         for gamma in (0.01, 0.05):
             cell = [r for r in rows if r["variant"] == "bl0" and r["gamma"] == gamma]
             done = cell[1:3]

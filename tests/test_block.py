@@ -261,7 +261,8 @@ class TestSolveBlock:
             cfg = SolverConfig(penalty=penalty, m=1, gamma=0.2, tol=1e-12)
             zb, rb = solve_block(A, cfg)
             zs, rs = solve_multi_sequential(A, cfg)
-            assert abs(rb.objective_history[-1] - rs.objective_history[-1]) <= 1e-8
+            (block_history,), (unit_history,) = rb.component_histories, rs.component_histories
+            assert abs(block_history[-1] - unit_history[-1]) <= 1e-8
             diff = min(
                 np.abs(zb.values[:, 0] - zs.values[:, 0]).max(),
                 np.abs(zb.values[:, 0] + zs.values[:, 0]).max(),
@@ -284,7 +285,8 @@ class TestSolveBlock:
             seed=0, tol=1e-12,
         )
         _, report = solve_block(np.eye(3), cfg)
-        assert report.objective_history[-1] == pytest.approx(3.0, abs=1e-8)
+        history, = report.component_histories
+        assert history[-1] == pytest.approx(3.0, abs=1e-8)
 
     @pytest.mark.parametrize("penalty", ["l1", "l0"])
     def test_monotone_history(self, penalty):
@@ -298,7 +300,7 @@ class TestSolveBlock:
             )
             try:
                 _, report = solve_block(A, cfg)
-                history = report.objective_history
+                history, = report.component_histories
             except RankDeficiencyError as err:
                 history = err.history
             assert np.all(np.diff(history) >= -1e-12)
@@ -639,7 +641,8 @@ class TestSampleGramRoute:
 class TestGramRowsRoute:
     """A sparse block step reads its correlations from cached rows of
     G = A'A: with P = G[:, act] W_act and D = diag(2 mu), S = mu P D M^{-1/2}
-    for M = D W_act' P[act] D, which must equal mu A' polar(2 mu A W)."""
+    for M = D W_act' P[act] D, which must equal mu A' polar(2 mu A W).  A
+    vector step reads them too, as mu P / sqrt(w' P[act])."""
 
     @staticmethod
     def data():
@@ -735,6 +738,27 @@ class TestGramRowsRoute:
         (got_at, got_rank, got), (want_at, want_rank, want) = raised
         assert got_at == want_at == iteration and got_rank == want_rank == 2
         assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("penalty, gamma", [("l1", 10.0), ("l0", 100.0)])
+    def test_vector_step_at_mu_two_matches_the_matrix_route(self, monkeypatch, penalty,
+                                                             gamma):
+        # A vector's rows step scales its normalized P by mu when mu != 1:
+        # the climb must follow the one whose every step runs the kernels.
+        A = TestKeptDeflatedRows.recog_data()
+        x = A.values[:, np.argmax(np.linalg.norm(A.values, axis=0))]
+        x = x / np.linalg.norm(x)
+        rows = []
+        original = gpspca.block._Retraction._gram_rows
+        monkeypatch.setattr(gpspca.block._Retraction, "_gram_rows",
+                            lambda step, active: rows.append(1) or original(step, active))
+        _, S, history, _ = ascend(A, x, gamma, 2.0, penalty, 1e-10, 500)
+        steps = len(rows)
+        monkeypatch.setattr(gpspca.block, "GRAM_MAX_BYTES", 0)
+        _, want_S, want_history, _ = ascend(A, x, gamma, 2.0, penalty, 1e-10, 500)
+        assert steps > 10 and len(rows) == steps
+        assert len(history) == len(want_history)
+        assert np.allclose(history, want_history, rtol=1e-12, atol=0)
+        assert np.array_equal(np.abs(S) > gamma, np.abs(want_S) > gamma)
 
     def test_workers_bitwise(self, monkeypatch, routes):
         # Chunks of 32 columns, so two and three workers split every kernel
@@ -1031,9 +1055,10 @@ class TestKeptDeflatedRows:
         want, want_report = solve_block(A, config)
         assert len(fresh) > 0
         assert kept.nnz_per_component() == want.nnz_per_component()
-        assert len(kept_report.objective_history) == len(want_report.objective_history)
-        assert np.allclose(kept_report.objective_history, want_report.objective_history,
-                           rtol=1e-12, atol=0)
+        (kept_history,), (want_history,) = (kept_report.component_histories,
+                                            want_report.component_histories)
+        assert len(kept_history) == len(want_history)
+        assert np.allclose(kept_history, want_history, rtol=1e-12, atol=0)
 
 
 class TestSparseWeights:

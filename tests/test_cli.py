@@ -493,10 +493,23 @@ class TestBenchCommands:
         out = tmp_path / "rec.csv"
         code = main([
             "bench-recognition", "--dataset", str(data), "--variant", "sl1",
-            "--m", "2,2", "--gamma", "0.1,0.2", "--split", "per-class:6", "--out", str(out),
+            "--m", "2", "--gamma", "0.1,0.2", "--split", "per-class:6", "--out", str(out),
         ])
         assert code == 0
         assert "Error" not in out.read_text()
+
+    @pytest.mark.parametrize("ms", ["2,2", "2,5,2"])
+    def test_bench_recognition_repeated_m_is_usage_error(self, tmp_path, capsys, ms):
+        # A repeated m would write each of its rows, and its mean row, twice.
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        out = tmp_path / "rec.csv"
+        code = main([
+            "bench-recognition", "--dataset", str(data), "--variant", "sl1", "--m", ms,
+            "--split", "per-class:6", "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        assert f"m lists a value more than once: {ms}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", ["abc", "2.5"])
     def test_bench_recognition_bad_group_id_is_data_error(self, tmp_path, capsys, bad):
