@@ -42,7 +42,7 @@ from .parallel import (
     par_matvec_t,
     par_threshold_accumulate,
 )
-from .pca import PcaModel, pca_fit, project
+from .pca import pca_fit, project
 from .single_unit import (
     ComponentSequence,
     deflate,

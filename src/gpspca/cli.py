@@ -1,8 +1,7 @@
 """Command-line interface: solve, bench-timing, bench-recognition, datasets.
 
-Flag values come from, in decreasing precedence: the command line, the
-GPSPCA_WORKERS environment variable (workers only), a --config
-key=value file, then built-in defaults.  Every value, whatever its
+Flag values come from, in decreasing precedence: the command line, a
+--config key=value file, then built-in defaults.  Every value, whatever its
 source, is checked by its flag's type before any data is read.  A rule
 that ties a value to the data or to other settings is the library's
 alone, and main maps the exception it raises to an exit code by type:
@@ -17,7 +16,6 @@ a sparse fit's objective summed over its components.
 """
 
 import argparse
-import os
 import sys
 from importlib import resources
 
@@ -43,9 +41,10 @@ from .datasets import (
     read_table,
 )
 
-ENV_KEYS = {"workers": "GPSPCA_WORKERS"}
-# Flags that name the inputs of one run; a --config file cannot set them.
-FLAG_ONLY = {"command", "config", "input", "no_center", "group_file", "test_groups"}
+# The subcommand, the config file and the flags that name a run's inputs;
+# a --config file cannot set them.  --test-groups is a setting: the Isolet
+# presets name their held-out groups.
+FLAG_ONLY = {"command", "config", "input", "no_center", "group_file"}
 
 
 class UsageError(ValueError):
@@ -292,10 +291,10 @@ def build_parser():
 
 
 def parse_args(argv=None):
-    """Parse argv into typed settings.  GPSPCA_* and --config values become
-    defaults of the chosen subcommand, so a flag still overrides them and
-    the same flag type checks them; a config key that is not one of those
-    defaults is a usage error."""
+    """Parse argv into typed settings.  --config values become defaults of
+    the chosen subcommand, so a flag still overrides them and the same flag
+    type checks them; a config key that is not a setting of that
+    subcommand (see FLAG_ONLY) is a usage error."""
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     values = read_config_file(args.config) if getattr(args, "config", None) else {}
@@ -303,10 +302,8 @@ def parse_args(argv=None):
     if unknown:
         raise UsageError(f"config keys that are not settings of {args.command}: "
                          + ", ".join(unknown))
-    values.update((key, os.environ[var]) for key, var in ENV_KEYS.items() if os.environ.get(var))
-    layered = {k: v for k, v in values.items() if k in vars(args)}
-    if layered:
-        commands[args.command].set_defaults(**layered)
+    if values:
+        commands[args.command].set_defaults(**values)
         args = parser.parse_args(argv)
     return args
 

@@ -40,10 +40,16 @@ class LabeledDataset:
         return self.samples.shape[1]
 
     def train(self):
-        return self.samples[self.train_indices], self.labels[self.train_indices]
+        return self._side(self.train_indices)
 
     def test(self):
-        return self.samples[self.test_indices], self.labels[self.test_indices]
+        return self._side(self.test_indices)
+
+    def _side(self, indices):
+        # Indexing with None would add an axis: (1, N, n) samples.
+        if indices is None:
+            raise ValueError("dataset has no train/test split; draw one with make_splits")
+        return self.samples[indices], self.labels[indices]
 
 
 # Split policies.  make_splits dispatches on the type.
@@ -309,13 +315,11 @@ def _squared_distances(test, train):
     return np.maximum(d, 0.0)
 
 
-def knn_classify(train_embedding, train_labels, test_embedding, test_labels=None):
-    """1-nearest-neighbor prediction in the embedded space.
+def knn_classify(train_embedding, train_labels, test_embedding):
+    """1-nearest-neighbor predictions in the embedded space.
 
     Euclidean metric; each test row takes the label of its nearest
     training row, distance ties going to the lowest train index.
-    Returns (predictions, accuracy); accuracy is None when test_labels
-    is not given.
     """
     train = np.asarray(train_embedding, dtype=np.float64)
     test = np.asarray(test_embedding, dtype=np.float64)
@@ -330,11 +334,7 @@ def knn_classify(train_embedding, train_labels, test_embedding, test_labels=None
     for lo in range(0, test.shape[0], step):
         d = _squared_distances(test[lo : lo + step], train)
         predictions[lo : lo + d.shape[0]] = train_labels[np.argmin(d, axis=1)]
-    accuracy = None
-    if test_labels is not None:
-        test_labels = np.asarray(test_labels)
-        accuracy = float(np.mean(predictions == test_labels))
-    return predictions, accuracy
+    return predictions
 
 
 def synthetic_sparse_factors(
@@ -344,7 +344,6 @@ def synthetic_sparse_factors(
     n_factors=5,
     support_size=10,
     class_scale=4.0,
-    within_scale=1.0,
     noise_scale=1.0,
     seed=0,
 ):
@@ -366,6 +365,6 @@ def synthetic_sparse_factors(
     class_means = rng.standard_normal((n_classes, n_factors)) * class_scale
     total = n_classes * per_class
     labels = np.repeat(np.arange(n_classes), per_class)
-    latent = class_means[labels] + rng.standard_normal((total, n_factors)) * within_scale
+    latent = class_means[labels] + rng.standard_normal((total, n_factors))
     samples = latent @ W.T + rng.standard_normal((total, n_features)) * noise_scale
     return LabeledDataset(samples=samples, labels=labels.astype(np.int64))

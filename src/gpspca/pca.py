@@ -61,13 +61,6 @@ def center_rows(samples, order="C"):
     return centered, mean
 
 
-def deterministic_signs(loadings):
-    """Flip each column so its largest-magnitude entry is positive."""
-    L = np.array(loadings, dtype=np.float64, copy=True)
-    _fix_signs(L.T)
-    return L
-
-
 def _fix_signs(rows):
     # In place: each row's largest-magnitude entry becomes positive.
     lead = rows[np.arange(rows.shape[0]), np.argmax(np.abs(rows), axis=1)]
@@ -91,11 +84,12 @@ class PcaFactors:
         self._rows = None  # the components computed from them, as rows
         self._svd = None  # (s, V'), V' sign-fixed
 
-    def model(self, m=None):
+    def model(self, m):
+        """The top-m fit of these rows, 1 <= m <= min(p, n), as pca_fit returns it."""
         p, n = self.centered.shape
-        if m is not None and not 1 <= m <= min(p, n):
+        if not 1 <= m <= min(p, n):
             raise ValueError(f"need 1 <= m <= min(#samples, #variables) = {min(p, n)}, got m={m}")
-        if m is not None and p < n:
+        if p < n:
             if self._eig is None:
                 lam, Q = np.linalg.eigh(self.centered @ self.centered.T)
                 served = np.count_nonzero(lam > GRAM_FLOOR * lam[-1])
@@ -130,17 +124,18 @@ class PcaFactors:
         self._rows = rows
 
 
-def pca_fit(samples, m=None):
-    """Top-m principal components of a samples x variables matrix.
+def pca_fit(samples, m):
+    """Top-m principal components of a samples x variables matrix, for
+    1 <= m <= min(#samples, #variables).
 
     Components are the leading right singular vectors of the centered
-    data, sign-fixed for determinism.  With fewer samples than
-    variables they come from the sample Gram, unless lambda_m / lambda_1
-    is at most GRAM_FLOOR; otherwise, and for m=None, which keeps all
-    min(#samples, #variables) of them, from the SVD (see the module
-    docstring).  On either route each component rounds the same
-    whatever m is.  samples may be a PcaFactors, which keeps what earlier
-    fits of the same rows factorized, so fits of several m share it.
+    data, sign-fixed for determinism: each one's largest-magnitude entry
+    is positive.  With fewer samples than variables they come from the
+    sample Gram, unless lambda_m / lambda_1 is at most GRAM_FLOOR;
+    otherwise from the SVD (see the module docstring).  On either route
+    each component rounds the same whatever m is.  samples may be a
+    PcaFactors, which keeps what earlier fits of the same rows
+    factorized, so fits of several m share it.
     """
     factors = samples if isinstance(samples, PcaFactors) else PcaFactors(samples)
     return factors.model(m)

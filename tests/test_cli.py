@@ -245,18 +245,6 @@ class TestConfigResolution:
         ]) == 0
         assert out.read_text().splitlines()[0] == "component_1,component_2,component_3"
 
-    def test_env_var_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
-        data = write_labeled_csv(tmp_path / "d.csv")
-        monkeypatch.setenv("GPSPCA_WORKERS", "not-a-number")
-        # env var is consulted (and rejected) only when --workers is absent
-        assert main([
-            "solve", "--input", str(data), "--out", str(tmp_path / "o.csv"),
-        ]) == 1
-        assert main([
-            "solve", "--input", str(data), "--workers", "1",
-            "--out", str(tmp_path / "o.csv"),
-        ]) == 0
-
     def test_preset_config_loads(self):
         values = read_config_file("preset:coil20_train24")
         assert values["gamma"] == "0.3"
@@ -273,6 +261,23 @@ class TestConfigResolution:
         from_flags = vars(parse_args([command, *flags]))
         assert set(values) <= set(from_preset)
         assert from_preset == {**from_flags, "config": f"preset:{name}"}
+
+    @pytest.mark.parametrize("name, held_out", [("isolet_fourone", (5,)),
+                                                ("isolet_threetwo", (4, 5))])
+    def test_isolet_presets_hold_out_their_groups(self, tmp_path, capsys, name, held_out):
+        # The preset names its test groups; only the group file is an input.
+        data = write_labeled_csv(tmp_path / "d.csv", per_class=10)
+        groups = tmp_path / "groups.txt"
+        groups.write_text("\n".join(str(i % 5 + 1) for i in range(30)) + "\n")
+        argv = ["bench-recognition", "--dataset", str(data), "--config", f"preset:{name}",
+                "--group-file", str(groups), "--m", "2"]
+        out = tmp_path / "rec.csv"
+        assert parse_args(argv).test_groups == held_out
+        assert parse_args([*argv, "--test-groups", "3"]).test_groups == (3,)
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 1 + 5 + 1  # header, five repetitions, their mean
+        assert all(row.endswith(",") for row in rows[1:])  # an empty error column
 
     def test_unknown_preset_rejected(self, capsys):
         with pytest.raises(Exception):

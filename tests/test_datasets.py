@@ -272,22 +272,38 @@ class TestMakeSplits:
         with pytest.raises(DatasetFormatError, match="never appear"):
             make_splits(ds, FixedSplit([0, 1], [2, 3]))
 
+    def test_sides_need_a_split(self, tmp_path):
+        # Indexing with the unset indices would return (1, 30, 8) samples.
+        path = tmp_path / "d.csv"
+        rows = np.random.default_rng(8).standard_normal((30, 8))
+        path.write_text("".join(f"{i % 3}," + ",".join(map(str, r)) + "\n"
+                                for i, r in enumerate(rows)))
+        ds = load_dataset(path)
+        for side in (ds.train, ds.test):
+            with pytest.raises(ValueError, match="make_splits"):
+                side()
+        split = make_splits(ds, FixedSplit(np.arange(20), np.arange(20, 30)))
+        train_x, train_y = split.train()
+        test_x, test_y = split.test()
+        assert np.array_equal(train_x, ds.samples[:20]) and np.array_equal(train_y, ds.labels[:20])
+        assert np.array_equal(test_x, ds.samples[20:]) and np.array_equal(test_y, ds.labels[20:])
+
 
 class TestKnnClassify:
     def test_exact_training_point_wins(self):
         train = np.array([[0.0, 0.0], [5.0, 5.0]])
         labels = np.array([1, 2])
-        pred, acc = knn_classify(train, labels, np.array([[5.0, 5.0]]), [2])
-        assert pred.tolist() == [2] and acc == 1.0
+        pred = knn_classify(train, labels, np.array([[5.0, 5.0]]))
+        assert pred.tolist() == [2]
 
     def test_one_dimensional_example(self):
-        pred, _ = knn_classify([[0.0], [10.0]], np.array([0, 1]), [[2.0]])
+        pred = knn_classify([[0.0], [10.0]], np.array([0, 1]), [[2.0]])
         assert pred.tolist() == [0]
 
     def test_distance_tie_lowest_index(self):
         train = np.array([[1.0], [-1.0]])
         labels = np.array([7, 8])
-        pred, _ = knn_classify(train, labels, [[0.0]])
+        pred = knn_classify(train, labels, [[0.0]])
         assert pred.tolist() == [7]
 
     def test_separated_blobs_against_brute_force(self):
@@ -297,11 +313,11 @@ class TestKnnClassify:
         train_labels = np.repeat([0, 1, 2], 50)
         test = np.vstack([c + rng.standard_normal((50, 2)) for c in centers])
         test_labels = np.repeat([0, 1, 2], 50)
-        pred, acc = knn_classify(train, train_labels, test, test_labels)
+        pred = knn_classify(train, train_labels, test)
         # independent brute-force distance matrix
         d = ((test[:, None, :] - train[None, :, :]) ** 2).sum(axis=2)
         assert np.array_equal(pred, train_labels[np.argmin(d, axis=1)])
-        assert acc >= 0.99
+        assert np.mean(pred == test_labels) >= 0.99
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError):
